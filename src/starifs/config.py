@@ -10,6 +10,7 @@ re-parses identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ def _fail(path, msg):
 def _expect_number(value, path, lo=None, hi=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "must be a number")
+    # json accepts NaN, Infinity and integers beyond the float range
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        _fail(path, "must be a finite number")
     if integer and int(value) != value:
         _fail(path, "must be an integer")
     if lo is not None and value < lo:

@@ -130,8 +130,8 @@ def validate(system):
         raise DomainError("a system needs at least one map")
     if system.weights.shape != (system.k,):
         raise DomainError("one weight per map is required")
-    if np.any(system.weights < 0.0) or np.any(system.weights > 1.0):
-        raise DomainError("weights must lie in [0, 1]")
+    if not np.all((system.weights >= 0.0) & (system.weights <= 1.0)):
+        raise DomainError("weights must be finite and lie in [0, 1]")
     max_w = float(system.weights.max())
     if abs(max_w - 1.0) > WEIGHT_TOL:
         raise WeightError(f"weight error: max λ = {max_w:g}")

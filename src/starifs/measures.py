@@ -221,28 +221,34 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels, chunk=256):
     """Hausdorff distance between two quantized hypographs (sup metric).
 
     For saturated sets the directed sup-inf collapses to a closed form
-    on the density tops: from member (x, s) the best candidate over the
-    fiber of y is max(d(x, y), (s - beta(y))+), and the sup over the
-    fiber of x is attained at s = alpha(x).  Hence
+    on the level indices ka, kb of the density tops: from member (x, s)
+    the best candidate over the fiber of y is max(d(x, y), (s - kb(y))+ / m),
+    and the sup over the fiber of x is attained at s = ka(x).  Grouping
+    the y by the level they reach turns the min over y into a sweep over
+    the distinct values j of kb:
 
-        directed(A -> B) = max_x min_y max(d(x,y), (alpha(x)-beta(y))+ )
+        directed(A -> B) = max_x min_j max(D_j(x), (ka(x) - j)+ / m)
 
-    which this function evaluates exactly (level arithmetic is done on
-    integer indices).  Matches the member-level brute force bit for bit
-    on power-of-two resolutions, where k/m is itself exact.
+    where D_j(x) is the distance from x to {y : kb(y) >= j}, supplied by
+    the space's ``distance_to``: matrix-free on generated grids, and a
+    masked row-min ``chunk`` rows at a time on dense spaces.  The gap
+    term does not grow with j, so the sweep equals the min over all y
+    exactly; level arithmetic is done on integer indices.  Matches the
+    member-level brute force bit for bit on power-of-two resolutions,
+    where k/m is itself exact.
     """
     ka = levels.floor_index(np.asarray(dens_a, dtype=float))
     kb = levels.floor_index(np.asarray(dens_b, dtype=float))
     m = levels.resolution
 
     def directed(k_from, k_to):
-        worst = 0.0
-        for start in range(0, space.n, chunk):
-            stop = min(start + chunk, space.n)
-            gap = np.maximum(k_from[start:stop, None] - k_to[None, :], 0) / m
-            cand = np.maximum(space.dist[start:stop], gap)
-            worst = max(worst, float(cand.min(axis=1).max()))
-        return worst
+        js = np.unique(k_to)
+        # every point reaches the lowest level, so D is 0 there
+        best = np.maximum(k_from - js[0], 0) / m
+        for j in js[1:]:
+            reach = space.distance_to(k_to >= j, chunk)
+            np.minimum(best, np.maximum(reach, np.maximum(k_from - j, 0) / m), out=best)
+        return float(best.max())
 
     return max(directed(ka, kb), directed(kb, ka))
 

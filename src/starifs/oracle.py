@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, ResourceBudgetError
 from .ifs import _ensure_validated
 from .measures import StarMeasure
+from .spaces import _pairs_hausdorff
 
 WORD_BUDGET = 1_000_000
 
@@ -194,14 +195,6 @@ class LemmaFuzzReport:
             "violations": self.violations,
             "passed": self.passed,
         }
-
-
-def _pairs_hausdorff(space_x, space_y, a, b):
-    d = np.maximum(
-        space_x.dist[np.ix_(a[:, 0], b[:, 0])],
-        space_y.dist[np.ix_(a[:, 1], b[:, 1])],
-    )
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def lemma_prod_fuzzer(space_x, space_y, trials, rng_seed):

@@ -100,6 +100,18 @@ class TestCheckCommand:
     def test_malformed_config(self):
         assert main(["check", str(CONFIGS / "malformed.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value, label",
+        [("weights", [1.0, float("nan")], "weights"), ("bounds", [0, float("inf")], "space.bounds")],
+        ids=["nan-weight", "infinite-bound"],
+    )
+    def test_nonfinite_number_named(self, cantor_cfg, capsys, field, value, label):
+        raw = json.loads(cantor_cfg.read_text())
+        (raw if field == "weights" else raw["space"])[field] = value
+        cantor_cfg.write_text(json.dumps(raw))  # writes NaN / Infinity literals
+        assert main(["check", str(cantor_cfg)]) == 2
+        assert f"{label}[1]: must be a finite number" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nowhere.json"]) == 3
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import starifs as si
 
-from conftest import ALL_TNORMS, make_cantor
+from conftest import ALL_TNORMS, make_cantor, make_sierpinski
 
 
 class TestContractionMap:
@@ -49,6 +51,9 @@ class TestValidate:
         maps = [si.ContractionMap.affine([[0.5]], [0.0])]
         with pytest.raises(si.DomainError):
             si.validate(si.IFSSystem(X, maps, [1.2], si.TNorm("product")))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(si.DomainError, match="finite"):
+                si.validate(si.IFSSystem(X, maps * 2, [1.0, bad], si.TNorm("product")))
 
     def test_identity_table_not_a_contraction(self):
         X = si.grid_1d(10, 0, 1)
@@ -226,6 +231,18 @@ class TestSolve:
             mu, nu = si.psi(sys_, mu), si.psi(sys_, nu)
             gap = si.hypograph_hausdorff(sys_.space, mu.density, nu.density, lv)
             assert gap <= sys_.c**n * sys_.space.diameter + 2 * h + 2 / m
+
+    def test_grid_solve_is_matrix_free(self):
+        # the dense 96^2 x 96^2 distance matrix alone would take 679 MB
+        tracemalloc.start()
+        try:
+            system = make_sierpinski(96)
+            _, report = si.solve(system, tol=1e-9, max_iter=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.stopped_by == "residual"
+        assert peak < 64 * 2**20
 
     def test_rejects_nonpositive_tol(self, cantor):
         with pytest.raises(si.DomainError):

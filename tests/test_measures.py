@@ -296,17 +296,55 @@ class TestSaturated:
             si.SaturatedSet(X, lv, frozenset({(0, 0), (1, 0), (1, 5)}))
 
 
+def dense_closed_form(space, dens_a, dens_b, levels):
+    """max_x min_y max(d(x, y), (ka(x) - kb(y))+ / m) over the full matrix."""
+    ka = levels.floor_index(np.asarray(dens_a, dtype=float))
+    kb = levels.floor_index(np.asarray(dens_b, dtype=float))
+    m = levels.resolution
+
+    def directed(k_from, k_to):
+        gap = np.maximum(k_from[:, None] - k_to[None, :], 0) / m
+        return float(np.maximum(space.dist, gap).min(axis=1).max())
+
+    return max(directed(ka, kb), directed(kb, ka))
+
+
+def _special_pairs(n, rng):
+    dirac = np.zeros(n)
+    dirac[n // 2] = 1.0
+    other = np.zeros(n)
+    other[0] = 1.0
+    r = rng.uniform(0, 1, n)
+    zero = np.zeros(n)
+    return [(r, r), (zero, zero), (zero, r), (dirac, dirac), (dirac, other), (dirac, r)]
+
+
+_RECT = si.grid_2d(7, 5, ((0.0, 1.0), (0.0, 3.0)))
+
+
 class TestHypographHausdorff:
     def test_matches_bruteforce_exactly(self):
-        X = si.grid_1d(9, 0, 1)
-        lv = si.LevelGrid(8)
+        cases = [
+            (si.grid_1d(9, 0, 1), 8),
+            (si.grid_1d(23, -0.4, 1.3), 10),
+            (_RECT, 16),
+            (_RECT, 12),
+            (si.FiniteMetricSpace(_RECT.dist, coords=_RECT.coords), 8),
+        ]
         rng = np.random.default_rng(16)
-        for _ in range(25):
-            da = rng.uniform(0, 1, X.n)
-            db = rng.uniform(0, 1, X.n)
-            fast = si.hypograph_hausdorff(X, da, db, lv)
-            brute = si.hypograph_hausdorff_bruteforce(X, da, db, lv)
-            assert fast == brute
+        for space, m in cases:
+            lv = si.LevelGrid(m)
+            pairs = [tuple(rng.uniform(0, 1, (2, space.n))) for _ in range(25)]
+            for da, db in pairs + _special_pairs(space.n, rng):
+                fast = si.hypograph_hausdorff(space, da, db, lv)
+                assert fast == dense_closed_form(space, da, db, lv)
+                brute = si.hypograph_hausdorff_bruteforce(space, da, db, lv)
+                if m & (m - 1) == 0:
+                    assert fast == brute
+                else:
+                    # brute force subtracts two rounded k/m values, the closed
+                    # form divides the exact integer gap: they differ by ulps
+                    assert fast == pytest.approx(brute, rel=0.0, abs=4 * np.finfo(float).eps)
 
     def test_zero_iff_equal_quantized(self):
         X = si.grid_1d(6, 0, 1)
@@ -320,9 +358,10 @@ class TestHypographHausdorff:
 
     def test_symmetry_and_chunking(self):
         X = si.grid_1d(40, 0, 1)
+        dense = si.FiniteMetricSpace(X.dist)  # only dense spaces work in chunks
         lv = si.LevelGrid(16)
         rng = np.random.default_rng(19)
         da, db = rng.uniform(0, 1, (2, X.n))
-        d1 = si.hypograph_hausdorff(X, da, db, lv, chunk=7)
-        d2 = si.hypograph_hausdorff(X, db, da, lv, chunk=1000)
-        assert d1 == d2
+        d1 = si.hypograph_hausdorff(dense, da, db, lv, chunk=7)
+        d2 = si.hypograph_hausdorff(dense, db, da, lv, chunk=1000)
+        assert d1 == d2 == si.hypograph_hausdorff(X, db, da, lv)

@@ -34,6 +34,13 @@ class TestGrid1d:
             si.grid_1d(1, 0, 1)
         with pytest.raises(si.DomainError):
             si.grid_1d(5, 1, 1)
+        for a, b in ((0, math.inf), (math.nan, 1), (-math.inf, 0)):
+            with pytest.raises(si.DomainError, match="finite"):
+                si.grid_1d(5, a, b)
+        with pytest.raises(si.DomainError, match="step"):
+            si.grid_1d(5, -1e308, 1e308)  # the step overflows
+        with pytest.raises(si.DomainError, match="distinct"):
+            si.grid_1d(5, 0, 1.5e-323)  # subnormal coordinates collide
 
 
 class TestGrid2d:
@@ -63,6 +70,34 @@ class TestGrid2d:
             si.grid_2d(2, 2, ((0, 0), (0, 1)))
         with pytest.raises(si.DomainError):
             si.grid_2d(1, 5, ((0, 1), (0, 1)))
+        with pytest.raises(si.DomainError, match="finite"):
+            si.grid_2d(3, 3, ((0, 1), (0, math.inf)))
+        with pytest.raises(si.DomainError, match="finite"):
+            si.grid_2d(3, 3, ((math.nan, 1), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        si.grid_1d(2, 0, 1),
+        si.grid_1d(101, -0.37, 2.9),
+        si.grid_2d(7, 5, ((0, 1), (0, 3))),
+        si.grid_2d(13, 6, ((-1.1, 0.7), (0.2, 3.3))),
+    ],
+    ids=["1d-2", "1d-101", "2d-7x5", "2d-13x6"],
+)
+class TestGridMatrixFree:
+    def test_diameter_is_dense_max(self, space):
+        assert space.diameter == space.dist.max()
+
+    def test_distance_to_is_dense_row_min(self, space):
+        rng = np.random.default_rng(space.n)
+        masks = [rng.uniform(size=space.n) < p for p in (0.05, 0.3, 0.9)]
+        masks += [np.eye(1, space.n, k, dtype=bool)[0] for k in (0, space.n - 1)]
+        for mask in masks:
+            if mask.any():
+                expected = space.dist[:, mask].min(axis=1)
+                assert np.array_equal(space.distance_to(mask), expected)
 
 
 class TestMetricValidation:
@@ -86,9 +121,14 @@ class TestMetricValidation:
         with pytest.raises(si.DomainError):
             si.FiniteMetricSpace(d)
 
+    def test_rejects_nonfinite(self):
+        d = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(si.DomainError, match="finite"):
+            si.FiniteMetricSpace(d)
+
     def test_sampled_validation_large_space(self):
         # above the exhaustive cutoff the triangle check is sampled
-        X = si.grid_1d(600, 0, 1)
+        X = si.FiniteMetricSpace(si.grid_1d(600, 0, 1).dist)
         assert X.n == 600
 
 
