@@ -57,7 +57,6 @@ from .spaces import (
     grid_2d,
     hausdorff,
     product_metric,
-    product_sup_metric,
     projection_bound_check,
 )
 from .tnorms import FAMILIES, TNorm, axiom_report, parse_tnorm
@@ -101,7 +100,6 @@ __all__ = [
     "lemma_prod_fuzzer",
     "max_union",
     "product_metric",
-    "product_sup_metric",
     "projection_bound_check",
     "psi",
     "pushforward",

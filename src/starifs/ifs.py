@@ -16,7 +16,7 @@ are the only systematic discretization errors.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,14 +24,20 @@ from .errors import (
     CoverageError,
     DomainError,
     NotAContractionError,
+    PreconditionError,
     WeightError,
 )
-from .measures import StarMeasure, hypograph_hausdorff, max_union, pushforward, scale
+from .measures import StarMeasure, hypograph_hausdorff
 from .spaces import LevelGrid
 
 WEIGHT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_LEVEL_RESOLUTION = 256
+
+
+def _readonly(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -52,15 +58,17 @@ class ContractionMap:
 
     @classmethod
     def affine(cls, matrix, translation):
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        translation = np.asarray(translation, dtype=float).ravel()
+        matrix = _readonly(np.atleast_2d(np.array(matrix, dtype=float)))
+        translation = _readonly(np.array(translation, dtype=float).ravel())
         if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != translation.size:
             raise DomainError("affine matrix and translation dimensions disagree")
+        if not (np.isfinite(matrix).all() and np.isfinite(translation).all()):
+            raise DomainError("affine matrix and translation entries must be finite")
         return cls(kind="affine", matrix=matrix, translation=translation)
 
     @classmethod
     def tabulated(cls, table):
-        return cls(kind="tabulated", table=np.asarray(table, dtype=np.int64))
+        return cls(kind="tabulated", table=_readonly(np.array(table, dtype=np.int64)))
 
     def image_coords(self, space):
         if self.kind != "affine":
@@ -80,7 +88,7 @@ class ContractionMap:
             if np.any(tbl < 0) or np.any(tbl >= space.n):
                 raise DomainError("tabulated map targets outside the space")
             return tbl
-        return space.snap(self.image_coords(space))
+        return _readonly(space.snap(self.image_coords(space)))
 
     def contraction_constant(self, space):
         if self.kind == "affine":
@@ -92,27 +100,29 @@ class ContractionMap:
         return float(ratios.max())
 
 
-@dataclass
+@dataclass(frozen=True)
 class IFSSystem:
     """Contraction maps with weights and a t-norm over one space.
 
     The weight vector must attain 1 (its max is the normalization the
-    operator preserves).  ``c`` is the system constant: the max of the
-    per-map contraction constants.  Call validate() before iterating.
+    operator preserves); it is held as a read-only copy.  The derived
+    ``constants``, ``c`` (their max, the system constant) and snapped
+    ``tables`` are None until validate() returns a copy carrying them;
+    iterating a system without them raises PreconditionError.
     """
 
     space: object
     maps: tuple
     weights: np.ndarray
     tnorm: object
+    constants: tuple | None = field(default=None, init=False)
+    c: float | None = field(default=None, init=False)
+    tables: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
-        self.maps = tuple(self.maps)
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        self._validated = False
-        self.constants = None
-        self.c = None
-        self.tables = None
+        object.__setattr__(self, "maps", tuple(self.maps))
+        weights = np.array(self.weights, dtype=float).ravel()
+        object.__setattr__(self, "weights", _readonly(weights))
 
     @property
     def k(self):
@@ -120,11 +130,13 @@ class IFSSystem:
 
 
 def validate(system):
-    """Check the system invariants and cache derived data; returns system.
+    """Check the system invariants; returns a validated frozen copy.
 
-    Raises WeightError when max weight != 1, NotAContractionError when
-    any constant reaches 1, CoverageError when an affine image leaves
-    the grid hull by more than one spacing.
+    The copy carries the contraction constants, ``c`` and the snapped
+    tables; the argument is left as it was.  Raises WeightError when
+    max weight != 1, NotAContractionError when any constant reaches 1,
+    CoverageError when an affine image leaves the grid hull by more
+    than one spacing.
     """
     if system.k < 1:
         raise DomainError("a system needs at least one map")
@@ -136,7 +148,7 @@ def validate(system):
     if abs(max_w - 1.0) > WEIGHT_TOL:
         raise WeightError(f"weight error: max λ = {max_w:g}")
 
-    constants = [m.contraction_constant(system.space) for m in system.maps]
+    constants = tuple(m.contraction_constant(system.space) for m in system.maps)
     worst = max(constants)
     if worst >= 1.0:
         raise NotAContractionError(
@@ -156,16 +168,21 @@ def validate(system):
                 f"map {i} leaves the grid hull by {excess:g} (> spacing {space.spacing:g})"
             )
 
-    system.constants = constants
-    system.c = float(worst)
-    system.tables = [m.snapped_table(system.space) for m in system.maps]
-    system._validated = True
-    return system
+    validated = replace(system)
+    tables = tuple(m.snapped_table(space) for m in system.maps)
+    # the class is frozen: set the derived fields on the fresh copy only
+    vars(validated).update(constants=constants, c=float(worst), tables=tables)
+    return validated
 
 
-def _ensure_validated(system):
-    if not getattr(system, "_validated", False):
-        validate(system)
+def _require_validated(system):
+    if system.tables is None:
+        raise PreconditionError("the system must be validated: call validate() first")
+
+
+def _check_measure(system, mu):
+    if mu.space is not system.space or mu.tnorm != system.tnorm:
+        raise DomainError("the measure must live on the system's space and t-norm")
 
 
 def psi(system, mu):
@@ -173,16 +190,17 @@ def psi(system, mu):
 
     density'(y) = max over maps i and points x with f_i(x) snapped to y
     of lambda_i * density(x); normalization survives because some
-    weight is 1 and images keep the global max.
+    weight is 1 and images keep the global max.  Equal bit for bit to
+    max_union of scale(w, pushforward(table, mu)) over the maps.
     """
-    _ensure_validated(system)
-    if mu.space is not system.space and mu.space.n != system.space.n:
-        raise DomainError("measure and system live on different spaces")
-    parts = [
-        scale(w, pushforward(tbl, mu, system.space))
-        for w, tbl in zip(system.weights, system.tables)
-    ]
-    return StarMeasure(system.space, max_union(parts).density, system.tnorm)
+    _require_validated(system)
+    _check_measure(system, mu)
+    out = np.zeros(system.space.n)
+    for w, tbl in zip(system.weights, system.tables):
+        image = np.zeros_like(out)
+        np.maximum.at(image, tbl, mu.density)
+        np.maximum(out, system.tnorm.apply(float(w), image), out=out)
+    return StarMeasure(system.space, out, system.tnorm)
 
 
 def error_bound(n, c, diam):
@@ -201,7 +219,6 @@ def residual(system, mu, levels=None):
 
     Zero at grid resolution exactly when mu is invariant.
     """
-    _ensure_validated(system)
     levels = levels or LevelGrid(DEFAULT_LEVEL_RESOLUTION)
     nxt = psi(system, mu)
     return hypograph_hausdorff(system.space, mu.density, nxt.density, levels)
@@ -242,9 +259,11 @@ def solve(
     hypograph residual <= tol, a priori bound c^n diam(X) <= tol, or
     max_iter.  Hitting max_iter is a reported stop, not an error.
     """
-    _ensure_validated(system)
+    _require_validated(system)
     if tol <= 0.0:
         raise DomainError("tol must be positive")
+    if seed is not None:
+        _check_measure(system, seed)
     start = time.perf_counter()
     levels = LevelGrid(level_resolution)
     mu = seed if seed is not None else StarMeasure.full(system.space, system.tnorm)

@@ -155,40 +155,37 @@ def weakstar_distance(mu, nu, tests):
 class SaturatedSet:
     """A finite element of the hypograph space on X x LevelGrid.
 
-    ``members`` holds (point index, level index) pairs.  The set must
-    contain the zero section and be downward closed per point, i.e. the
-    level indices at each point form a prefix {0, ..., k}.
+    Held by ``top_indices``, a read-only array of the top level index
+    at each point; the set is {(x, k) : 0 <= k <= top_indices[x]}, so
+    it contains the zero section and is downward closed per point by
+    construction.  ``members`` and ``member_arrays()`` enumerate it.
     """
 
     space: FiniteMetricSpace
     levels: LevelGrid
-    members: frozenset
+    top_indices: np.ndarray
 
     def __post_init__(self):
-        m = self.levels.resolution
-        tops = {}
-        counts = {}
-        for x, k in self.members:
-            if not (0 <= x < self.space.n) or not (0 <= k <= m):
-                raise ValidationError("member outside X x levels")
-            tops[x] = max(tops.get(x, 0), k)
-            counts[x] = counts.get(x, 0) + 1
-        for x in range(self.space.n):
-            if x not in tops:
-                raise ValidationError("the zero section X x {0} must be contained")
-            if counts[x] != tops[x] + 1:
-                raise ValidationError("not saturated: levels must be downward closed")
+        tops = np.array(self.top_indices, dtype=np.int64)
+        if tops.shape != (self.space.n,):
+            raise ValidationError("one top level index per point is required")
+        if np.any((tops < 0) | (tops > self.levels.resolution)):
+            raise ValidationError("top level index outside the level grid")
+        tops.flags.writeable = False
+        object.__setattr__(self, "top_indices", tops)
 
     @property
-    def top_indices(self):
-        tops = np.zeros(self.space.n, dtype=np.int64)
-        for x, k in self.members:
-            tops[x] = max(tops[x], k)
-        return tops
+    def members(self):
+        """The (point index, level index) pairs of the set."""
+        xs, ks = self.member_arrays()
+        return frozenset(zip(xs.tolist(), ks.tolist()))
 
     def member_arrays(self):
-        arr = np.array(sorted(self.members), dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
+        """Point and level indices of every member, sorted by point then level."""
+        tops = self.top_indices
+        xs = np.repeat(np.arange(self.space.n), tops + 1)
+        ks = np.concatenate([np.arange(t + 1) for t in tops])
+        return xs, ks
 
 
 def to_saturated(mu, levels):
@@ -197,11 +194,7 @@ def to_saturated(mu, levels):
     Densities are rounded down to the level grid, so the quantized set
     is contained in the true hypograph (one-sided error <= 1/m).
     """
-    tops = levels.floor_index(mu.density)
-    members = frozenset(
-        (x, k) for x in range(mu.space.n) for k in range(int(tops[x]) + 1)
-    )
-    return SaturatedSet(mu.space, levels, members)
+    return SaturatedSet(mu.space, levels, levels.floor_index(mu.density))
 
 
 def from_saturated(sat, tnorm):

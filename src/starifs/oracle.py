@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
-from .ifs import _ensure_validated
+from .ifs import _require_validated
 from .measures import StarMeasure
 from .spaces import _pairs_hausdorff
 
@@ -64,7 +64,7 @@ def enumerate_words(system, depth):
     applied after the next letter's map, matching the operator's
     nesting.  Budget-checked at k^depth <= 1e6.
     """
-    _ensure_validated(system)
+    _require_validated(system)
     _check_budget(system.k, depth)
     space = system.space
     affine = _all_affine(system)
@@ -106,7 +106,7 @@ def word_expansion(system, seed, depth):
     weight(w) * seed(x).  Affine compositions are exact and snapped
     once; tabulated systems chain their tables.  Depth 0 is the seed.
     """
-    _ensure_validated(system)
+    _require_validated(system)
     _check_budget(system.k, depth)
     space = system.space
     if depth == 0:
@@ -130,7 +130,7 @@ def attractor_support(system, depth, reference_index=0):
     equals the support of the word expansion from the Dirac seed at the
     reference point (the two snap identically).
     """
-    _ensure_validated(system)
+    _require_validated(system)
     _check_budget(system.k, depth)
     space = system.space
     if not 0 <= reference_index < space.n:
@@ -165,7 +165,7 @@ def hutchinson_fixed_set(system, max_iter=10_000):
     fixed point must reproduce; it shares the system's snapped tables
     but none of the density machinery.
     """
-    _ensure_validated(system)
+    _require_validated(system)
     current = np.arange(system.space.n, dtype=np.int64)
     for _ in range(max_iter):
         nxt = np.unique(np.concatenate([tbl[current] for tbl in system.tables]))

@@ -309,22 +309,6 @@ def product_metric(space_x, space_y):
     return FiniteMetricSpace(d, validate=False)
 
 
-def pair_index(space_y, pairs):
-    """Flatten (i, j) pairs into product_metric's row-major indexing."""
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return arr[:, 0] * space_y.n + arr[:, 1]
-
-
-def product_sup_metric(space, levels):
-    """The sup metric on space x levels as a callable on ((i, s), (j, t))."""
-
-    def dist(p, q):
-        (i, s), (j, t) = p, q
-        return max(float(space.dist[i, j]), abs(float(s) - float(t)))
-
-    return dist
-
-
 def _pairs_hausdorff(space_x, space_y, a_pairs, b_pairs):
     """Hausdorff distance of two (x, y) index-pair sets under the sup metric."""
     ax, ay = a_pairs[:, 0], a_pairs[:, 1]

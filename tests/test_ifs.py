@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import starifs as si
 
-from conftest import ALL_TNORMS, make_cantor, make_sierpinski
+from conftest import ALL_TNORMS, make_cantor, make_sierpinski, random_measure
 
 
 class TestContractionMap:
@@ -32,6 +33,11 @@ class TestContractionMap:
     def test_affine_shape_mismatch(self):
         with pytest.raises(si.DomainError):
             si.ContractionMap.affine([[0.5, 0.1]], [0.0])
+
+    def test_affine_rejects_nonfinite(self):
+        for matrix, translation in (([[np.nan]], [0.0]), ([[0.5]], [np.inf])):
+            with pytest.raises(si.DomainError, match="finite"):
+                si.ContractionMap.affine(matrix, translation)
 
 
 class TestValidate:
@@ -79,6 +85,59 @@ class TestValidate:
             si.validate(si.IFSSystem(X, [], [], si.TNorm("product")))
 
 
+class TestFrozenSystem:
+    def test_caller_arrays_cannot_change_validated_system(self):
+        X = si.grid_1d(5, 0, 1)
+        tbl = np.zeros(5, dtype=np.int64)
+        matrix = np.array([[0.5]])
+        weights = np.array([1.0, 0.5])
+        maps = [si.ContractionMap.tabulated(tbl), si.ContractionMap.affine(matrix, [0.0])]
+        sys_ = si.validate(si.IFSSystem(X, maps, weights, si.TNorm("product")))
+        assert sys_.c == 0.5
+        tbl[:] = [4, 3, 2, 1, 0]  # a reflection, constant 1
+        matrix[0, 0] = 2.0
+        weights[:] = [0.5, 1.0]
+        assert np.array_equal(sys_.tables[0], np.zeros(5))
+        assert np.array_equal(sys_.maps[1].matrix, [[0.5]])
+        assert np.array_equal(sys_.weights, [1.0, 0.5])
+        assert sys_.c == 0.5
+        with pytest.raises(ValueError):
+            sys_.tables[1][0] = 4
+
+    def test_validated_system_is_frozen(self, cantor):
+        for name, value in (("c", 0.1), ("tables", ()), ("weights", [1.0, 1.0])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cantor, name, value)
+        with pytest.raises(TypeError):  # derived fields come from validate only
+            si.IFSSystem(cantor.space, cantor.maps, cantor.weights, cantor.tnorm, c=0.1)
+
+    def test_validate_leaves_argument_unvalidated(self):
+        X = si.grid_1d(9, 0, 1)
+        t = si.TNorm("product")
+        raw = si.IFSSystem(X, [si.ContractionMap.affine([[0.5]], [0.0])], [1.0], t)
+        sys_ = si.validate(raw)
+        assert sys_ is not raw and sys_.c == 0.5
+        assert raw.c is None and raw.constants is None and raw.tables is None
+
+    ENTRY_POINTS = {
+        "psi": si.psi,
+        "residual": si.residual,
+        "solve": lambda s, mu: si.solve(s),
+        "enumerate_words": lambda s, mu: list(si.enumerate_words(s, 1)),
+        "word_expansion": lambda s, mu: si.word_expansion(s, mu, 0),
+        "attractor_support": lambda s, mu: si.attractor_support(s, 1),
+        "hutchinson_fixed_set": lambda s, mu: si.hutchinson_fixed_set(s),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_unvalidated_system_rejected(self, entry):
+        X = si.grid_1d(9, 0, 1)
+        t = si.TNorm("product")
+        raw = si.IFSSystem(X, [si.ContractionMap.affine([[0.5]], [0.0])], [1.0], t)
+        with pytest.raises(si.PreconditionError):
+            self.ENTRY_POINTS[entry](raw, si.StarMeasure.full(X, t))
+
+
 def psi_by_hand(system, mu):
     """Direct double-loop evaluation of the operator's defining formula."""
     out = np.zeros(system.space.n)
@@ -87,6 +146,21 @@ def psi_by_hand(system, mu):
             y = tbl[x]
             out[y] = max(out[y], system.tnorm.apply(float(w), float(mu.density[x])))
     return out
+
+
+def ultrametric_halving(tnorm, depth=5):
+    """Two tabulated maps on the 2**depth leaves of a binary tree.
+
+    d(x, y) = 2**(bit length of x ^ y - depth) is an ultrametric; the
+    map x -> (x >> 1) | (b << (depth - 1)) halves every distance and is
+    two-to-one, so the system has c = 1/2 and nontrivial preimages.
+    """
+    x = np.arange(2**depth)
+    xor = x[:, None] ^ x[None, :]
+    bits = np.frexp(xor.astype(float))[1]  # bit length of a positive integer
+    X = si.FiniteMetricSpace(np.where(xor > 0, 2.0 ** (bits - depth), 0.0))
+    maps = [si.ContractionMap.tabulated((x >> 1) | (b << (depth - 1))) for b in (0, 1)]
+    return si.validate(si.IFSSystem(X, maps, [1.0, 0.6], tnorm))
 
 
 class TestPsi:
@@ -128,13 +202,21 @@ class TestPsi:
         assert middle.size > 0 and np.all(out.density[middle] == 0.0)
 
     def test_matches_hand_formula_randomized(self):
+        # psi against the defining double loop and against the public
+        # pushforward / scale / max_union composition, bit for bit
         rng = np.random.default_rng(21)
-        sys_ = make_cantor(n=30, weights=(0.8, 1.0), family="lukasiewicz")
-        for _ in range(5):
-            density = rng.uniform(0, 1, 30)
-            density[rng.integers(0, 30)] = 1.0
-            mu = si.StarMeasure(sys_.space, density, sys_.tnorm)
-            assert np.array_equal(si.psi(sys_, mu).density, psi_by_hand(sys_, mu))
+        for t in ALL_TNORMS:
+            affine = make_cantor(30, (0.8, 1.0), t.family, t.parameter)
+            for sys_ in (affine, ultrametric_halving(t)):
+                for _ in range(5):
+                    mu = random_measure(sys_.space, t, rng)
+                    out = si.psi(sys_, mu).density
+                    parts = [
+                        si.scale(w, si.pushforward(tbl, mu))
+                        for w, tbl in zip(sys_.weights, sys_.tables)
+                    ]
+                    assert np.array_equal(out, si.max_union(parts).density)
+                    assert np.array_equal(out, psi_by_hand(sys_, mu))
 
     def test_normalization_preserved(self):
         rng = np.random.default_rng(22)
@@ -150,6 +232,10 @@ class TestPsi:
         mu = si.StarMeasure.full(other, cantor.tnorm)
         with pytest.raises(si.DomainError):
             si.psi(cantor, mu)
+        # the same point count on a different grid
+        wide = si.StarMeasure.full(si.grid_1d(cantor.space.n, 0, 10), cantor.tnorm)
+        with pytest.raises(si.DomainError):
+            si.psi(cantor, wide)
 
 
 class TestErrorBound:
@@ -184,6 +270,13 @@ class TestSolve:
         assert report.iterations == 0
         assert report.stopped_by == "bound"
         assert report.apriori_bound == cantor.space.diameter
+
+    def test_seed_must_match_space_and_tnorm(self, cantor):
+        wide = si.grid_1d(cantor.space.n, 0, 10)
+        with pytest.raises(si.DomainError):
+            si.solve(cantor, seed=si.StarMeasure.full(wide, cantor.tnorm))
+        with pytest.raises(si.DomainError):
+            si.solve(cantor, seed=si.StarMeasure.full(cantor.space, si.TNorm("minimum")))
 
     def test_max_iter_stop(self, cantor):
         out, report = si.solve(cantor, tol=1e-15, max_iter=1)

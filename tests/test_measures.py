@@ -288,12 +288,12 @@ class TestSaturated:
     def test_invalid_sets_rejected(self):
         X = si.grid_1d(2, 0, 1)
         lv = si.LevelGrid(2)
-        with pytest.raises(si.ValidationError):  # missing zero section
-            si.SaturatedSet(X, lv, frozenset({(0, 0)}))
-        with pytest.raises(si.ValidationError):  # gap in the levels
-            si.SaturatedSet(X, lv, frozenset({(0, 0), (1, 0), (0, 2)}))
+        with pytest.raises(si.ValidationError):  # one top per point
+            si.SaturatedSet(X, lv, [0])
+        with pytest.raises(si.ValidationError):  # below the zero section
+            si.SaturatedSet(X, lv, [0, -1])
         with pytest.raises(si.ValidationError):  # outside the grid
-            si.SaturatedSet(X, lv, frozenset({(0, 0), (1, 0), (1, 5)}))
+            si.SaturatedSet(X, lv, [0, 5])
 
 
 def dense_closed_form(space, dens_a, dens_b, levels):

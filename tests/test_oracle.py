@@ -177,7 +177,6 @@ class TestLemmaFuzzer:
         # dual route: the fuzzer's pair distance vs the materialized
         # product space fed to the generic hausdorff
         from starifs.oracle import _pairs_hausdorff
-        from starifs.spaces import pair_index
 
         X = si.grid_1d(5, 0, 1)
         Y = si.grid_1d(4, 0, 2)
@@ -191,7 +190,9 @@ class TestLemmaFuzzer:
                 [rng.integers(0, X.n, 4), rng.integers(0, Y.n, 4)]
             )
             direct = _pairs_hausdorff(X, Y, a, b)
-            via_product = si.hausdorff(P, pair_index(Y, a), pair_index(Y, b))
+            via_product = si.hausdorff(
+                P, a[:, 0] * Y.n + a[:, 1], b[:, 0] * Y.n + b[:, 1]
+            )
             assert direct == via_product
 
     def test_requires_one_trial(self):

@@ -181,14 +181,6 @@ class TestHausdorff:
 
 
 class TestProducts:
-    def test_sup_metric_pointwise(self):
-        X = si.grid_1d(2, 0, 1)
-        levels = si.LevelGrid(10)
-        dist = si.product_sup_metric(X, levels)
-        assert dist((0, 0.3), (0, 0.7)) == pytest.approx(0.4)
-        assert dist((0, 0.5), (1, 0.5)) == 1.0
-        assert dist((0, 0.0), (1, 1.0)) == 1.0
-
     def test_product_metric_matches_pairs(self):
         X = si.grid_1d(4, 0, 1)
         Y = si.grid_1d(3, 0, 2)
