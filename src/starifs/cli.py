@@ -30,19 +30,8 @@ EXIT_BUDGET = 4
 
 
 def _apply_overrides(config, args):
-    solver = config.solver
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise ConfigError("solver.tol: must be > 0")
-        solver["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        if args.max_iter < 1:
-            raise ConfigError("solver.maxIter: must be >= 1")
-        solver["maxIter"] = args.max_iter
-    if getattr(args, "levels", None) is not None:
-        if args.levels < 1:
-            raise ConfigError("solver.levelResolution: must be >= 1")
-        solver["levelResolution"] = args.levels
+    flags = {"tol": args.tol, "maxIter": args.max_iter, "levelResolution": args.levels}
+    config.override_solver({k: v for k, v in flags.items() if v is not None})
 
 
 def _check(config):
@@ -155,7 +144,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(p):
-        p.add_argument("--tol", type=float, help="override solver.tol")
+        p.add_argument("--tol", type=float, help="override solver.tol (finite, > 0)")
         p.add_argument("--max-iter", type=int, help="override solver.maxIter")
         p.add_argument("--levels", type=int, help="override solver.levelResolution")
 

@@ -273,6 +273,10 @@ class RunConfig:
             _fail("solver.seed", f"dirac index {index} outside the space")
         return StarMeasure.dirac(space, index, tnorm)
 
+    def override_solver(self, values):
+        """Replace solver fields, checked as the config file's are."""
+        self.data["solver"] = _normalize_solver(self.solver | values)
+
     @property
     def solver(self):
         return self.data["solver"]

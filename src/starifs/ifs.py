@@ -260,8 +260,8 @@ def solve(
     max_iter.  Hitting max_iter is a reported stop, not an error.
     """
     _require_validated(system)
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise DomainError("tol must be positive and finite")
     if seed is not None:
         _check_measure(system, seed)
     start = time.perf_counter()

@@ -80,10 +80,6 @@ class StarMeasure(SubDensity):
         return cls(space, d, tnorm)
 
 
-def _same_space(a, b):
-    return a is b or (isinstance(a, FiniteMetricSpace) and a.n == b.n)
-
-
 def _check_phi(mu, phi):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (mu.space.n,):
@@ -130,7 +126,7 @@ def max_union(items):
         raise DomainError("max_union needs at least one density")
     first = items[0]
     for it in items[1:]:
-        if not _same_space(it.space, first.space) or it.tnorm != first.tnorm:
+        if it.space is not first.space or it.tnorm != first.tnorm:
             raise DomainError("max_union items must share space and t-norm")
     out = items[0].density
     for it in items[1:]:
@@ -143,7 +139,7 @@ def weakstar_distance(mu, nu, tests):
 
     A diagnostic pseudo-distance indexed by the chosen family.
     """
-    if not _same_space(mu.space, nu.space):
+    if mu.space is not nu.space:
         raise DomainError("measures must live on the same space")
     tests = list(tests)
     if not tests:
@@ -210,7 +206,7 @@ def from_saturated(sat, tnorm):
     return cls(sat.space, density, tnorm)
 
 
-def hypograph_hausdorff(space, dens_a, dens_b, levels, chunk=256):
+def hypograph_hausdorff(space, dens_a, dens_b, levels):
     """Hausdorff distance between two quantized hypographs (sup metric).
 
     For saturated sets the directed sup-inf collapses to a closed form
@@ -224,7 +220,7 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels, chunk=256):
 
     where D_j(x) is the distance from x to {y : kb(y) >= j}, supplied by
     the space's ``distance_to``: matrix-free on generated grids, and a
-    masked row-min ``chunk`` rows at a time on dense spaces.  The gap
+    masked row-min in fixed row blocks on dense spaces.  The gap
     term does not grow with j, so the sweep equals the min over all y
     exactly; level arithmetic is done on integer indices.  Matches the
     member-level brute force bit for bit on power-of-two resolutions,
@@ -239,7 +235,7 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels, chunk=256):
         # every point reaches the lowest level, so D is 0 there
         best = np.maximum(k_from - js[0], 0) / m
         for j in js[1:]:
-            reach = space.distance_to(k_to >= j, chunk)
+            reach = space.distance_to(k_to >= j)
             np.minimum(best, np.maximum(reach, np.maximum(k_from - j, 0) / m), out=best)
         return float(best.max())
 

@@ -28,6 +28,8 @@ from .errors import DomainError, PreconditionError
 
 _TRIANGLE_EXHAUSTIVE_LIMIT = 512
 _TRIANGLE_SAMPLES = 10_000
+# rows of a dense matrix scanned at once by ``distance_to``
+_DENSE_ROW_BLOCK = 256
 
 # values within this distance of a level line are treated as on it
 GRID_SNAP_EPS = 1e-9
@@ -39,11 +41,12 @@ class FiniteMetricSpace:
     Points are identified by their index 0..n-1.  ``coords`` is optional
     (affine maps and snapping need it).  ``spacing`` is the snap
     diameter: the distance within which any point of the hull has a
-    point of the space.
+    point of the space, here the largest nearest-neighbour distance.
+    ``dist`` and ``coords`` are copied, so the caller's arrays stay writable.
     """
 
-    def __init__(self, dist, coords=None, spacing=None, validate=True):
-        dist = np.asarray(dist, dtype=float)
+    def __init__(self, dist, coords=None, validate=True):
+        dist = np.array(dist, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise DomainError("distance matrix must be square")
         self.n = dist.shape[0]
@@ -53,13 +56,11 @@ class FiniteMetricSpace:
         self.dist.flags.writeable = False
         self.coords = None
         if coords is not None:
-            self.coords = np.asarray(coords, dtype=float).reshape(self.n, -1)
+            self.coords = np.array(coords, dtype=float).reshape(self.n, -1)
             self.coords.flags.writeable = False
         self.diameter = float(dist.max())
-        if spacing is None and self.n > 1:
-            off = dist + np.where(np.eye(self.n, dtype=bool), np.inf, 0.0)
-            spacing = float(off.min(axis=1).max())
-        self.spacing = spacing
+        off = dist + np.diag(np.full(self.n, np.inf))
+        self.spacing = float(off.min(axis=1).max()) if self.n > 1 else None
         if validate:
             self._check_metric()
 
@@ -85,14 +86,15 @@ class FiniteMetricSpace:
             if np.any(d[i, j] > d[i, k] + d[k, j] + tol):
                 raise DomainError("triangle inequality violated (sampled)")
 
-    def distance_to(self, mask, chunk=256):
+    def distance_to(self, mask):
         """Distance from every point to the nonempty set {y : mask[y]}.
 
-        A masked row-min over the matrix, ``chunk`` rows at a time.
+        A masked row-min over the matrix, ``_DENSE_ROW_BLOCK`` rows at a time.
         """
         out = np.empty(self.n)
-        for start in range(0, self.n, chunk):
-            out[start : start + chunk] = self.dist[start : start + chunk, mask].min(axis=1)
+        for start in range(0, self.n, _DENSE_ROW_BLOCK):
+            block = self.dist[start : start + _DENSE_ROW_BLOCK, mask]
+            out[start : start + _DENSE_ROW_BLOCK] = block.min(axis=1)
         return out
 
     def snap(self, pts):
@@ -109,9 +111,6 @@ class FiniteMetricSpace:
             d2 = ((chunk[:, None, :] - self.coords[None, :, :]) ** 2).sum(axis=-1)
             out[start : start + 1024] = np.argmin(d2, axis=1)
         return out
-
-    def hausdorff(self, a_points, b_points):
-        return hausdorff(self, a_points, b_points)
 
 
 class GridSpace(FiniteMetricSpace):
@@ -165,7 +164,7 @@ class GridSpace(FiniteMetricSpace):
         d.flags.writeable = False
         return d
 
-    def distance_to(self, mask, chunk=256):
+    def distance_to(self, mask):
         """Distance from every point to the nonempty set {y : mask[y]}.
 
         1-D: nearest member to the left and to the right by index scans.
@@ -174,8 +173,7 @@ class GridSpace(FiniteMetricSpace):
         y-distance to the rows d above and below plus their row value,
         until no farther row can beat the current worst point.  The
         square root comes last, so every value is the one the dense
-        matrix holds for the nearest member.  Memory is O(n), so
-        ``chunk`` goes unused.
+        matrix holds for the nearest member.  Memory is O(n).
         """
         if len(self.axes) == 1:
             return _nearest_gap(self.axes[0], mask)

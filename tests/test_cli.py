@@ -156,6 +156,11 @@ class TestSolveCommand:
         assert report["stoppedBy"] == "maxIterations"
         assert report["iterations"] == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_override_named(self, cantor_cfg, capsys, tol):
+        assert main(["solve", str(cantor_cfg), "--tol", tol]) == 2
+        assert "solver.tol: must be a finite number" in capsys.readouterr().err
+
     def test_deterministic_density_bytes(self, cantor_cfg, tmp_path):
         assert main(["solve", str(cantor_cfg)]) == 0
         first = (tmp_path / "out" / "cantor.density.csv").read_bytes()
@@ -231,6 +236,57 @@ class TestExportCommand:
 
     def test_missing_input(self, tmp_path):
         assert main(["export", str(tmp_path / "no.csv"), "--format", "json", "--out", str(tmp_path / "x")]) == 3
+
+    def _export_fails(self, path, capsys):
+        assert main(["export", str(path), "--format", "pgm", "--out", str(path) + ".pgm"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:" in err
+        return err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0.5,nan", "must be finite"),
+            ("1,0.5,inf", "must be finite"),
+            ("1,0.5,2.5", "must lie in [0, 1]"),
+            ("2,0.5,0.5", "index column must count"),
+        ],
+    )
+    def test_csv_rows_checked(self, tmp_path, capsys, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"index,x,density\n0,0,1\n{row}\n")
+        assert message in self._export_fails(path, capsys)
+
+    @pytest.mark.parametrize(
+        "rows", [[[0, 0.0, 1.0], [1, 0.5, 0.5]], [[10**400, 0.0, 0.0, 1.0]]], ids=["short", "huge"]
+    )
+    def test_json_rows_must_match_header(self, tmp_path, capsys, rows):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"columns": ["index", "x", "y", "density"], "rows": rows}))
+        assert "rows of 4 numeric fields" in self._export_fails(path, capsys)
+
+    def test_pgm_pixel_above_maxval(self, tmp_path, capsys):
+        path = tmp_path / "d.pgm"
+        path.write_text("P2\n2 1\n255\n255 300\n")
+        assert "densities must lie in [0, 1]" in self._export_fails(path, capsys)
+
+    def test_csv_error_names_physical_line(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("index,x,density\n\n0,0,1\n\n1,abc,0.5\n")
+        assert f"{path}:5:" in self._export_fails(path, capsys)
+
+    def test_pgm_needs_grid_coordinates(self, tmp_path):
+        rows = [(0, 0.0, 0.0, 1.0), (1, 1.0, 0.0, 1.0), (2, 0.0, 1.0, 1.0)]
+        table = io_formats.DensityTable(("index", "x", "y", "density"), rows)
+        with pytest.raises(si.ConfigError, match="row-major grid"):
+            io_formats.write_density_pgm(tmp_path / "t.pgm", table)
+
+    def test_table_rows_read_only(self, cantor_cfg, tmp_path):
+        self._solve(cantor_cfg)
+        table = io_formats.read_density_csv(tmp_path / "out" / "cantor.density.csv")
+        assert table.rows.shape == (729, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            table.rows[0, -1] = 0.5
 
     def test_golden_cantor_pgm(self, cantor_cfg, tmp_path):
         self._solve(cantor_cfg)

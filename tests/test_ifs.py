@@ -337,6 +337,11 @@ class TestSolve:
         assert report.stopped_by == "residual"
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_nonfinite_tol(self, cantor, tol):
+        with pytest.raises(si.DomainError, match="finite"):
+            si.solve(cantor, tol=tol, max_iter=5)
+
     def test_rejects_nonpositive_tol(self, cantor):
         with pytest.raises(si.DomainError):
             si.solve(cantor, tol=0.0)

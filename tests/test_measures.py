@@ -239,6 +239,16 @@ class TestWeakstarDistance:
         with pytest.raises(si.DomainError):
             si.weakstar_distance(mu, mu, [])
 
+    def test_rejects_other_space_with_equal_size(self):
+        # equal point counts used to pass, and the distance read 0.0
+        t = si.TNorm("product")
+        mu = si.StarMeasure.full(si.grid_1d(5, 0, 1), t)
+        nu = si.StarMeasure.full(si.grid_1d(5, 0, 10), t)
+        with pytest.raises(si.DomainError, match="same space"):
+            si.weakstar_distance(mu, nu, [np.ones(5)])
+        with pytest.raises(si.DomainError, match="share space"):
+            si.max_union([mu, nu])
+
 
 class TestSaturated:
     def test_full_density(self):
@@ -357,11 +367,12 @@ class TestHypographHausdorff:
         assert si.hypograph_hausdorff(X, da, db, lv) > 0.0
 
     def test_symmetry_and_chunking(self):
-        X = si.grid_1d(40, 0, 1)
-        dense = si.FiniteMetricSpace(X.dist)  # only dense spaces work in chunks
+        # above 256 points the dense row-min crosses a row-block boundary
+        X = si.grid_1d(300, 0, 1)
+        dense = si.FiniteMetricSpace(X.dist)
         lv = si.LevelGrid(16)
         rng = np.random.default_rng(19)
         da, db = rng.uniform(0, 1, (2, X.n))
-        d1 = si.hypograph_hausdorff(dense, da, db, lv, chunk=7)
-        d2 = si.hypograph_hausdorff(dense, db, da, lv, chunk=1000)
+        d1 = si.hypograph_hausdorff(dense, da, db, lv)
+        d2 = si.hypograph_hausdorff(dense, db, da, lv)
         assert d1 == d2 == si.hypograph_hausdorff(X, db, da, lv)

@@ -126,6 +126,16 @@ class TestMetricValidation:
         with pytest.raises(si.DomainError, match="finite"):
             si.FiniteMetricSpace(d)
 
+    def test_copies_caller_arrays(self):
+        d = si.grid_1d(3, 0, 1).dist.copy()
+        coords = np.array([0.0, 0.5, 1.0])
+        X = si.FiniteMetricSpace(d, coords=coords)
+        d[0, 1] = d[1, 0] = 5.0  # the caller's matrix stays writable
+        coords[0] = 9.0
+        assert X.dist[0, 1] == 0.5 and X.coords[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            X.dist[0, 1] = 5.0
+
     def test_sampled_validation_large_space(self):
         # above the exhaustive cutoff the triangle check is sampled
         X = si.FiniteMetricSpace(si.grid_1d(600, 0, 1).dist)
