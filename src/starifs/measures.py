@@ -16,6 +16,7 @@ interchangeable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,24 @@ NORMALIZATION_TOL = 1e-12
 
 # test functions are plain arrays of values in [0, 1], indexed by point
 TestFunction = np.ndarray
+
+
+def _point_index(space, index, name):
+    """``index`` as a Python int naming a point of ``space``.
+
+    Integers of any kind are accepted; bools, floats and anything else
+    without ``__index__`` raise DomainError, as does an index outside
+    0..n-1.
+    """
+    try:
+        if isinstance(index, (bool, np.bool_)):
+            raise TypeError
+        index = operator.index(index)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer point index") from None
+    if not 0 <= index < space.n:
+        raise DomainError(f"{name} outside the space")
+    return index
 
 
 class SubDensity:
@@ -73,10 +92,8 @@ class StarMeasure(SubDensity):
 
     @classmethod
     def dirac(cls, space, index, tnorm):
-        if not 0 <= index < space.n:
-            raise DomainError("dirac index outside the space")
         d = np.zeros(space.n)
-        d[index] = 1.0
+        d[_point_index(space, index, "dirac index")] = 1.0
         return cls(space, d, tnorm)
 
 

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
-from .ifs import _require_validated
-from .measures import StarMeasure
+from .ifs import _check_measure, _require_validated
+from .measures import StarMeasure, _point_index
 from .spaces import _pairs_hausdorff
 
 WORD_BUDGET = 1_000_000
+# point images (coordinates or table entries) held by one block of words
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,6 @@ class Word:
     translation: np.ndarray | None = None
     table: np.ndarray | None = None
 
-    def apply_to_coords(self, coords):
-        if self.matrix is None:
-            raise DomainError("word carries no exact affine composition")
-        return coords @ self.matrix.T + self.translation
-
 
 def _check_budget(k, depth):
     if depth < 0:
@@ -57,8 +54,76 @@ def _all_affine(system):
     return all(m.kind == "affine" for m in system.maps)
 
 
+def _word_blocks(system, depth, per_word):
+    """Yield every word of the given length in lexicographic blocks.
+
+    Affine systems yield (codes, weights, matrices, translations),
+    tabulated ones (codes, weights, tables); ``codes`` are the words in
+    base k, first letter most significant.  Word (i_1, ..., i_n)
+    composes left-to-right: each letter's map is applied before the
+    prefix, matching the operator's nesting.  A block is every word
+    with a given prefix; it grows by appending all k letters to all its
+    words at once, so each word gets the same arithmetic whichever block
+    it lands in.  A block that would grow past ``_BLOCK // per_word``
+    words (at least one; a tabulated word counts at least its n-long
+    table) is split by the letter after its prefix into k blocks that
+    are walked depth first, so blocks come out in lexicographic order.
+    """
+    space = system.space
+    k = system.k
+    affine = _all_affine(system)
+    if affine:
+        dim = space.coords.shape[1]
+        letter_mats = np.stack([f.matrix for f in system.maps])
+        letter_trans = np.stack([f.translation for f in system.maps])[..., None]
+        root = (np.eye(dim)[None], np.zeros((1, dim)))
+    else:
+        per_word = max(per_word, space.n)
+        letter_tables = np.stack(system.tables)
+        root = (np.arange(space.n, dtype=np.int64)[None],)
+    cap = max(1, _BLOCK // per_word)
+
+    def children(block):
+        """Every word of the block followed by every letter, in order."""
+        codes, weights, *arrays = block
+        codes = (codes[:, None] * k + np.arange(k)).ravel()
+        weights = system.tnorm.apply(weights[:, None], system.weights).ravel()
+        if affine:
+            mats = arrays[0][:, None]
+            arrays = (
+                (mats @ letter_mats).reshape(-1, dim, dim),
+                ((mats @ letter_trans)[..., 0] + arrays[1][:, None]).reshape(-1, dim),
+            )
+        else:
+            arrays = (arrays[0][:, letter_tables].reshape(len(codes), -1),)
+        return (codes, weights, *arrays)
+
+    stack = [(0, (np.zeros(1, dtype=np.int64), np.ones(1), *root))]
+    while stack:
+        length, block = stack.pop()
+        size = len(block[0])
+        if length == depth:
+            yield block
+        elif size == 1 or size * k <= cap:
+            stack.append((length + 1, children(block)))
+        else:
+            # split by the letter after the shared prefix: k contiguous runs
+            step = size // k
+            stack.extend(
+                (length, tuple(part[a * step : (a + 1) * step] for part in block))
+                for a in reversed(range(k))
+            )
+
+
+def _snap_images(space, coords, mats, trans):
+    """Snapped images of ``coords`` under every word map of a block, word-major."""
+    pts = coords @ np.swapaxes(mats, 1, 2)
+    pts += trans[:, None, :]
+    return space.snap(pts.reshape(-1, pts.shape[-1]))
+
+
 def enumerate_words(system, depth):
-    """Yield every Word of the given length, composing prefixes once.
+    """Yield every Word of the given length in lexicographic order.
 
     Word (i_1, ..., i_n) composes left-to-right: the prefix map is
     applied after the next letter's map, matching the operator's
@@ -66,37 +131,16 @@ def enumerate_words(system, depth):
     """
     _require_validated(system)
     _check_budget(system.k, depth)
-    space = system.space
+    powers = system.k ** np.arange(depth - 1, -1, -1, dtype=np.int64)
     affine = _all_affine(system)
-
-    if affine:
-        dim = space.coords.shape[1]
-        root = Word((), 1.0, np.eye(dim), np.zeros(dim))
-    else:
-        root = Word((), 1.0, table=np.arange(space.n, dtype=np.int64))
-
-    def extend(word, letter):
-        f = system.maps[letter]
-        weight = system.tnorm.apply(word.weight, float(system.weights[letter]))
-        letters = word.letters + (letter,)
-        if affine:
-            return Word(
-                letters,
-                weight,
-                word.matrix @ f.matrix,
-                word.matrix @ f.translation + word.translation,
-            )
-        tbl = system.tables[letter]
-        return Word(letters, weight, table=word.table[tbl])
-
-    def walk(word, remaining):
-        if remaining == 0:
-            yield word
-            return
-        for letter in range(system.k):
-            yield from walk(extend(word, letter), remaining - 1)
-
-    yield from walk(root, depth)
+    for codes, weights, *arrays in _word_blocks(system, depth, 1):
+        letters = (codes[:, None] // powers % system.k).tolist()
+        for i, word in enumerate(letters):
+            if affine:
+                maps = {"matrix": arrays[0][i], "translation": arrays[1][i]}
+            else:
+                maps = {"table": arrays[0][i]}
+            yield Word(tuple(word), float(weights[i]), **maps)
 
 
 def word_expansion(system, seed, depth):
@@ -105,19 +149,24 @@ def word_expansion(system, seed, depth):
     density(y) = max over words w and points x snapped into y of
     weight(w) * seed(x).  Affine compositions are exact and snapped
     once; tabulated systems chain their tables.  Depth 0 is the seed.
+    Words are processed in blocks of at most ``_BLOCK`` point images.
     """
     _require_validated(system)
+    _check_measure(system, seed)
     _check_budget(system.k, depth)
     space = system.space
     if depth == 0:
         return StarMeasure(space, seed.density, system.tnorm)
     out = np.zeros(space.n)
-    for word in enumerate_words(system, depth):
-        if word.table is not None:
-            targets = word.table
-        else:
-            targets = space.snap(word.apply_to_coords(space.coords))
-        np.maximum.at(out, targets, system.tnorm.apply(word.weight, seed.density))
+    affine = _all_affine(system)
+    per_word = space.n * space.coords.shape[1] if affine else space.n
+    for _, weights, *maps in _word_blocks(system, depth, per_word):
+        # one statement, so a block's targets and values die before the next
+        np.maximum.at(
+            out,
+            _snap_images(space, space.coords, *maps) if affine else maps[0].ravel(),
+            system.tnorm.apply(weights[:, None], seed.density).ravel(),
+        )
     return StarMeasure(space, out, system.tnorm)
 
 
@@ -125,35 +174,26 @@ def attractor_support(system, depth, reference_index=0):
     """Depth-n attractor approximation: word images of one reference point.
 
     Returns the sorted indices {snap(f_w(x0)) : |w| = depth}.  Affine
-    compositions are batched and exact, snapped once; tabulated systems
-    chase indices.  With all weights 1 and the minimum t-norm this
-    equals the support of the word expansion from the Dirac seed at the
-    reference point (the two snap identically).
+    systems compose the same word maps as ``word_expansion``, exactly
+    and in lexicographic blocks, and snap each image once; tabulated
+    systems chase indices.  With all weights 1 and the minimum t-norm
+    this equals the support of the word expansion from the Dirac seed
+    at the reference point.
     """
     _require_validated(system)
     _check_budget(system.k, depth)
     space = system.space
-    if not 0 <= reference_index < space.n:
-        raise DomainError("reference point outside the space")
-    if _all_affine(system):
-        # batch words level by level, prepending letters: f_{j.w} = f_j o f_w
-        dim = space.coords.shape[1]
-        mats = np.eye(dim)[None]
-        trans = np.zeros((1, dim))
-        for _ in range(depth):
-            mats = np.concatenate(
-                [np.einsum("ab,kbc->kac", f.matrix, mats) for f in system.maps]
-            )
-            trans = np.concatenate(
-                [trans @ f.matrix.T + f.translation for f in system.maps]
-            )
-        pts = space.coords[reference_index] @ np.swapaxes(mats, 1, 2) + trans
-        idx = space.snap(pts)
-    else:
+    reference_index = _point_index(space, reference_index, "reference point")
+    if not _all_affine(system):
         idx = np.array([reference_index], dtype=np.int64)
         for _ in range(depth):
             idx = np.concatenate([tbl[idx] for tbl in system.tables])
-    return np.unique(idx)
+        return np.unique(idx)
+    x0 = space.coords[reference_index : reference_index + 1]
+    hit = np.zeros(space.n, dtype=bool)
+    for _, _, mats, trans in _word_blocks(system, depth, 1):
+        hit[_snap_images(space, x0, mats, trans)] = True
+    return np.flatnonzero(hit)
 
 
 def hutchinson_fixed_set(system, max_iter=10_000):

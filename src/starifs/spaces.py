@@ -199,9 +199,15 @@ class GridSpace(FiniteMetricSpace):
         pts = _as_points(pts)
         flat = np.zeros(len(pts), dtype=np.int64)
         for ax, (lo, step, count, stride) in enumerate(self._grid_axes):
-            u = (pts[:, ax] - lo) / step
-            idx = np.clip(np.ceil(u - 0.5), 0, count - 1).astype(np.int64)
-            flat += idx * stride
+            # in place: the oracle snaps blocks of 2^14 points at a time
+            u = pts[:, ax] - lo
+            u /= step
+            u -= 0.5
+            np.ceil(u, out=u)
+            np.clip(u, 0, count - 1, out=u)
+            idx = u.astype(np.int64)
+            idx *= stride
+            flat += idx
         return flat
 
 

@@ -35,6 +35,20 @@ class TestDensityTypes:
         t = si.TNorm("minimum")
         assert np.array_equal(si.StarMeasure.full(small_grid, t).density, [1, 1])
         assert np.array_equal(si.StarMeasure.dirac(small_grid, 1, t).density, [0, 1])
+        assert np.array_equal(
+            si.StarMeasure.dirac(small_grid, np.int64(0), t).density, [1, 0]
+        )
+
+    @pytest.mark.parametrize("index", [True, np.True_, 0.0, 2.5, "1", None])
+    def test_dirac_index_must_be_an_integer(self, small_grid, index):
+        # a bool used to index the density array and gave the full measure
+        with pytest.raises(si.DomainError, match="integer point index"):
+            si.StarMeasure.dirac(small_grid, index, si.TNorm("minimum"))
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_dirac_index_outside_space(self, small_grid, index):
+        with pytest.raises(si.DomainError, match="outside the space"):
+            si.StarMeasure.dirac(small_grid, index, si.TNorm("minimum"))
 
 
 class TestEvaluate:
