@@ -34,7 +34,6 @@ from .measures import (
     evaluate,
     from_saturated,
     hypograph_hausdorff,
-    hypograph_hausdorff_bruteforce,
     max_union,
     pushforward,
     scale,
@@ -56,8 +55,6 @@ from .spaces import (
     grid_1d,
     grid_2d,
     hausdorff,
-    product_metric,
-    projection_bound_check,
 )
 from .tnorms import FAMILIES, TNorm, axiom_report, parse_tnorm
 
@@ -96,11 +93,8 @@ __all__ = [
     "hausdorff",
     "hutchinson_fixed_set",
     "hypograph_hausdorff",
-    "hypograph_hausdorff_bruteforce",
     "lemma_prod_fuzzer",
     "max_union",
-    "product_metric",
-    "projection_bound_check",
     "psi",
     "pushforward",
     "residual",

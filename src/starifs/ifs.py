@@ -28,7 +28,7 @@ from .errors import (
     WeightError,
 )
 from .measures import StarMeasure, hypograph_hausdorff
-from .spaces import LevelGrid
+from .spaces import LevelGrid, _integer
 
 WEIGHT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -68,7 +68,10 @@ class ContractionMap:
 
     @classmethod
     def tabulated(cls, table):
-        return cls(kind="tabulated", table=_readonly(np.array(table, dtype=np.int64)))
+        entries = np.asarray(table)
+        if entries.dtype.kind not in "iuf" or not np.isfinite(entries).all() or np.any(entries % 1):
+            raise DomainError("tabulated map entries must be finite integers")
+        return cls(kind="tabulated", table=_readonly(entries.astype(np.int64)))
 
     def image_coords(self, space):
         if self.kind != "affine":
@@ -199,7 +202,7 @@ def psi(system, mu):
     for w, tbl in zip(system.weights, system.tables):
         image = np.zeros_like(out)
         np.maximum.at(image, tbl, mu.density)
-        np.maximum(out, system.tnorm.apply(float(w), image), out=out)
+        np.maximum(out, system.tnorm._apply(float(w), image), out=out)
     return StarMeasure(system.space, out, system.tnorm)
 
 
@@ -262,6 +265,7 @@ def solve(
     _require_validated(system)
     if not (tol > 0.0 and np.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
+    max_iter = _integer(max_iter, "max_iter", 0)
     if seed is not None:
         _check_measure(system, seed)
     start = time.perf_counter()

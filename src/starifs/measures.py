@@ -16,36 +16,14 @@ interchangeable.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .spaces import FiniteMetricSpace, LevelGrid
+from .spaces import FiniteMetricSpace, LevelGrid, _integer
 
 NORMALIZATION_TOL = 1e-12
-
-# test functions are plain arrays of values in [0, 1], indexed by point
-TestFunction = np.ndarray
-
-
-def _point_index(space, index, name):
-    """``index`` as a Python int naming a point of ``space``.
-
-    Integers of any kind are accepted; bools, floats and anything else
-    without ``__index__`` raise DomainError, as does an index outside
-    0..n-1.
-    """
-    try:
-        if isinstance(index, (bool, np.bool_)):
-            raise TypeError
-        index = operator.index(index)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer point index") from None
-    if not 0 <= index < space.n:
-        raise DomainError(f"{name} outside the space")
-    return index
 
 
 class SubDensity:
@@ -93,7 +71,7 @@ class StarMeasure(SubDensity):
     @classmethod
     def dirac(cls, space, index, tnorm):
         d = np.zeros(space.n)
-        d[_point_index(space, index, "dirac index")] = 1.0
+        d[_integer(index, "dirac index", space=space)] = 1.0
         return cls(space, d, tnorm)
 
 
@@ -109,26 +87,25 @@ def _check_phi(mu, phi):
 def evaluate(mu, phi):
     """mu(phi) = max over x of density(x) * phi(x)."""
     phi = _check_phi(mu, phi)
-    return float(np.max(mu.tnorm.apply(mu.density, phi)))
+    return float(np.max(mu.tnorm._apply(mu.density, phi)))
 
 
-def pushforward(f, mu, target=None):
-    """Image measure along a point map f: X -> Y.
+def pushforward(f, mu):
+    """Image measure along a point map f: X -> X.
 
     ``f`` assigns a target index to every point; the image density at y
     is the max of the density over the preimage of y (0 when empty).
     The global maximum is preserved, so measures map to measures.
     """
-    target = target if target is not None else mu.space
     f = np.asarray(f, dtype=np.int64)
     if f.shape != (mu.space.n,):
         raise DomainError("point map must assign one target per point")
-    if np.any(f < 0) or np.any(f >= target.n):
-        raise DomainError("point map image lies outside the target space")
-    out = np.zeros(target.n)
+    if np.any(f < 0) or np.any(f >= mu.space.n):
+        raise DomainError("point map image lies outside the space")
+    out = np.zeros(mu.space.n)
     np.maximum.at(out, f, mu.density)
     cls = StarMeasure if isinstance(mu, StarMeasure) else SubDensity
-    return cls(target, out, mu.tnorm)
+    return cls(mu.space, out, mu.tnorm)
 
 
 def scale(r, mu):
@@ -257,20 +234,3 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
         return float(best.max())
 
     return max(directed(ka, kb), directed(kb, ka))
-
-
-def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
-    """Member-level sup-inf evaluation of the same distance (test oracle).
-
-    Enumerates both quantized hypographs explicitly; quadratic in member
-    counts, for small spaces only.
-    """
-    sat_a = to_saturated(SubDensity(space, dens_a, None), levels)
-    sat_b = to_saturated(SubDensity(space, dens_b, None), levels)
-    ax, ak = sat_a.member_arrays()
-    bx, bk = sat_b.member_arrays()
-    lv = levels.levels
-    d = np.maximum(
-        space.dist[np.ix_(ax, bx)], np.abs(lv[ak][:, None] - lv[bk][None, :])
-    )
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

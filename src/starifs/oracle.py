@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceBudgetError
+from .errors import ResourceBudgetError
 from .ifs import _check_measure, _require_validated
-from .measures import StarMeasure, _point_index
-from .spaces import _pairs_hausdorff
+from .measures import StarMeasure
+from .spaces import _integer, _pairs_hausdorff
 
 WORD_BUDGET = 1_000_000
 # point images (coordinates or table entries) held by one block of words
@@ -42,12 +42,13 @@ class Word:
 
 
 def _check_budget(k, depth):
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
+    """``depth`` as an int >= 0 whose k^depth words fit the budget."""
+    depth = _integer(depth, "depth", 0)
     if k**depth > WORD_BUDGET:
         raise ResourceBudgetError(
             f"{k}^{depth} words exceed the enumeration budget {WORD_BUDGET}"
         )
+    return depth
 
 
 def _all_affine(system):
@@ -87,7 +88,7 @@ def _word_blocks(system, depth, per_word):
         """Every word of the block followed by every letter, in order."""
         codes, weights, *arrays = block
         codes = (codes[:, None] * k + np.arange(k)).ravel()
-        weights = system.tnorm.apply(weights[:, None], system.weights).ravel()
+        weights = system.tnorm._apply(weights[:, None], system.weights).ravel()
         if affine:
             mats = arrays[0][:, None]
             arrays = (
@@ -130,7 +131,7 @@ def enumerate_words(system, depth):
     nesting.  Budget-checked at k^depth <= 1e6.
     """
     _require_validated(system)
-    _check_budget(system.k, depth)
+    depth = _check_budget(system.k, depth)
     powers = system.k ** np.arange(depth - 1, -1, -1, dtype=np.int64)
     affine = _all_affine(system)
     for codes, weights, *arrays in _word_blocks(system, depth, 1):
@@ -153,7 +154,7 @@ def word_expansion(system, seed, depth):
     """
     _require_validated(system)
     _check_measure(system, seed)
-    _check_budget(system.k, depth)
+    depth = _check_budget(system.k, depth)
     space = system.space
     if depth == 0:
         return StarMeasure(space, seed.density, system.tnorm)
@@ -165,7 +166,7 @@ def word_expansion(system, seed, depth):
         np.maximum.at(
             out,
             _snap_images(space, space.coords, *maps) if affine else maps[0].ravel(),
-            system.tnorm.apply(weights[:, None], seed.density).ravel(),
+            system.tnorm._apply(weights[:, None], seed.density).ravel(),
         )
     return StarMeasure(space, out, system.tnorm)
 
@@ -181,9 +182,9 @@ def attractor_support(system, depth, reference_index=0):
     at the reference point.
     """
     _require_validated(system)
-    _check_budget(system.k, depth)
+    depth = _check_budget(system.k, depth)
     space = system.space
-    reference_index = _point_index(space, reference_index, "reference point")
+    reference_index = _integer(reference_index, "reference point", space=space)
     if not _all_affine(system):
         idx = np.array([reference_index], dtype=np.int64)
         for _ in range(depth):
@@ -196,23 +197,23 @@ def attractor_support(system, depth, reference_index=0):
     return np.flatnonzero(hit)
 
 
-def hutchinson_fixed_set(system, max_iter=10_000):
+def hutchinson_fixed_set(system):
     """Stationary support of the grid-level set iteration S -> U f_i(S).
 
     Starts from the full point set and applies the snapped maps as pure
-    set operations until stationary.  In the degenerate case (all
-    weights 1, minimum t-norm) this is exactly the support the solver's
-    fixed point must reproduce; it shares the system's snapped tables
-    but none of the density machinery.
+    set operations until stationary; the sets only shrink, so that takes
+    at most n steps.  In the degenerate case (all weights 1, minimum
+    t-norm) this is exactly the support the solver's fixed point must
+    reproduce; it shares the system's snapped tables but none of the
+    density machinery.
     """
     _require_validated(system)
     current = np.arange(system.space.n, dtype=np.int64)
-    for _ in range(max_iter):
+    while True:
         nxt = np.unique(np.concatenate([tbl[current] for tbl in system.tables]))
         if np.array_equal(nxt, current):
             return current
         current = nxt
-    raise ResourceBudgetError("set iteration did not stabilize within max_iter")
 
 
 @dataclass
@@ -246,8 +247,7 @@ def lemma_prod_fuzzer(space_x, space_y, trials, rng_seed):
     remaining trials attach independent nonempty random X-fibers to a
     random nonempty Y-subset.
     """
-    if trials < 1:
-        raise DomainError("at least one trial is required")
+    trials = _integer(trials, "trials", 1)
     rng = np.random.default_rng(rng_seed)
     diam = space_x.diameter
 

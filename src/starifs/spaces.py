@@ -19,12 +19,13 @@ chunked masked row-min on a dense space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 _TRIANGLE_EXHAUSTIVE_LIMIT = 512
 _TRIANGLE_SAMPLES = 10_000
@@ -33,6 +34,27 @@ _DENSE_ROW_BLOCK = 256
 
 # values within this distance of a level line are treated as on it
 GRID_SNAP_EPS = 1e-9
+
+
+def _integer(value, name, lo=0, space=None):
+    """``value`` as a Python int: at least ``lo``, or a point index of ``space``.
+
+    Integers of any kind are accepted; bools, floats and anything else
+    without ``__index__`` raise DomainError, as does a value below
+    ``lo`` or, when ``space`` is given, outside 0..n-1.
+    """
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        noun = "an integer point index" if space is not None else "an integer"
+        raise DomainError(f"{name} must be {noun}") from None
+    if space is not None and not 0 <= value < space.n:
+        raise DomainError(f"{name} outside the space")
+    if value < lo:
+        raise DomainError(f"{name} must be >= {lo}")
+    return value
 
 
 class FiniteMetricSpace:
@@ -45,7 +67,7 @@ class FiniteMetricSpace:
     ``dist`` and ``coords`` are copied, so the caller's arrays stay writable.
     """
 
-    def __init__(self, dist, coords=None, validate=True):
+    def __init__(self, dist, coords=None):
         dist = np.array(dist, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise DomainError("distance matrix must be square")
@@ -56,13 +78,19 @@ class FiniteMetricSpace:
         self.dist.flags.writeable = False
         self.coords = None
         if coords is not None:
-            self.coords = np.array(coords, dtype=float).reshape(self.n, -1)
-            self.coords.flags.writeable = False
+            coords = np.array(coords, dtype=float)
+            if coords.ndim == 1:
+                coords = coords[:, None]
+            if coords.ndim != 2 or coords.shape[0] != self.n or coords.shape[1] < 1:
+                raise DomainError("coords must give one row per point")
+            if not np.all(np.isfinite(coords)):
+                raise DomainError("coords must be finite")
+            coords.flags.writeable = False
+            self.coords = coords
         self.diameter = float(dist.max())
         off = dist + np.diag(np.full(self.n, np.inf))
         self.spacing = float(off.min(axis=1).max()) if self.n > 1 else None
-        if validate:
-            self._check_metric()
+        self._check_metric()
 
     def _check_metric(self):
         d = self.dist
@@ -117,23 +145,27 @@ class GridSpace(FiniteMetricSpace):
     """A uniform Euclidean lattice held matrix-free.
 
     ``axes`` lists (lo, hi, count) per coordinate, x first; points are
-    row-major (index = iy * nx + ix).  Finite bounds, a positive step on
-    each axis and strictly increasing axis coordinates make the
-    Euclidean distance a metric on the lattice by construction, so only
-    these O(n) facts are checked.  ``dist`` is built on first use and
-    cached; distances, the diameter and snapping are otherwise computed
-    from the axes and equal what the dense matrix would give, bit for bit.
+    row-major (index = iy * nx + ix).  Integer counts >= 2, finite
+    bounds, a positive step on each axis and strictly increasing axis
+    coordinates make the Euclidean distance a metric on the lattice by
+    construction, so only these O(n) facts are checked.  ``spacing`` is
+    the step in 1-D and the cell diagonal in 2-D.  ``dist`` is built on
+    first use and cached; distances, the diameter and snapping are
+    otherwise computed from the axes and equal the dense matrix's, bit
+    for bit.
     """
 
-    def __init__(self, axes, spacing):
+    def __init__(self, axes):
         coords_per_axis = []
         # ((lo, step, count, stride), ...) per coordinate, for snapping
         grid_axes = []
         stride = 1
         for lo, hi, count in axes:
+            count = _integer(count, "grid point count", 2)
+            lo, hi = float(lo), float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise DomainError("grid bounds must be finite")
-            step = (hi - lo) / (count - 1) if count >= 2 else 0.0
+            step = (hi - lo) / (count - 1)
             if not 0.0 < step < math.inf:
                 raise DomainError("grid axes need a positive finite step")
             coord = np.linspace(lo, hi, count)
@@ -155,7 +187,8 @@ class GridSpace(FiniteMetricSpace):
             self.diameter = float(extent[0])
         else:
             self.diameter = float(np.sqrt(sum(e * e for e in extent)))
-        self.spacing = spacing
+        steps = [step for _, step, _, _ in grid_axes]
+        self.spacing = steps[0] if len(steps) == 1 else float(np.hypot(*steps))
 
     @cached_property
     def dist(self):
@@ -243,14 +276,7 @@ def _pairwise_euclidean(coords, chunk=512):
 
 def grid_1d(n, a, b):
     """n equally spaced points on [a, b] with the Euclidean metric."""
-    if n < 2:
-        raise DomainError("grid_1d needs at least 2 points")
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("grid_1d needs finite bounds")
-    if not a < b:
-        raise DomainError("grid_1d needs a < b")
-    return GridSpace([(a, b, n)], spacing=(b - a) / (n - 1))
+    return GridSpace([(a, b, n)])
 
 
 def grid_2d(nx, ny, bounds):
@@ -260,17 +286,8 @@ def grid_2d(nx, ny, bounds):
     diagonal, so any point of the rectangle is within spacing/2 of the
     lattice.
     """
-    if nx < 2 or ny < 2:
-        raise DomainError("grid_2d needs at least 2 points per axis")
     (x0, x1), (y0, y1) = bounds
-    x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
-    if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
-        raise DomainError("grid_2d needs finite bounds")
-    if not (x0 < x1 and y0 < y1):
-        raise DomainError("grid_2d needs a non-degenerate rectangle")
-    hx = (x1 - x0) / (nx - 1)
-    hy = (y1 - y0) / (ny - 1)
-    return GridSpace([(x0, x1, nx), (y0, y1, ny)], spacing=float(np.hypot(hx, hy)))
+    return GridSpace([(x0, x1, nx), (y0, y1, ny)])
 
 
 def _as_index_array(space, pts, name):
@@ -299,41 +316,12 @@ def hausdorff(space, a_points, b_points):
     return float(max(directed(a, b), directed(b, a)))
 
 
-def product_metric(space_x, space_y):
-    """The sup-metric product of two finite spaces as a materialized space.
-
-    Pairs (i, j) are indexed row-major: flat = i * |Y| + j.  Intended
-    for small factors (the full |X||Y| x |X||Y| matrix is built).
-    """
-    dx, dy = space_x.dist, space_y.dist
-    nx, ny = space_x.n, space_y.n
-    d = np.maximum(
-        dx[:, None, :, None], dy[None, :, None, :]
-    ).reshape(nx * ny, nx * ny)
-    return FiniteMetricSpace(d, validate=False)
-
-
 def _pairs_hausdorff(space_x, space_y, a_pairs, b_pairs):
     """Hausdorff distance of two (x, y) index-pair sets under the sup metric."""
     ax, ay = a_pairs[:, 0], a_pairs[:, 1]
     bx, by = b_pairs[:, 0], b_pairs[:, 1]
     d = np.maximum(space_x.dist[np.ix_(ax, bx)], space_y.dist[np.ix_(ay, by)])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def projection_bound_check(space_x, space_y, a_pairs, b_pairs):
-    """Check d_H(A, B) <= diam(X) for A, B in X x Y with equal Y-projections.
-
-    Always true for valid inputs; exists as a verification surface.
-    Unequal projections raise PreconditionError.
-    """
-    a = np.asarray(a_pairs, dtype=np.int64).reshape(-1, 2)
-    b = np.asarray(b_pairs, dtype=np.int64).reshape(-1, 2)
-    if a.size == 0 or b.size == 0:
-        raise DomainError("A and B must be nonempty")
-    if set(a[:, 1]) != set(b[:, 1]):
-        raise PreconditionError("A and B must have equal Y-projections")
-    return _pairs_hausdorff(space_x, space_y, a, b) <= space_x.diameter
 
 
 @dataclass(frozen=True)
@@ -343,8 +331,8 @@ class LevelGrid:
     resolution: int
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise DomainError("level resolution must be >= 1")
+        m = _integer(self.resolution, "level resolution", 1)
+        object.__setattr__(self, "resolution", m)
 
     @property
     def levels(self):

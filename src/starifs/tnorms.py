@@ -57,25 +57,27 @@ class TNorm:
         object.__setattr__(self, "parameter", p)
 
     def apply(self, a, b):
-        """Evaluate the t-norm; accepts scalars or broadcastable arrays."""
+        """Evaluate the t-norm; accepts scalars or broadcastable arrays.
+
+        Both operands are checked to lie in [0, 1].
+        """
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-        a = _check_unit_range("a", a)
-        b = _check_unit_range("b", b)
-        if self.family == "minimum":
-            out = np.minimum(a, b)
-        elif self.family == "product":
-            out = a * b
-        elif self.family == "lukasiewicz":
-            out = np.maximum(0.0, (a + b) - 1.0)
-        else:
-            p = self.parameter
-            denom = p + (1.0 - p) * (a + b - a * b)
-            safe = np.where(denom > 0.0, denom, 1.0)
-            # clip: the denominator rounding can push the quotient one ulp past 1
-            out = np.clip(np.where(denom > 0.0, a * b / safe, 0.0), 0.0, 1.0)
+        out = self._apply(_check_unit_range("a", a), _check_unit_range("b", b))
         return float(out) if scalar else out
 
-    __call__ = apply
+    def _apply(self, a, b):
+        """The family arithmetic on float operands already known to lie in [0, 1]."""
+        if self.family == "minimum":
+            return np.minimum(a, b)
+        if self.family == "product":
+            return a * b
+        if self.family == "lukasiewicz":
+            return np.maximum(0.0, (a + b) - 1.0)
+        p = self.parameter
+        denom = p + (1.0 - p) * (a + b - a * b)
+        safe = np.where(denom > 0.0, denom, 1.0)
+        # clip: the denominator rounding can push the quotient one ulp past 1
+        return np.clip(np.where(denom > 0.0, a * b / safe, 0.0), 0.0, 1.0)
 
     def fold(self, weights):
         """Left-fold apply over a sequence; the empty fold is the unit 1."""

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import starifs as si
+from starifs.spaces import _pairs_hausdorff
 
 
 @pytest.fixture
@@ -52,3 +54,45 @@ ALL_TNORMS = [
     si.TNorm("hamacher", 1.0),
     si.TNorm("hamacher", 2.0),
 ]
+
+
+def product_metric(space_x, space_y):
+    """The sup-metric product of two finite spaces as a materialized space.
+
+    Pairs (i, j) are indexed row-major: flat = i * |Y| + j.  For small
+    factors: the full |X||Y| x |X||Y| matrix is built.
+    """
+    dx, dy = space_x.dist, space_y.dist
+    nx, ny = space_x.n, space_y.n
+    d = np.maximum(dx[:, None, :, None], dy[None, :, None, :]).reshape(nx * ny, nx * ny)
+    return si.FiniteMetricSpace(d)
+
+
+def projection_bound_check(space_x, space_y, a_pairs, b_pairs):
+    """d_H(A, B) <= diam(X) for A, B in X x Y with equal Y-projections.
+
+    Unequal projections raise PreconditionError.
+    """
+    a = np.asarray(a_pairs, dtype=np.int64).reshape(-1, 2)
+    b = np.asarray(b_pairs, dtype=np.int64).reshape(-1, 2)
+    if a.size == 0 or b.size == 0:
+        raise si.DomainError("A and B must be nonempty")
+    if set(a[:, 1]) != set(b[:, 1]):
+        raise si.PreconditionError("A and B must have equal Y-projections")
+    return _pairs_hausdorff(space_x, space_y, a, b) <= space_x.diameter
+
+
+def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
+    """Member-level sup-inf evaluation of the quantized hypograph distance.
+
+    Enumerates both quantized hypographs as (point, level) pairs in
+    X x level line; quadratic in member counts, for small spaces only.
+    """
+
+    def members(density):
+        sat = si.to_saturated(si.SubDensity(space, density, None), levels)
+        return np.column_stack(sat.member_arrays())
+
+    lv = levels.levels
+    line = si.FiniteMetricSpace(np.abs(lv[:, None] - lv[None, :]))
+    return _pairs_hausdorff(space, line, members(dens_a), members(dens_b))

@@ -30,6 +30,18 @@ class TestContractionMap:
         shift = si.ContractionMap.tabulated(np.array([0, 0, 1, 2, 3]))
         assert shift.contraction_constant(X) == 1.0
 
+    @pytest.mark.parametrize(
+        "table", [[0.5, 1.7], [np.nan, 1], [0, np.inf], [True, False], ["0", "1"]]
+    )
+    def test_tabulated_entries_must_be_finite_integers(self, table):
+        # [0.5, 1.7] used to be truncated to [0, 1]
+        with pytest.raises(si.DomainError, match="finite integers"):
+            si.ContractionMap.tabulated(table)
+
+    def test_tabulated_accepts_integral_floats(self):
+        m = si.ContractionMap.tabulated([1.0, 0.0])
+        assert m.table.dtype == np.int64 and m.table.tolist() == [1, 0]
+
     def test_affine_shape_mismatch(self):
         with pytest.raises(si.DomainError):
             si.ContractionMap.affine([[0.5, 0.1]], [0.0])
@@ -345,6 +357,17 @@ class TestSolve:
     def test_rejects_nonpositive_tol(self, cantor):
         with pytest.raises(si.DomainError):
             si.solve(cantor, tol=0.0)
+
+    @pytest.mark.parametrize("field", ["max_iter", "level_resolution"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_counts_must_be_integers(self, field, value):
+        # level_resolution=2.5 used to stop on a residual of 0.0
+        with pytest.raises(si.DomainError, match="integer"):
+            si.solve(make_cantor(27), **{field: value})
+
+    def test_rejects_negative_max_iter(self, cantor):
+        with pytest.raises(si.DomainError, match=">= 0"):
+            si.solve(cantor, max_iter=-1)
 
 
 class TestResidual:

@@ -7,7 +7,7 @@ import pytest
 import starifs as si
 from starifs import oracle
 
-from conftest import make_cantor, make_sierpinski
+from conftest import make_cantor, make_sierpinski, product_metric
 
 
 def reference_words(system, depth):
@@ -167,6 +167,22 @@ class TestWords:
         with pytest.raises(si.ResourceBudgetError):
             si.attractor_support(cantor, 21)
 
+    @pytest.mark.parametrize("depth", [2.5, 2.0, True, -1])
+    def test_depth_must_be_an_integer(self, cantor, monkeypatch, depth):
+        # a fractional depth never reached the last word level and hung
+        def walk(*args):
+            raise AssertionError("words walked before the depth was checked")
+
+        monkeypatch.setattr(oracle, "_word_blocks", walk)
+        seed = si.StarMeasure.full(cantor.space, cantor.tnorm)
+        calls = [
+            lambda: list(si.enumerate_words(cantor, depth)),
+            lambda: si.word_expansion(cantor, seed, depth),
+            lambda: si.attractor_support(cantor, depth),
+        ]
+        for call in calls:
+            with pytest.raises(si.DomainError, match="depth"):
+                call()
 
     def test_lexicographic_and_equal_to_reference(self, monkeypatch):
         for block in (None, 1, 40, 300):
@@ -392,7 +408,7 @@ class TestLemmaFuzzer:
         assert report.max_ratio == 1.0
 
     def test_equal_pairs_have_zero_distance(self):
-        from starifs.oracle import _pairs_hausdorff
+        from starifs.spaces import _pairs_hausdorff
 
         X = si.grid_1d(5, 0, 1)
         Y = si.grid_1d(4, 0, 1)
@@ -409,11 +425,11 @@ class TestLemmaFuzzer:
     def test_fuzzer_distance_matches_product_space_hausdorff(self):
         # dual route: the fuzzer's pair distance vs the materialized
         # product space fed to the generic hausdorff
-        from starifs.oracle import _pairs_hausdorff
+        from starifs.spaces import _pairs_hausdorff
 
         X = si.grid_1d(5, 0, 1)
         Y = si.grid_1d(4, 0, 2)
-        P = si.product_metric(X, Y)
+        P = product_metric(X, Y)
         rng = np.random.default_rng(8)
         for _ in range(20):
             a = np.column_stack(
@@ -432,3 +448,10 @@ class TestLemmaFuzzer:
         X = si.grid_1d(4, 0, 1)
         with pytest.raises(si.DomainError):
             si.lemma_prod_fuzzer(X, X, trials=0, rng_seed=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_trials_must_be_an_integer(self, trials):
+        # 2.5 used to fail with a TypeError from range()
+        X = si.grid_1d(4, 0, 1)
+        with pytest.raises(si.DomainError, match="integer"):
+            si.lemma_prod_fuzzer(X, X, trials=trials, rng_seed=0)

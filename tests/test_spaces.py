@@ -5,6 +5,8 @@ import pytest
 
 import starifs as si
 
+from conftest import product_metric, projection_bound_check
+
 
 def brute_hausdorff(dist, a_set, b_set):
     """Literal double-loop sup-inf evaluation (the definition)."""
@@ -41,6 +43,18 @@ class TestGrid1d:
             si.grid_1d(5, -1e308, 1e308)  # the step overflows
         with pytest.raises(si.DomainError, match="distinct"):
             si.grid_1d(5, 0, 1.5e-323)  # subnormal coordinates collide
+
+    @pytest.mark.parametrize("n", [2.5, 5.0, True, None])
+    def test_count_must_be_an_integer(self, n):
+        with pytest.raises(si.DomainError, match="integer"):
+            si.grid_1d(n, 0, 1)
+        with pytest.raises(si.DomainError, match="integer"):
+            si.grid_2d(3, n, ((0, 1), (0, 1)))
+
+    def test_spacing_is_the_step_or_the_cell_diagonal(self):
+        assert si.grid_1d(7, -0.4, 1.3).spacing == (1.3 + 0.4) / 6
+        hx, hy = (1.0 - 0.0) / 12, (3.3 - 0.2) / 5
+        assert si.grid_2d(13, 6, ((0, 1), (0.2, 3.3))).spacing == float(np.hypot(hx, hy))
 
 
 class TestGrid2d:
@@ -136,6 +150,17 @@ class TestMetricValidation:
         with pytest.raises(ValueError, match="read-only"):
             X.dist[0, 1] = 5.0
 
+    def test_coords_need_one_finite_row_per_point(self):
+        d = si.grid_2d(2, 2, ((0, 1), (0, 1))).dist
+        # a (2, 4) array used to be reshaped silently to (4, 2)
+        for coords in (np.zeros((2, 4)), np.zeros(3), np.zeros((4, 0))):
+            with pytest.raises(si.DomainError, match="one row per point"):
+                si.FiniteMetricSpace(d, coords=coords)
+        bad = np.zeros((4, 2))
+        bad[1, 0] = np.nan
+        with pytest.raises(si.DomainError, match="finite"):
+            si.FiniteMetricSpace(d, coords=bad)
+
     def test_sampled_validation_large_space(self):
         # above the exhaustive cutoff the triangle check is sampled
         X = si.FiniteMetricSpace(si.grid_1d(600, 0, 1).dist)
@@ -194,7 +219,7 @@ class TestProducts:
     def test_product_metric_matches_pairs(self):
         X = si.grid_1d(4, 0, 1)
         Y = si.grid_1d(3, 0, 2)
-        P = si.product_metric(X, Y)
+        P = product_metric(X, Y)
         assert P.n == 12
         for (i, s), (j, t) in [((0, 0), (3, 2)), ((1, 1), (2, 0))]:
             flat_a = i * Y.n + s
@@ -204,17 +229,17 @@ class TestProducts:
     def test_product_metric_satisfies_axioms(self):
         X = si.grid_1d(5, 0, 1)
         Y = si.grid_1d(4, 0, 2)
-        P = si.product_metric(X, Y)
+        P = product_metric(X, Y)
         si.FiniteMetricSpace(P.dist)  # re-validates all metric axioms
 
     def test_projection_bound_trivial_cases(self):
         X = si.grid_1d(5, 0, 1)
         Y = si.grid_1d(4, 0, 1)
         same = [(0, 1), (3, 2)]
-        assert si.projection_bound_check(X, Y, same, same)
+        assert projection_bound_check(X, Y, same, same)
         a = [(x, 0) for x in range(X.n)]
         b = [(2, 0)]
-        assert si.projection_bound_check(X, Y, a, b)
+        assert projection_bound_check(X, Y, a, b)
 
     def test_projection_bound_random(self):
         X = si.grid_1d(8, 0, 1)
@@ -227,13 +252,13 @@ class TestProducts:
                 for bucket in (a, b):
                     for x in rng.choice(X.n, size=rng.integers(1, X.n + 1), replace=False):
                         bucket.append((x, y))
-            assert si.projection_bound_check(X, Y, a, b)
+            assert projection_bound_check(X, Y, a, b)
 
     def test_projection_mismatch_raises(self):
         X = si.grid_1d(3, 0, 1)
         Y = si.grid_1d(3, 0, 1)
         with pytest.raises(si.PreconditionError):
-            si.projection_bound_check(X, Y, [(0, 0)], [(0, 1)])
+            projection_bound_check(X, Y, [(0, 0)], [(0, 1)])
 
 
 class TestSnap:
@@ -286,3 +311,10 @@ class TestLevelGrid:
     def test_rejects_bad_resolution(self):
         with pytest.raises(si.DomainError):
             si.LevelGrid(0)
+
+    @pytest.mark.parametrize("m", [2.5, 4.0, True, "4"])
+    def test_resolution_must_be_an_integer(self, m):
+        # 2.5 used to give the levels [0, .4, .8, 1.2]
+        with pytest.raises(si.DomainError, match="integer"):
+            si.LevelGrid(m)
+        assert si.LevelGrid(np.int64(4)).resolution == 4
