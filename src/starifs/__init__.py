@@ -3,7 +3,9 @@ under continuous triangular norms.
 
 Build a finite grid, a t-norm, and a weighted system of contractions;
 iterate the system operator on density fields until the hypograph
-residual or the a priori contraction bound certifies convergence.
+residual between consecutive iterates (a heuristic) or the paper's
+bound c^n diam(X) between two continuum orbits falls below a tolerance.
+Neither number bounds the distance to the grid fixed point.
 """
 
 from .errors import (

@@ -29,13 +29,14 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 
 
-def _apply_overrides(config, args):
+def _check(args):
+    """Load the config, apply the solver flags, and build the space, the
+    t-norm, the validated system and the seed, printing one line per
+    stage; returns (config, system, seed).
+    """
+    config = RunConfig.from_path(args.config)
     flags = {"tol": args.tol, "maxIter": args.max_iter, "levelResolution": args.levels}
     config.override_solver({k: v for k, v in flags.items() if v is not None})
-
-
-def _check(config):
-    """Validate space, t-norm, and system; prints one line per stage."""
     space = config.build_space()
     print(f"space ok: {space.n} points, diameter {space.diameter:.17g}")
     tnorm = config.build_tnorm()
@@ -48,23 +49,20 @@ def _check(config):
     print(f"t-norm ok: {tnorm.config_name()} passed {report['triples']} sampled triples")
     system = validate(config.build_system(space, tnorm))
     print(f"system ok: {system.k} maps, contraction constant c = {system.c:.17g}")
-    return space, tnorm, system
+    seed = config.seed_measure(space, tnorm)
+    print(f"seed ok: {config.solver['seed']}")
+    return config, system, seed
 
 
 def cmd_check(args):
-    config = RunConfig.from_path(args.config)
-    _apply_overrides(config, args)
-    _check(config)
+    _check(args)
     print("check passed")
     return EXIT_OK
 
 
 def cmd_solve(args):
-    config = RunConfig.from_path(args.config)
-    _apply_overrides(config, args)
-    space, tnorm, system = _check(config)
+    config, system, seed = _check(args)
     solver = config.solver
-    seed = config.seed_measure(space, tnorm)
     measure, report = solve(
         system,
         seed=seed,
@@ -77,7 +75,7 @@ def cmd_solve(args):
     parent = os.path.dirname(prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    table = io_formats.table_from_space(space, measure.density)
+    table = io_formats.table_from_space(system.space, measure.density)
     written = []
     for fmt in out["formats"]:
         path = f"{prefix}.density.{fmt}"
@@ -97,10 +95,7 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
-    config = RunConfig.from_path(args.config)
-    _apply_overrides(config, args)
-    space, tnorm, system = _check(config)
-    seed = config.seed_measure(space, tnorm)
+    _, system, seed = _check(args)
     depth = args.depth
 
     expanded = word_expansion(system, seed, depth)
@@ -109,7 +104,7 @@ def cmd_oracle(args):
         iterated = psi(system, iterated)
 
     discrepancy = float(np.max(np.abs(expanded.density - iterated.density)))
-    h = space.spacing
+    h = system.space.spacing
     c = system.c
     tolerance = h * (1 - c**depth) / (2 * (1 - c))
     passed = discrepancy <= tolerance
@@ -148,7 +143,7 @@ def build_parser():
         p.add_argument("--max-iter", type=int, help="override solver.maxIter")
         p.add_argument("--levels", type=int, help="override solver.levelResolution")
 
-    p = sub.add_parser("check", help="validate a config: space, t-norm, system")
+    p = sub.add_parser("check", help="validate a config: space, t-norm, system, seed")
     p.add_argument("config")
     add_solver_flags(p)
     p.set_defaults(func=cmd_check)

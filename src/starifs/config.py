@@ -11,19 +11,23 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .ifs import ContractionMap, IFSSystem
+from .ifs import DEFAULT_LEVEL_RESOLUTION, DEFAULT_MAX_ITER, DEFAULT_TOL, ContractionMap, IFSSystem
 from .measures import StarMeasure
 from .spaces import grid_1d, grid_2d
 from .tnorms import parse_tnorm
 
 FORMATS = ("csv", "pgm", "json")
 
-_SOLVER_DEFAULTS = {"tol": 1e-6, "maxIter": 10_000, "levelResolution": 256, "seed": "full"}
+_SOLVER_DEFAULTS = dict(
+    tol=DEFAULT_TOL, maxIter=DEFAULT_MAX_ITER, levelResolution=DEFAULT_LEVEL_RESOLUTION, seed="full"
+)
+_DIRAC_RE = re.compile(r"dirac:([0-9]+)")
 _OUTPUT_DEFAULTS = {"formats": ["csv", "json"], "pathPrefix": "starifs_out"}
 
 
@@ -109,8 +113,10 @@ def _normalize_tnorm(raw):
     return cfg
 
 
-def _normalize_map(raw, i, n_points):
+def _normalize_map(raw, i, space):
     path = f"maps[{i}]"
+    dim = len(space["counts"])
+    n_points = math.prod(space["counts"])
     if not isinstance(raw, dict) or len(raw) != 1:
         _fail(path, "must be {'affine': ...} or {'tabulated': ...}")
     if "affine" in raw:
@@ -133,6 +139,8 @@ def _normalize_map(raw, i, n_points):
         ]
         if any(len(row) != len(mat) for row in mat) or len(tr) != len(mat):
             _fail(f"{path}.affine", "matrix must be square and match the translation")
+        if len(mat) != dim:
+            _fail(f"{path}.affine.matrix", f"must be {dim}x{dim} on a {space['kind']} space")
         return {"affine": {"matrix": mat, "translation": tr}}
     if "tabulated" in raw:
         body = raw["tabulated"]
@@ -144,17 +152,19 @@ def _normalize_map(raw, i, n_points):
             if not (isinstance(pair, list) and len(pair) == 2):
                 _fail(f"{path}.tabulated.pairs[{j}]", "must be [source, target]")
             s = _expect_number(pair[0], f"{path}.tabulated.pairs[{j}][0]", lo=0, integer=True)
-            t = _expect_number(pair[1], f"{path}.tabulated.pairs[{j}][1]", lo=0, integer=True)
+            t = _expect_number(
+                pair[1], f"{path}.tabulated.pairs[{j}][1]", lo=0, hi=n_points - 1, integer=True
+            )
             if s in table:
                 _fail(f"{path}.tabulated.pairs[{j}]", f"duplicate source {s}")
             table[s] = t
-        if n_points is not None and sorted(table) != list(range(n_points)):
+        if sorted(table) != list(range(n_points)):
             _fail(f"{path}.tabulated.pairs", "must cover every point exactly once")
         return {"tabulated": {"pairs": [[s, table[s]] for s in sorted(table)]}}
     _fail(path, "must be {'affine': ...} or {'tabulated': ...}")
 
 
-def _normalize_solver(raw):
+def _normalize_solver(raw, space):
     raw = dict(_SOLVER_DEFAULTS) | (raw or {})
     out = {
         "tol": _expect_number(raw["tol"], "solver.tol"),
@@ -167,15 +177,15 @@ def _normalize_solver(raw):
     if out["tol"] <= 0:
         _fail("solver.tol", "must be > 0")
     seed = out["seed"]
-    if not isinstance(seed, str) or not (
-        seed == "full" or seed.startswith("dirac:")
-    ):
-        _fail("solver.seed", "must be 'full' or 'dirac:<pointIndex>'")
-    if seed.startswith("dirac:"):
-        try:
-            int(seed.split(":", 1)[1])
-        except ValueError:
-            _fail("solver.seed", "dirac seed needs an integer point index")
+    if seed != "full":
+        dirac = _DIRAC_RE.fullmatch(seed) if isinstance(seed, str) else None
+        if dirac is None:
+            _fail("solver.seed", "must be 'full' or 'dirac:<pointIndex>' (ASCII digits)")
+        index = int(dirac.group(1))
+        n_points = math.prod(space["counts"])
+        if index >= n_points:
+            _fail("solver.seed", f"dirac index {index} outside the space of {n_points} points")
+        out["seed"] = f"dirac:{index}"
     return out
 
 
@@ -206,10 +216,9 @@ class RunConfig:
         if unknown:
             _fail(sorted(unknown)[0], "unknown field")
         space = _normalize_space(raw["space"])
-        n_points = int(np.prod(space["counts"]))
         if not isinstance(raw["maps"], list) or not raw["maps"]:
             _fail("maps", "must be a nonempty list")
-        maps = [_normalize_map(m, i, n_points) for i, m in enumerate(raw["maps"])]
+        maps = [_normalize_map(m, i, space) for i, m in enumerate(raw["maps"])]
         if not isinstance(raw["weights"], list) or len(raw["weights"]) != len(maps):
             _fail("weights", "must list one weight per map")
         weights = [
@@ -221,7 +230,7 @@ class RunConfig:
             "tnorm": _normalize_tnorm(raw["tnorm"]),
             "maps": maps,
             "weights": weights,
-            "solver": _normalize_solver(raw.get("solver")),
+            "solver": _normalize_solver(raw.get("solver"), space),
             "output": _normalize_output(raw.get("output")),
         }
         return cls(data)
@@ -265,17 +274,15 @@ class RunConfig:
         return IFSSystem(space, maps, self.data["weights"], tnorm)
 
     def seed_measure(self, space, tnorm):
+        """The seed measure; a Dirac index was range-checked at parse time."""
         seed = self.data["solver"]["seed"]
         if seed == "full":
             return StarMeasure.full(space, tnorm)
-        index = int(seed.split(":", 1)[1])
-        if not 0 <= index < space.n:
-            _fail("solver.seed", f"dirac index {index} outside the space")
-        return StarMeasure.dirac(space, index, tnorm)
+        return StarMeasure.dirac(space, int(seed.removeprefix("dirac:")), tnorm)
 
     def override_solver(self, values):
         """Replace solver fields, checked as the config file's are."""
-        self.data["solver"] = _normalize_solver(self.solver | values)
+        self.data["solver"] = _normalize_solver(self.solver | values, self.data["space"])
 
     @property
     def solver(self):

@@ -3,9 +3,12 @@
 The system operator sends a measure A to the union over maps of
 lambda_i * (image of A under f_i).  Its unique fixed point is the
 invariant measure; iteration from the full seed (density identically 1)
-descends monotonically onto it, and after n steps any two orbits are
-within c^n * diam(X) of each other in the hypograph Hausdorff metric,
-which is what certifies the stopping rule.
+descends monotonically onto it.  For the continuum operator, any two
+orbits are within c^n * diam(X) of each other after n steps in the
+hypograph Hausdorff metric (the paper's equal-projection argument).
+``solve`` stops on that number or on a small distance between
+consecutive iterates; on the grid neither is a certified distance to
+the grid fixed point, and the second is a heuristic.
 
 Affine map images are snapped to the nearest grid point (ties to the
 lowest index).  Snapping contributes at most spacing/2 per application,
@@ -28,9 +31,10 @@ from .errors import (
     WeightError,
 )
 from .measures import StarMeasure, hypograph_hausdorff
-from .spaces import LevelGrid, _integer
+from .spaces import LevelGrid, _indices, _integer
 
 WEIGHT_TOL = 1e-12
+DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_LEVEL_RESOLUTION = 256
 
@@ -68,10 +72,7 @@ class ContractionMap:
 
     @classmethod
     def tabulated(cls, table):
-        entries = np.asarray(table)
-        if entries.dtype.kind not in "iuf" or not np.isfinite(entries).all() or np.any(entries % 1):
-            raise DomainError("tabulated map entries must be finite integers")
-        return cls(kind="tabulated", table=_readonly(entries.astype(np.int64)))
+        return cls(kind="tabulated", table=_readonly(_indices(table, "tabulated map entries")))
 
     def image_coords(self, space):
         if self.kind != "affine":
@@ -85,12 +86,9 @@ class ContractionMap:
     def snapped_table(self, space):
         """The map as a grid-point assignment."""
         if self.kind == "tabulated":
-            tbl = self.table
-            if tbl.shape != (space.n,):
+            if self.table.shape != (space.n,):
                 raise DomainError("tabulated map must assign one target per point")
-            if np.any(tbl < 0) or np.any(tbl >= space.n):
-                raise DomainError("tabulated map targets outside the space")
-            return tbl
+            return _readonly(_indices(self.table, "tabulated map targets", space))
         return _readonly(space.snap(self.image_coords(space)))
 
     def contraction_constant(self, space):
@@ -109,8 +107,9 @@ class IFSSystem:
 
     The weight vector must attain 1 (its max is the normalization the
     operator preserves); it is held as a read-only copy.  The derived
-    ``constants``, ``c`` (their max, the system constant) and snapped
-    ``tables`` are None until validate() returns a copy carrying them;
+    ``constants``, ``c`` (their max, the system constant) and ``tables``
+    (the snapped maps, one read-only ``(k, n)`` int64 array, row i for
+    map i) are None until validate() returns a copy carrying them;
     iterating a system without them raises PreconditionError.
     """
 
@@ -120,7 +119,7 @@ class IFSSystem:
     tnorm: object
     constants: tuple | None = field(default=None, init=False)
     c: float | None = field(default=None, init=False)
-    tables: tuple | None = field(default=None, init=False)
+    tables: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
@@ -172,7 +171,7 @@ def validate(system):
             )
 
     validated = replace(system)
-    tables = tuple(m.snapped_table(space) for m in system.maps)
+    tables = _readonly(np.stack([m.snapped_table(space) for m in system.maps]))
     # the class is frozen: set the derived fields on the fresh copy only
     vars(validated).update(constants=constants, c=float(worst), tables=tables)
     return validated
@@ -229,7 +228,15 @@ def residual(system, mu, levels=None):
 
 @dataclass
 class SolveReport:
-    """Iteration record: counts, the certified bound, and the stop cause."""
+    """Iteration record: the step count, the last consecutive-iterate
+    residual (None before the first step), ``apriori_bound`` = c^n diam(X)
+    and the stop cause.
+
+    c^n diam(X) is the paper's bound between two continuum orbits.
+    Neither it nor the residual bounds the distance from the returned
+    grid density to the grid fixed point; stopping on the residual is a
+    heuristic.
+    """
 
     iterations: int
     final_residual: float | None
@@ -250,7 +257,7 @@ class SolveReport:
 def solve(
     system,
     seed=None,
-    tol=1e-6,
+    tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
     level_resolution=DEFAULT_LEVEL_RESOLUTION,
 ):
@@ -258,9 +265,10 @@ def solve(
 
     The default seed is the full density (hypograph X x I), which the
     operator maps into itself, so the orbit is a pointwise decreasing
-    chain.  Stops on whichever fires first: consecutive-iterate
+    chain.  Before each step it stops on the first of: consecutive-iterate
     hypograph residual <= tol, a priori bound c^n diam(X) <= tol, or
-    max_iter.  Hitting max_iter is a reported stop, not an error.
+    max_iter steps taken.  Hitting max_iter is a reported stop, not an
+    error.
     """
     _require_validated(system)
     if not (tol > 0.0 and np.isfinite(tol)):
@@ -272,31 +280,31 @@ def solve(
     levels = LevelGrid(level_resolution)
     mu = seed if seed is not None else StarMeasure.full(system.space, system.tnorm)
     diam = system.space.diameter
-
-    if diam <= tol:
-        return mu, SolveReport(0, None, diam, "bound", time.perf_counter() - start)
-
-    stopped_by = "maxIterations"
     res = None
     n = 0
-    for n in range(1, max_iter + 1):
+    while True:
+        bound = error_bound(n, system.c, diam)
+        if res is not None and res <= tol:
+            stopped_by = "residual"
+            break
+        if bound <= tol:
+            stopped_by = "bound"
+            break
+        if n == max_iter:
+            stopped_by = "maxIterations"
+            break
         nxt = psi(system, mu)
         if np.array_equal(nxt.density, mu.density):
             res = 0.0
         else:
             res = hypograph_hausdorff(system.space, mu.density, nxt.density, levels)
         mu = nxt
-        if res <= tol:
-            stopped_by = "residual"
-            break
-        if error_bound(n, system.c, diam) <= tol:
-            stopped_by = "bound"
-            break
+        n += 1
 
     report = SolveReport(
         iterations=n,
         final_residual=res,
-        apriori_bound=error_bound(n, system.c, diam),
+        apriori_bound=bound,
         stopped_by=stopped_by,
         wall_time=time.perf_counter() - start,
     )

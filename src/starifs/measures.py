@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .spaces import FiniteMetricSpace, LevelGrid, _integer
+from .spaces import FiniteMetricSpace, LevelGrid, _indices, _integer
 
 NORMALIZATION_TOL = 1e-12
 
@@ -97,11 +97,9 @@ def pushforward(f, mu):
     is the max of the density over the preimage of y (0 when empty).
     The global maximum is preserved, so measures map to measures.
     """
-    f = np.asarray(f, dtype=np.int64)
+    f = _indices(f, "point map targets", mu.space)
     if f.shape != (mu.space.n,):
         raise DomainError("point map must assign one target per point")
-    if np.any(f < 0) or np.any(f >= mu.space.n):
-        raise DomainError("point map image lies outside the space")
     out = np.zeros(mu.space.n)
     np.maximum.at(out, f, mu.density)
     cls = StarMeasure if isinstance(mu, StarMeasure) else SubDensity

@@ -12,6 +12,7 @@ All randomness is seeded and the seed is part of every report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,13 @@ class Word:
 
 
 def _check_budget(k, depth):
-    """``depth`` as an int >= 0 whose k^depth words fit the budget."""
+    """``depth`` as an int >= 0 whose k^depth words fit the budget.
+
+    The depth itself is bounded too: a one-map system has one word per
+    depth, but walking it still takes one step per letter.
+    """
     depth = _integer(depth, "depth", 0)
-    if k**depth > WORD_BUDGET:
+    if depth > WORD_BUDGET or k**depth > WORD_BUDGET:
         raise ResourceBudgetError(
             f"{k}^{depth} words exceed the enumeration budget {WORD_BUDGET}"
         )
@@ -58,17 +63,16 @@ def _all_affine(system):
 def _word_blocks(system, depth, per_word):
     """Yield every word of the given length in lexicographic blocks.
 
-    Affine systems yield (codes, weights, matrices, translations),
-    tabulated ones (codes, weights, tables); ``codes`` are the words in
-    base k, first letter most significant.  Word (i_1, ..., i_n)
-    composes left-to-right: each letter's map is applied before the
-    prefix, matching the operator's nesting.  A block is every word
-    with a given prefix; it grows by appending all k letters to all its
-    words at once, so each word gets the same arithmetic whichever block
-    it lands in.  A block that would grow past ``_BLOCK // per_word``
-    words (at least one; a tabulated word counts at least its n-long
-    table) is split by the letter after its prefix into k blocks that
-    are walked depth first, so blocks come out in lexicographic order.
+    Affine systems yield (weights, matrices, translations), tabulated
+    ones (weights, tables).  Word (i_1, ..., i_n) composes left-to-right:
+    each letter's map is applied before the prefix, matching the
+    operator's nesting.  A block is every word with a given prefix; it
+    grows by appending all k letters to all its words at once, so each
+    word gets the same arithmetic whichever block it lands in.  A block
+    that would grow past ``_BLOCK // per_word`` words (at least one; a
+    tabulated word counts at least its n-long table) is split by the
+    letter after its prefix into k blocks that are walked depth first,
+    so blocks come out in lexicographic order.
     """
     space = system.space
     k = system.k
@@ -80,14 +84,12 @@ def _word_blocks(system, depth, per_word):
         root = (np.eye(dim)[None], np.zeros((1, dim)))
     else:
         per_word = max(per_word, space.n)
-        letter_tables = np.stack(system.tables)
         root = (np.arange(space.n, dtype=np.int64)[None],)
     cap = max(1, _BLOCK // per_word)
 
     def children(block):
         """Every word of the block followed by every letter, in order."""
-        codes, weights, *arrays = block
-        codes = (codes[:, None] * k + np.arange(k)).ravel()
+        weights, *arrays = block
         weights = system.tnorm._apply(weights[:, None], system.weights).ravel()
         if affine:
             mats = arrays[0][:, None]
@@ -96,10 +98,10 @@ def _word_blocks(system, depth, per_word):
                 ((mats @ letter_trans)[..., 0] + arrays[1][:, None]).reshape(-1, dim),
             )
         else:
-            arrays = (arrays[0][:, letter_tables].reshape(len(codes), -1),)
-        return (codes, weights, *arrays)
+            arrays = (arrays[0][:, system.tables].reshape(len(weights), -1),)
+        return (weights, *arrays)
 
-    stack = [(0, (np.zeros(1, dtype=np.int64), np.ones(1), *root))]
+    stack = [(0, (np.ones(1), *root))]
     while stack:
         length, block = stack.pop()
         size = len(block[0])
@@ -128,20 +130,21 @@ def enumerate_words(system, depth):
 
     Word (i_1, ..., i_n) composes left-to-right: the prefix map is
     applied after the next letter's map, matching the operator's
-    nesting.  Budget-checked at k^depth <= 1e6.
+    nesting.  Budget-checked at k^depth <= 1e6.  Blocks come in
+    lexicographic order, so the letters of the i-th word are the i-th
+    tuple of ``itertools.product``: the base-k digits of i.
     """
     _require_validated(system)
     depth = _check_budget(system.k, depth)
-    powers = system.k ** np.arange(depth - 1, -1, -1, dtype=np.int64)
     affine = _all_affine(system)
-    for codes, weights, *arrays in _word_blocks(system, depth, 1):
-        letters = (codes[:, None] // powers % system.k).tolist()
-        for i, word in enumerate(letters):
+    letters = itertools.product(range(system.k), repeat=depth)
+    for weights, *arrays in _word_blocks(system, depth, 1):
+        for i, weight in enumerate(weights.tolist()):
             if affine:
                 maps = {"matrix": arrays[0][i], "translation": arrays[1][i]}
             else:
                 maps = {"table": arrays[0][i]}
-            yield Word(tuple(word), float(weights[i]), **maps)
+            yield Word(next(letters), weight, **maps)
 
 
 def word_expansion(system, seed, depth):
@@ -161,7 +164,7 @@ def word_expansion(system, seed, depth):
     out = np.zeros(space.n)
     affine = _all_affine(system)
     per_word = space.n * space.coords.shape[1] if affine else space.n
-    for _, weights, *maps in _word_blocks(system, depth, per_word):
+    for weights, *maps in _word_blocks(system, depth, per_word):
         # one statement, so a block's targets and values die before the next
         np.maximum.at(
             out,
@@ -171,28 +174,34 @@ def word_expansion(system, seed, depth):
     return StarMeasure(space, out, system.tnorm)
 
 
+def _set_image(system, points):
+    """The sorted union of the snapped images of ``points`` under every map."""
+    return np.unique(system.tables[:, points])
+
+
 def attractor_support(system, depth, reference_index=0):
     """Depth-n attractor approximation: word images of one reference point.
 
     Returns the sorted indices {snap(f_w(x0)) : |w| = depth}.  Affine
     systems compose the same word maps as ``word_expansion``, exactly
-    and in lexicographic blocks, and snap each image once; tabulated
-    systems chase indices.  With all weights 1 and the minimum t-norm
-    this equals the support of the word expansion from the Dirac seed
-    at the reference point.
+    and in lexicographic blocks, and snap each image once; a system with
+    a tabulated map takes ``depth`` set images of {x0} under its tables,
+    in O(n) memory whatever the word count.  With all weights 1 and the
+    minimum t-norm this equals the support of the word expansion from
+    the Dirac seed at the reference point.
     """
     _require_validated(system)
     depth = _check_budget(system.k, depth)
     space = system.space
     reference_index = _integer(reference_index, "reference point", space=space)
     if not _all_affine(system):
-        idx = np.array([reference_index], dtype=np.int64)
+        points = np.array([reference_index], dtype=np.int64)
         for _ in range(depth):
-            idx = np.concatenate([tbl[idx] for tbl in system.tables])
-        return np.unique(idx)
+            points = _set_image(system, points)
+        return points
     x0 = space.coords[reference_index : reference_index + 1]
     hit = np.zeros(space.n, dtype=bool)
-    for _, _, mats, trans in _word_blocks(system, depth, 1):
+    for _, mats, trans in _word_blocks(system, depth, 1):
         hit[_snap_images(space, x0, mats, trans)] = True
     return np.flatnonzero(hit)
 
@@ -210,7 +219,7 @@ def hutchinson_fixed_set(system):
     _require_validated(system)
     current = np.arange(system.space.n, dtype=np.int64)
     while True:
-        nxt = np.unique(np.concatenate([tbl[current] for tbl in system.tables]))
+        nxt = _set_image(system, current)
         if np.array_equal(nxt, current):
             return current
         current = nxt

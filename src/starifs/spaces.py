@@ -57,13 +57,29 @@ def _integer(value, name, lo=0, space=None):
     return value
 
 
+def _indices(values, name, space=None):
+    """``values`` as an int64 array of the same shape: the array twin of ``_integer``.
+
+    Integers and integral floats pass; bools, fractions, non-finite and
+    non-numeric entries raise DomainError, and so, with ``space``, does an
+    entry outside 0..n-1.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() or np.any(arr % 1):
+        raise DomainError(f"{name} must be finite integers")
+    if space is not None and arr.size and (arr.min() < 0 or arr.max() >= space.n):
+        raise DomainError(f"{name} outside the space")
+    return arr.astype(np.int64)
+
+
 class FiniteMetricSpace:
     """A finite point set with a full distance matrix.
 
     Points are identified by their index 0..n-1.  ``coords`` is optional
     (affine maps and snapping need it).  ``spacing`` is the snap
     diameter: the distance within which any point of the hull has a
-    point of the space, here the largest nearest-neighbour distance.
+    point of the space, here the largest nearest-neighbour distance; a
+    space needs at least two points, as a grid does, so it is defined.
     ``dist`` and ``coords`` are copied, so the caller's arrays stay writable.
     """
 
@@ -72,8 +88,8 @@ class FiniteMetricSpace:
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise DomainError("distance matrix must be square")
         self.n = dist.shape[0]
-        if self.n < 1:
-            raise DomainError("a space needs at least one point")
+        if self.n < 2:
+            raise DomainError("a space needs at least two points")
         self.dist = dist
         self.dist.flags.writeable = False
         self.coords = None
@@ -89,7 +105,7 @@ class FiniteMetricSpace:
             self.coords = coords
         self.diameter = float(dist.max())
         off = dist + np.diag(np.full(self.n, np.inf))
-        self.spacing = float(off.min(axis=1).max()) if self.n > 1 else None
+        self.spacing = float(off.min(axis=1).max())
         self._check_metric()
 
     def _check_metric(self):
@@ -101,7 +117,7 @@ class FiniteMetricSpace:
         if not np.array_equal(d, d.T):
             raise DomainError("distance matrix must be symmetric")
         off = d[~np.eye(self.n, dtype=bool)]
-        if off.size and np.any(off <= 0.0):
+        if np.any(off <= 0.0):
             raise DomainError("distinct points must be at positive distance")
         tol = 1e-12 * max(1.0, self.diameter)
         if self.n <= _TRIANGLE_EXHAUSTIVE_LIMIT:
@@ -290,23 +306,16 @@ def grid_2d(nx, ny, bounds):
     return GridSpace([(x0, x1, nx), (y0, y1, ny)])
 
 
-def _as_index_array(space, pts, name):
-    idx = np.asarray(pts, dtype=np.int64).ravel()
-    if idx.size == 0:
-        raise DomainError(f"{name} must be a nonempty point set")
-    if np.any(idx < 0) or np.any(idx >= space.n):
-        raise DomainError(f"{name} contains indices outside the space")
-    return idx
-
-
 def hausdorff(space, a_points, b_points):
     """Hausdorff distance between two nonempty finite point sets.
 
     The max of the two directed sup-inf distances, each read off the
     space's ``distance_to`` (matrix-free on generated grids).
     """
-    a = _as_index_array(space, a_points, "A")
-    b = _as_index_array(space, b_points, "B")
+    a = _indices(a_points, "point set A", space).ravel()
+    b = _indices(b_points, "point set B", space).ravel()
+    if a.size == 0 or b.size == 0:
+        raise DomainError("point sets must be nonempty")
 
     def directed(src, dst):
         mask = np.zeros(space.n, dtype=bool)

@@ -75,6 +75,24 @@ class TestRunConfig:
         system = si.validate(cfg.build_system())
         assert np.array_equal(system.tables[0], [1, 1, 1, 1])
 
+    @pytest.mark.parametrize(
+        "seed", ["dirac: 5", "dirac:1_0", "dirac:+5", "dirac:\u0663", "dirac:729", "dirac:5\n"]
+    )
+    def test_dirac_seed_needs_ascii_digits_in_range(self, seed):
+        # int() accepted the first four, and the index was checked only at solve
+        raw = json.loads((CONFIGS / "cantor.json").read_text())
+        raw["solver"]["seed"] = seed
+        with pytest.raises(si.ConfigError, match="solver.seed"):
+            RunConfig.from_dict(raw)
+
+    def test_dirac_seed_is_stored_canonically(self):
+        raw = json.loads((CONFIGS / "cantor.json").read_text())
+        raw["solver"]["seed"] = "dirac:0042"
+        cfg = RunConfig.from_dict(raw)
+        assert cfg.solver["seed"] == "dirac:42"
+        seed = cfg.seed_measure(cfg.build_space(), cfg.build_tnorm())
+        assert np.flatnonzero(seed.density).tolist() == [42]
+
     def test_tabulated_must_cover(self):
         raw = {
             "space": {"kind": "grid1d", "counts": [4], "bounds": [0, 1]},
@@ -114,6 +132,35 @@ class TestCheckCommand:
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nowhere.json"]) == 3
+
+    def test_out_of_range_seed(self, capsys):
+        # check used to pass a seed that solve then rejected
+        assert main(["check", str(CONFIGS / "bad_seed.json")]) == 2
+        assert "solver.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "maps, space, label",
+        [
+            (
+                [{"tabulated": {"pairs": [[0, 1], [1, 1], [2, 1], [3, 99]]}}],
+                {"kind": "grid1d", "counts": [4], "bounds": [0, 1]},
+                "maps[0].tabulated.pairs[3][1]: must be <= 3",
+            ),
+            (
+                [{"affine": {"matrix": [[0.5]], "translation": [0]}}],
+                {"kind": "grid2d", "counts": [4, 4], "bounds": [[0, 1], [0, 1]]},
+                "maps[0].affine.matrix: must be 2x2",
+            ),
+        ],
+        ids=["tabulated-target", "affine-dimension"],
+    )
+    def test_map_checked_against_space(self, tmp_path, capsys, maps, space, label):
+        # both exited 1 from validate with a message that named no field
+        raw = {"space": space, "tnorm": "min", "maps": maps, "weights": [1.0]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["check", str(cfg)]) == 2
+        assert label in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -194,6 +241,17 @@ class TestOracleCommand:
 
     def test_budget_exceeded(self, cantor_cfg):
         assert main(["oracle", str(cantor_cfg), "--depth", "21"]) == 4
+
+    def test_one_map_depth_budget(self, tmp_path):
+        raw = {
+            "space": {"kind": "grid1d", "counts": [9], "bounds": [0, 1]},
+            "tnorm": "min",
+            "maps": [{"affine": {"matrix": [[0.5]], "translation": [0]}}],
+            "weights": [1.0],
+        }
+        cfg = tmp_path / "one_map.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["oracle", str(cfg), "--depth", "1000001"]) == 4
 
 
 class TestExportCommand:

@@ -116,6 +116,12 @@ class TestFrozenSystem:
         with pytest.raises(ValueError):
             sys_.tables[1][0] = 4
 
+    def test_tables_are_one_read_only_array(self, cantor):
+        tables = cantor.tables
+        assert isinstance(tables, np.ndarray)
+        assert tables.shape == (2, cantor.space.n) and tables.dtype == np.int64
+        assert not tables.flags.writeable
+
     def test_validated_system_is_frozen(self, cantor):
         for name, value in (("c", 0.1), ("tables", ()), ("weights", [1.0, 1.0])):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -173,6 +179,30 @@ def ultrametric_halving(tnorm, depth=5):
     X = si.FiniteMetricSpace(np.where(xor > 0, 2.0 ** (bits - depth), 0.0))
     maps = [si.ContractionMap.tabulated((x >> 1) | (b << (depth - 1))) for b in (0, 1)]
     return si.validate(si.IFSSystem(X, maps, [1.0, 0.6], tnorm))
+
+
+class TestTabulatedAttractor:
+    def test_equals_word_expansion_support(self):
+        system = ultrametric_halving(si.TNorm("minimum"))
+        for ref in (0, 13, 31):
+            seed = si.StarMeasure.dirac(system.space, ref, system.tnorm)
+            for depth in range(8):
+                support = np.flatnonzero(si.word_expansion(system, seed, depth).density)
+                att = si.attractor_support(system, depth, reference_index=ref)
+                assert np.array_equal(att, support)
+
+    def test_memory_does_not_grow_with_words(self):
+        # holding all 2^19 word images at once took 10 MB
+        system = ultrametric_halving(si.TNorm("product"), depth=6)
+        si.attractor_support(system, 1)  # the first call pays numpy's lazy imports
+        tracemalloc.start()
+        try:
+            support = si.attractor_support(system, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(support, np.arange(64))
+        assert peak < 2**20
 
 
 class TestPsi:
@@ -281,6 +311,15 @@ class TestSolve:
         out, report = si.solve(cantor, tol=cantor.space.diameter)
         assert report.iterations == 0
         assert report.stopped_by == "bound"
+        assert report.apriori_bound == cantor.space.diameter
+        assert report.final_residual is None
+
+    def test_zero_max_iter_stops_before_a_step(self, cantor):
+        seed = si.StarMeasure.dirac(cantor.space, 5, cantor.tnorm)
+        out, report = si.solve(cantor, seed=seed, max_iter=0)
+        assert out is seed
+        assert (report.iterations, report.stopped_by) == (0, "maxIterations")
+        assert report.final_residual is None
         assert report.apriori_bound == cantor.space.diameter
 
     def test_seed_must_match_space_and_tnorm(self, cantor):

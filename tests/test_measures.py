@@ -159,6 +159,14 @@ class TestPushforward:
         with pytest.raises(si.DomainError):
             si.pushforward(np.array([0, 1, 2, 9]), mu)
 
+    @pytest.mark.parametrize("targets", [[0.9, 1.5, 2.2, 3.9, 4.1], [0, 1, 2, 3, np.nan]])
+    def test_rejects_non_integer_targets(self, targets):
+        # the float targets were truncated to [0, 1, 2, 3, 4]
+        X = si.grid_1d(5, 0, 1)
+        mu = si.StarMeasure.full(X, si.TNorm("product"))
+        with pytest.raises(si.DomainError, match="finite integers"):
+            si.pushforward(targets, mu)
+
 
 class TestScaleAndUnion:
     def test_scale_by_unit(self):

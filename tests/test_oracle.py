@@ -184,6 +184,28 @@ class TestWords:
             with pytest.raises(si.DomainError, match="depth"):
                 call()
 
+    def test_one_map_depth_is_bounded(self, monkeypatch):
+        # one map means one word per depth, which passed any word budget,
+        # but the walk still took one step per letter
+        def walk(*args):
+            raise AssertionError("words walked before the depth was checked")
+
+        X = si.grid_1d(9, 0, 1)
+        t = si.TNorm("minimum")
+        system = si.validate(
+            si.IFSSystem(X, [si.ContractionMap.affine([[0.5]], [0.0])], [1.0], t)
+        )
+        monkeypatch.setattr(oracle, "_word_blocks", walk)
+        depth = oracle.WORD_BUDGET + 1
+        calls = [
+            lambda: list(si.enumerate_words(system, depth)),
+            lambda: si.word_expansion(system, si.StarMeasure.full(X, t), depth),
+            lambda: si.attractor_support(system, depth),
+        ]
+        for call in calls:
+            with pytest.raises(si.ResourceBudgetError):
+                call()
+
     def test_lexicographic_and_equal_to_reference(self, monkeypatch):
         for block in (None, 1, 40, 300):
             if block is not None:

@@ -135,6 +135,11 @@ class TestMetricValidation:
         with pytest.raises(si.DomainError):
             si.FiniteMetricSpace(d)
 
+    def test_rejects_one_point_space(self):
+        # accepted before, and every system on it crashed validate
+        with pytest.raises(si.DomainError, match="two points"):
+            si.FiniteMetricSpace([[0.0]], coords=[0.0])
+
     def test_rejects_nonfinite(self):
         d = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(si.DomainError, match="finite"):
@@ -213,6 +218,14 @@ class TestHausdorff:
         X = si.grid_1d(3, 0, 1)
         with pytest.raises(si.DomainError):
             si.hausdorff(X, [0, 5], [1])
+
+    @pytest.mark.parametrize("points", [[2.7], [True], [np.nan]])
+    def test_rejects_non_integer_points(self, points):
+        # [2.7] was truncated to point 2 and [True] read as point 1
+        X = si.grid_1d(5, 0, 1)
+        for a, b in ((points, [0]), ([0], points)):
+            with pytest.raises(si.DomainError, match="finite integers"):
+                si.hausdorff(X, a, b)
 
 
 class TestProducts:
