@@ -14,15 +14,14 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .ifs import DEFAULT_LEVEL_RESOLUTION, DEFAULT_MAX_ITER, DEFAULT_TOL, ContractionMap, IFSSystem
 from .measures import StarMeasure
-from .spaces import grid_1d, grid_2d
+from .spaces import MAX_LEVEL_RESOLUTION, GridSpace
 from .tnorms import parse_tnorm
 
 FORMATS = ("csv", "pgm", "json")
+_GRID_DIMS = {"grid1d": 1, "grid2d": 2}
 
 _SOLVER_DEFAULTS = dict(
     tol=DEFAULT_TOL, maxIter=DEFAULT_MAX_ITER, levelResolution=DEFAULT_LEVEL_RESOLUTION, seed="full"
@@ -54,77 +53,83 @@ def _expect_number(value, path, lo=None, hi=None, integer=False):
     return int(value) if integer else float(value)
 
 
-def _normalize_space(raw):
+def _object(raw, path, required=(), defaults=None):
+    """``raw`` as a JSON object with ``defaults`` filled in.
+
+    A non-object, a missing required key or an unknown key fails with
+    the dotted field path; ``path`` is "" at the top level.
+    """
     if not isinstance(raw, dict):
-        _fail("space", "must be an object")
-    kind = raw.get("kind")
-    if kind not in ("grid1d", "grid2d"):
+        _fail(path or "top level", "must be an object")
+    prefix = f"{path}." if path else ""
+    defaults = defaults or {}
+    for key in required:
+        if key not in raw:
+            _fail(prefix + key, "missing required field")
+    unknown = set(raw) - set(required) - set(defaults)
+    if unknown:
+        _fail(prefix + sorted(unknown)[0], "unknown field")
+    return defaults | raw
+
+
+def _normalize_space(raw):
+    # kind first: it decides what counts and bounds must look like
+    space = _object(raw, "space", required=("kind",), defaults={"counts": None, "bounds": None})
+    kind = space["kind"]
+    if kind not in _GRID_DIMS:
         _fail("space.kind", "must be 'grid1d' or 'grid2d'")
-    counts = raw.get("counts")
-    bounds = raw.get("bounds")
-    if kind == "grid1d":
-        if not (isinstance(counts, list) and len(counts) == 1):
-            _fail("space.counts", "grid1d takes one point count")
-        n = _expect_number(counts[0], "space.counts[0]", lo=2, integer=True)
-        if not (isinstance(bounds, list) and len(bounds) == 2):
-            _fail("space.bounds", "grid1d takes [a, b]")
-        a = _expect_number(bounds[0], "space.bounds[0]")
-        b = _expect_number(bounds[1], "space.bounds[1]")
-        if not a < b:
-            _fail("space.bounds", "needs a < b")
-        return {"kind": kind, "counts": [n], "bounds": [a, b]}
-    if not (isinstance(counts, list) and len(counts) == 2):
-        _fail("space.counts", "grid2d takes [nx, ny]")
-    nx = _expect_number(counts[0], "space.counts[0]", lo=2, integer=True)
-    ny = _expect_number(counts[1], "space.counts[1]", lo=2, integer=True)
-    if not (isinstance(bounds, list) and len(bounds) == 2):
-        _fail("space.bounds", "grid2d takes [[x0, x1], [y0, y1]]")
-    out = []
-    for ax, rng in enumerate(bounds):
-        if not (isinstance(rng, list) and len(rng) == 2):
-            _fail(f"space.bounds[{ax}]", "must be [lo, hi]")
-        lo = _expect_number(rng[0], f"space.bounds[{ax}][0]")
-        hi = _expect_number(rng[1], f"space.bounds[{ax}][1]")
+    dim = _GRID_DIMS[kind]
+    # grid1d writes its one [lo, hi] pair unnested
+    counts, pairs = space["counts"], [space["bounds"]] if dim == 1 else space["bounds"]
+    if not (isinstance(counts, list) and len(counts) == dim):
+        _fail("space.counts", f"{kind} takes {dim} point count(s)")
+    if not (isinstance(pairs, list) and len(pairs) == dim):
+        _fail("space.bounds", f"{kind} takes one [lo, hi] per axis")
+    out = {"kind": kind, "counts": [], "bounds": []}
+    for ax, (count, pair) in enumerate(zip(counts, pairs)):
+        out["counts"].append(_expect_number(count, f"space.counts[{ax}]", lo=2, integer=True))
+        path = "space.bounds" if dim == 1 else f"space.bounds[{ax}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            _fail(path, "must be [lo, hi]")
+        lo = _expect_number(pair[0], f"{path}[0]")
+        hi = _expect_number(pair[1], f"{path}[1]")
         if not lo < hi:
-            _fail(f"space.bounds[{ax}]", "needs lo < hi")
-        out.append([lo, hi])
-    return {"kind": kind, "counts": [nx, ny], "bounds": out}
+            _fail(path, "needs lo < hi")
+        out["bounds"].append([lo, hi])
+    if dim == 1:
+        out["bounds"] = out["bounds"][0]
+    return out
 
 
 def _normalize_tnorm(raw):
     if isinstance(raw, str):
-        t = parse_tnorm(raw)
-    elif isinstance(raw, dict):
-        family = raw.get("family")
+        family, param = raw, None
+    else:
+        body = _object(raw, "tnorm", required=("family",), defaults={"parameter": None})
+        family, param = body["family"], body["parameter"]
         if not isinstance(family, str):
             _fail("tnorm.family", "must be a string")
-        param = raw.get("parameter")
         if param is not None:
+            if family != "hamacher":
+                _fail("tnorm.parameter", "is read only by family 'hamacher'")
             param = _expect_number(param, "tnorm.parameter", lo=0.0)
-        try:
-            t = parse_tnorm(family, param)
-        except Exception as exc:
-            _fail("tnorm", str(exc))
-    else:
-        _fail("tnorm", "must be a name or an object")
+    try:
+        t = parse_tnorm(family, param)
+    except DomainError as exc:
+        _fail("tnorm", str(exc))
     cfg = {"family": "min" if t.family == "minimum" else t.family}
     if t.family == "hamacher":
         cfg["parameter"] = t.parameter
     return cfg
 
 
-def _normalize_map(raw, i, space):
-    path = f"maps[{i}]"
-    dim = len(space["counts"])
-    n_points = math.prod(space["counts"])
-    if not isinstance(raw, dict) or len(raw) != 1:
+def _normalize_map(raw, path, dim, n_points):
+    _object(raw, path, defaults={"affine": None, "tabulated": None})
+    if len(raw) != 1:
         _fail(path, "must be {'affine': ...} or {'tabulated': ...}")
     if "affine" in raw:
-        body = raw["affine"]
-        if not isinstance(body, dict):
-            _fail(f"{path}.affine", "must be an object")
-        matrix = body.get("matrix")
-        translation = body.get("translation")
+        body = _object(raw["affine"], f"{path}.affine", required=("matrix", "translation"))
+        matrix, translation = body["matrix"], body["translation"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             _fail(f"{path}.affine.matrix", "must be a matrix (list of rows)")
         if not isinstance(translation, list):
@@ -137,40 +142,41 @@ def _normalize_map(raw, i, space):
             _expect_number(v, f"{path}.affine.translation[{j}]")
             for j, v in enumerate(translation)
         ]
-        if any(len(row) != len(mat) for row in mat) or len(tr) != len(mat):
-            _fail(f"{path}.affine", "matrix must be square and match the translation")
-        if len(mat) != dim:
-            _fail(f"{path}.affine.matrix", f"must be {dim}x{dim} on a {space['kind']} space")
+        if len(mat) != dim or any(len(row) != dim for row in mat):
+            _fail(f"{path}.affine.matrix", f"must be {dim}x{dim} on a {dim}-D grid")
+        if len(tr) != dim:
+            _fail(f"{path}.affine.translation", f"must have {dim} entries on a {dim}-D grid")
         return {"affine": {"matrix": mat, "translation": tr}}
-    if "tabulated" in raw:
-        body = raw["tabulated"]
-        pairs = body.get("pairs") if isinstance(body, dict) else None
-        if not isinstance(pairs, list):
-            _fail(f"{path}.tabulated.pairs", "must be a list of [source, target] pairs")
-        table = {}
-        for j, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                _fail(f"{path}.tabulated.pairs[{j}]", "must be [source, target]")
-            s = _expect_number(pair[0], f"{path}.tabulated.pairs[{j}][0]", lo=0, integer=True)
-            t = _expect_number(
-                pair[1], f"{path}.tabulated.pairs[{j}][1]", lo=0, hi=n_points - 1, integer=True
-            )
-            if s in table:
-                _fail(f"{path}.tabulated.pairs[{j}]", f"duplicate source {s}")
-            table[s] = t
-        if sorted(table) != list(range(n_points)):
-            _fail(f"{path}.tabulated.pairs", "must cover every point exactly once")
-        return {"tabulated": {"pairs": [[s, table[s]] for s in sorted(table)]}}
-    _fail(path, "must be {'affine': ...} or {'tabulated': ...}")
+    pairs = _object(raw["tabulated"], f"{path}.tabulated", required=("pairs",))["pairs"]
+    if not isinstance(pairs, list):
+        _fail(f"{path}.tabulated.pairs", "must be a list of [source, target] pairs")
+    table = {}
+    for j, pair in enumerate(pairs):
+        at = f"{path}.tabulated.pairs[{j}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            _fail(at, "must be [source, target]")
+        s = _expect_number(pair[0], f"{at}[0]", lo=0, hi=n_points - 1, integer=True)
+        t = _expect_number(pair[1], f"{at}[1]", lo=0, hi=n_points - 1, integer=True)
+        if s in table:
+            _fail(at, f"duplicate source {s}")
+        table[s] = t
+    # distinct sources in 0..n-1: n of them cover every point
+    if len(table) != n_points:
+        _fail(f"{path}.tabulated.pairs", "must cover every point exactly once")
+    return {"tabulated": {"pairs": [[s, table[s]] for s in sorted(table)]}}
 
 
-def _normalize_solver(raw, space):
-    raw = dict(_SOLVER_DEFAULTS) | (raw or {})
+def _normalize_solver(raw, n_points):
+    raw = _object(raw, "solver", defaults=_SOLVER_DEFAULTS)
     out = {
         "tol": _expect_number(raw["tol"], "solver.tol"),
         "maxIter": _expect_number(raw["maxIter"], "solver.maxIter", lo=1, integer=True),
         "levelResolution": _expect_number(
-            raw["levelResolution"], "solver.levelResolution", lo=1, integer=True
+            raw["levelResolution"],
+            "solver.levelResolution",
+            lo=1,
+            hi=MAX_LEVEL_RESOLUTION,
+            integer=True,
         ),
         "seed": raw["seed"],
     }
@@ -182,7 +188,6 @@ def _normalize_solver(raw, space):
         if dirac is None:
             _fail("solver.seed", "must be 'full' or 'dirac:<pointIndex>' (ASCII digits)")
         index = int(dirac.group(1))
-        n_points = math.prod(space["counts"])
         if index >= n_points:
             _fail("solver.seed", f"dirac index {index} outside the space of {n_points} points")
         out["seed"] = f"dirac:{index}"
@@ -190,9 +195,9 @@ def _normalize_solver(raw, space):
 
 
 def _normalize_output(raw):
-    raw = dict(_OUTPUT_DEFAULTS) | (raw or {})
+    raw = _object(raw, "output", defaults=_OUTPUT_DEFAULTS)
     formats = raw["formats"]
-    if not isinstance(formats, list) or not set(formats) <= set(FORMATS):
+    if not isinstance(formats, list) or not all(f in FORMATS for f in formats):
         _fail("output.formats", f"must be a subset of {set(FORMATS)}")
     if not isinstance(raw["pathPrefix"], str) or not raw["pathPrefix"]:
         _fail("output.pathPrefix", "must be a nonempty string")
@@ -207,18 +212,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("top level: must be an object")
-        for key in ("space", "tnorm", "maps", "weights"):
-            if key not in raw:
-                _fail(key, "missing required field")
-        unknown = set(raw) - {"space", "tnorm", "maps", "weights", "solver", "output"}
-        if unknown:
-            _fail(sorted(unknown)[0], "unknown field")
+        required = ("space", "tnorm", "maps", "weights")
+        raw = _object(raw, "", required, defaults={"solver": {}, "output": {}})
         space = _normalize_space(raw["space"])
+        dim = len(space["counts"])
+        n_points = math.prod(space["counts"])
         if not isinstance(raw["maps"], list) or not raw["maps"]:
             _fail("maps", "must be a nonempty list")
-        maps = [_normalize_map(m, i, space) for i, m in enumerate(raw["maps"])]
+        maps = [_normalize_map(m, f"maps[{i}]", dim, n_points) for i, m in enumerate(raw["maps"])]
         if not isinstance(raw["weights"], list) or len(raw["weights"]) != len(maps):
             _fail("weights", "must list one weight per map")
         weights = [
@@ -230,8 +231,8 @@ class RunConfig:
             "tnorm": _normalize_tnorm(raw["tnorm"]),
             "maps": maps,
             "weights": weights,
-            "solver": _normalize_solver(raw.get("solver"), space),
-            "output": _normalize_output(raw.get("output")),
+            "solver": _normalize_solver(raw["solver"], n_points),
+            "output": _normalize_output(raw["output"]),
         }
         return cls(data)
 
@@ -251,9 +252,11 @@ class RunConfig:
 
     def build_space(self):
         s = self.data["space"]
-        if s["kind"] == "grid1d":
-            return grid_1d(s["counts"][0], *s["bounds"])
-        return grid_2d(s["counts"][0], s["counts"][1], s["bounds"])
+        pairs = [s["bounds"]] if s["kind"] == "grid1d" else s["bounds"]
+        try:
+            return GridSpace([(lo, hi, n) for (lo, hi), n in zip(pairs, s["counts"])])
+        except DomainError as exc:
+            _fail("space", str(exc))
 
     def build_tnorm(self):
         t = self.data["tnorm"]
@@ -262,15 +265,12 @@ class RunConfig:
     def build_system(self, space=None, tnorm=None):
         space = space if space is not None else self.build_space()
         tnorm = tnorm if tnorm is not None else self.build_tnorm()
-        maps = []
-        for m in self.data["maps"]:
-            if "affine" in m:
-                maps.append(
-                    ContractionMap.affine(m["affine"]["matrix"], m["affine"]["translation"])
-                )
-            else:
-                table = np.array([t for _, t in m["tabulated"]["pairs"]], dtype=np.int64)
-                maps.append(ContractionMap.tabulated(table))
+        maps = [
+            ContractionMap.affine(m["affine"]["matrix"], m["affine"]["translation"])
+            if "affine" in m
+            else ContractionMap.tabulated([t for _, t in m["tabulated"]["pairs"]])
+            for m in self.data["maps"]
+        ]
         return IFSSystem(space, maps, self.data["weights"], tnorm)
 
     def seed_measure(self, space, tnorm):
@@ -282,7 +282,7 @@ class RunConfig:
 
     def override_solver(self, values):
         """Replace solver fields, checked as the config file's are."""
-        self.data["solver"] = _normalize_solver(self.solver | values, self.data["space"])
+        self.data = RunConfig.from_dict(self.data | {"solver": self.solver | values}).data
 
     @property
     def solver(self):

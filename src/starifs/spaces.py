@@ -34,6 +34,9 @@ _DENSE_ROW_BLOCK = 256
 
 # values within this distance of a level line are treated as on it
 GRID_SNAP_EPS = 1e-9
+# the largest level resolution m: float64 holds every integer up to 2**53,
+# so each level index k in 0..m is exact in the level arithmetic
+MAX_LEVEL_RESOLUTION = 2**53
 
 
 def _integer(value, name, lo=0, space=None):
@@ -60,13 +63,19 @@ def _integer(value, name, lo=0, space=None):
 def _indices(values, name, space=None):
     """``values`` as an int64 array of the same shape: the array twin of ``_integer``.
 
-    Integers and integral floats pass; bools, fractions, non-finite and
-    non-numeric entries raise DomainError, and so, with ``space``, does an
-    entry outside 0..n-1.
+    Integers and integral floats in the int64 range pass; bools, fractions,
+    non-finite, out-of-range and non-numeric entries raise DomainError, and
+    so, with ``space``, does an entry outside 0..n-1.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() or np.any(arr % 1):
-        raise DomainError(f"{name} must be finite integers")
+    if (
+        arr.dtype.kind not in "iuf"
+        or not np.isfinite(arr).all()
+        or np.any(arr % 1)
+        # checked before the cast, which would wrap or warn
+        or (arr.size and not -(2**63) <= int(arr.min()) <= int(arr.max()) < 2**63)
+    ):
+        raise DomainError(f"{name} must be finite integers within int64")
     if space is not None and arr.size and (arr.min() < 0 or arr.max() >= space.n):
         raise DomainError(f"{name} outside the space")
     return arr.astype(np.int64)
@@ -160,11 +169,13 @@ class FiniteMetricSpace:
 class GridSpace(FiniteMetricSpace):
     """A uniform Euclidean lattice held matrix-free.
 
-    ``axes`` lists (lo, hi, count) per coordinate, x first; points are
-    row-major (index = iy * nx + ix).  Integer counts >= 2, finite
-    bounds, a positive step on each axis and strictly increasing axis
-    coordinates make the Euclidean distance a metric on the lattice by
-    construction, so only these O(n) facts are checked.  ``spacing`` is
+    ``axes`` lists (lo, hi, count) for one or two coordinates, x first;
+    points are row-major (index = iy * nx + ix).  The coordinate array
+    (n x d floats) must fit numpy's largest array, which is checked
+    before anything is allocated.  Integer counts >= 2, finite bounds, a
+    positive step on each axis and strictly increasing axis coordinates
+    make the Euclidean distance a metric on the lattice by construction,
+    so only these O(n) facts are checked.  ``spacing`` is
     the step in 1-D and the cell diagonal in 2-D.  ``dist`` is built on
     first use and cached; distances, the diameter and snapping are
     otherwise computed from the axes and equal the dense matrix's, bit
@@ -172,12 +183,17 @@ class GridSpace(FiniteMetricSpace):
     """
 
     def __init__(self, axes):
+        axes = [(lo, hi, _integer(count, "grid point count", 2)) for lo, hi, count in axes]
+        if len(axes) not in (1, 2):
+            raise DomainError(f"a grid has one or two axes, not {len(axes)}")
+        n = math.prod(count for _, _, count in axes)
+        if n * len(axes) * 8 > np.iinfo(np.intp).max:
+            raise DomainError("grid point count exceeds the largest array numpy can hold")
         coords_per_axis = []
         # ((lo, step, count, stride), ...) per coordinate, for snapping
         grid_axes = []
         stride = 1
         for lo, hi, count in axes:
-            count = _integer(count, "grid point count", 2)
             lo, hi = float(lo), float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise DomainError("grid bounds must be finite")
@@ -193,7 +209,7 @@ class GridSpace(FiniteMetricSpace):
             stride *= count
         self.axes = tuple(coords_per_axis)
         self._grid_axes = tuple(grid_axes)
-        self.n = stride
+        self.n = n
         mesh = np.meshgrid(*self.axes)  # row-major: y varies along rows
         self.coords = np.column_stack([g.ravel() for g in mesh])
         self.coords.flags.writeable = False
@@ -335,12 +351,14 @@ def _pairs_hausdorff(space_x, space_y, a_pairs, b_pairs):
 
 @dataclass(frozen=True)
 class LevelGrid:
-    """The quantized unit segment {0, 1/m, ..., 1}."""
+    """The quantized unit segment {0, 1/m, ..., 1}, for 1 <= m <= 2**53."""
 
     resolution: int
 
     def __post_init__(self):
         m = _integer(self.resolution, "level resolution", 1)
+        if m > MAX_LEVEL_RESOLUTION:
+            raise DomainError(f"level resolution must be <= {MAX_LEVEL_RESOLUTION}")
         object.__setattr__(self, "resolution", m)
 
     @property
@@ -353,6 +371,3 @@ class LevelGrid:
         v = np.asarray(values, dtype=float)
         idx = np.floor(v * self.resolution + GRID_SNAP_EPS).astype(np.int64)
         return np.clip(idx, 0, self.resolution)
-
-    def floor(self, values):
-        return self.floor_index(values) / self.resolution

@@ -82,6 +82,11 @@ def projection_bound_check(space_x, space_y, a_pairs, b_pairs):
     return _pairs_hausdorff(space_x, space_y, a, b) <= space_x.diameter
 
 
+def level_floor(levels, values):
+    """Each value rounded down to the level grid (within GRID_SNAP_EPS)."""
+    return levels.floor_index(values) / levels.resolution
+
+
 def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
     """Member-level sup-inf evaluation of the quantized hypograph distance.
 

@@ -23,6 +23,67 @@ def cantor_cfg(tmp_path):
     return path
 
 
+def _set(*path, value):
+    """An edit of a parsed config that sets the field at ``path`` to ``value``."""
+
+    def edit(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        raw[path[-1]] = value
+
+    return edit
+
+
+_GRID2D = {"kind": "grid2d", "counts": [4, 4], "bounds": [[0, 1], [0, 1]]}
+
+# (edit of tests/configs/cantor.json, the start of the error message)
+FIELD_ERRORS = [
+    (_set("tnorm", value="drastic"), "tnorm: unknown t-norm family"),
+    (_set("tnorm", value="hamacher(abc)"), "tnorm: bad hamacher parameter"),
+    (_set("tnorm", value="hamacher"), "tnorm: hamacher requires a parameter"),
+    (_set("tnorm", value="hamacher(1e400)"), "tnorm: bad hamacher parameter"),
+    (_set("tnorm", value={"family": "product", "paramter": 0.5}), "tnorm.paramter: unknown field"),
+    (_set("tnorm", value={"family": "min", "parameter": 3}), "tnorm.parameter"),
+    (_set("tnorm", value={"family": 3}), "tnorm.family: must be a string"),
+    (_set("tnorm", value=3), "tnorm: must be an object"),
+    (_set("solver", value={"tolerance": 1e-9}), "solver.tolerance: unknown field"),
+    (_set("solver", value=0), "solver: must be an object"),
+    (_set("solver", value=[]), "solver: must be an object"),
+    (_set("solver", value=None), "solver: must be an object"),
+    (_set("solver", value=[1]), "solver: must be an object"),
+    (_set("solver", "levelResolution", value=1e300), "solver.levelResolution: must be <="),
+    (_set("output", value=[]), "output: must be an object"),
+    (_set("output", value=[1]), "output: must be an object"),
+    (_set("output", "extra", value=1), "output.extra: unknown field"),
+    (_set("output", "formats", value=[["csv"]]), "output.formats"),
+    (_set("output", "pathPrefix", value=""), "output.pathPrefix"),
+    (_set("space", value=[]), "space: must be an object"),
+    (_set("space", "extra", value=1), "space.extra: unknown field"),
+    (_set("space", value={"counts": [5], "bounds": [0, 1]}), "space.kind: missing required field"),
+    (_set("space", "counts", value=[9, 9]), "space.counts: grid1d takes"),
+    (_set("space", value={**_GRID2D, "counts": [4]}), "space.counts: grid2d takes"),
+    (_set("space", "bounds", value=[0, 1, 2]), "space.bounds: must be [lo, hi]"),
+    (_set("space", value={**_GRID2D, "bounds": [[0, 1]]}), "space.bounds: grid2d takes"),
+    (_set("space", "bounds", value=[1, 1]), "space.bounds: needs lo < hi"),
+    (_set("space", value={**_GRID2D, "bounds": [[0, 1], [2, 1]]}), "space.bounds[1]: needs lo < hi"),
+    (_set("space", "bounds", value=[1e16, 1e16 + 2]), "space: grid points must be distinct"),
+    (_set("space", "counts", value=[1e300]), "space: grid point count exceeds"),
+    (_set("maps", value={}), "maps: must be a nonempty list"),
+    (_set("maps", 0, "extra", value=1), "maps[0].extra: unknown field"),
+    (_set("maps", 0, value={}), "maps[0]: must be"),
+    (_set("maps", 0, "affine", "extra", value=1), "maps[0].affine.extra: unknown field"),
+    (_set("maps", 0, "affine", "matrix", value=[[0.5], []]), "maps[0].affine.matrix: must be 1x1"),
+    (_set("maps", 0, "affine", "matrix", value=[]), "maps[0].affine.matrix: must be 1x1"),
+    (_set("maps", 0, "affine", "matrix", value=0.5), "maps[0].affine.matrix: must be a matrix"),
+    (_set("maps", 0, "affine", "translation", value=0), "maps[0].affine.translation: must be a"),
+    (_set("maps", 0, "affine", "translation", value=[0, 0]), "maps[0].affine.translation: must have"),
+    (_set("maps", 0, value={"tabulated": {"pairs": [], "x": 1}}), "maps[0].tabulated.x: unknown"),
+    (_set("maps", 0, value={"tabulated": {"pairs": [[0, 0], [0, 1]]}}), "maps[0].tabulated.pairs[1]: duplicate"),
+    (_set("maps", 0, value={"tabulated": {"pairs": [[0]]}}), "maps[0].tabulated.pairs[0]: must be"),
+    (_set("maps", 0, value={"tabulated": {"pairs": [[729, 0]]}}), "maps[0].tabulated.pairs[0][0]"),
+]
+
+
 class TestRunConfig:
     def test_parses_reference_config(self):
         cfg = RunConfig.from_path(CONFIGS / "cantor.json")
@@ -59,6 +120,23 @@ class TestRunConfig:
             raw.update(override)
             with pytest.raises(si.ConfigError, match=label.replace("[", "\\[")):
                 RunConfig.from_dict(raw)
+
+    def test_tnorm_object_form_round_trip(self):
+        base = json.loads((CONFIGS / "cantor.json").read_text())
+        base["tnorm"] = {"family": "hamacher", "parameter": 0.5}
+        cfg = RunConfig.from_dict(base)
+        assert cfg.data["tnorm"] == {"family": "hamacher", "parameter": 0.5}
+        assert cfg.build_tnorm() == si.TNorm("hamacher", 0.5)
+        assert RunConfig.from_dict(json.loads(cfg.to_json())).to_json() == cfg.to_json()
+
+    @pytest.mark.parametrize("edit, label", FIELD_ERRORS)
+    def test_every_object_and_field_is_checked(self, edit, label):
+        raw = json.loads((CONFIGS / "cantor.json").read_text())
+        edit(raw)
+        with pytest.raises(si.ConfigError) as info:
+            # the grid limits are checked where the grid is built
+            RunConfig.from_dict(raw).build_space()
+        assert str(info.value).startswith(label)
 
     def test_missing_field(self):
         with pytest.raises(si.ConfigError, match="maps"):
@@ -129,6 +207,28 @@ class TestCheckCommand:
         cantor_cfg.write_text(json.dumps(raw))  # writes NaN / Infinity literals
         assert main(["check", str(cantor_cfg)]) == 2
         assert f"{label}[1]: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, label",
+        [
+            (_set("tnorm", value="drastic"), "tnorm: unknown t-norm family"),
+            (_set("solver", value={"tolerance": 1e-9}), "solver.tolerance: unknown field"),
+            (_set("space", "counts", value=[1e300]), "space: grid point count exceeds"),
+        ],
+        ids=["tnorm-string", "unknown-solver-key", "huge-count"],
+    )
+    def test_config_errors_exit_2(self, cantor_cfg, capsys, edit, label):
+        # exit 1 naming no field, exit 0, and a numpy traceback
+        raw = json.loads(cantor_cfg.read_text())
+        edit(raw)
+        cantor_cfg.write_text(json.dumps(raw))
+        assert main(["check", str(cantor_cfg)]) == 2
+        assert f"error: {label}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", [str(2**53 + 1), str(10**300)], ids=["2**53+1", "10**300"])
+    def test_levels_beyond_float64_named(self, cantor_cfg, capsys, levels):
+        assert main(["solve", str(cantor_cfg), "--levels", levels]) == 2
+        assert "solver.levelResolution: must be <=" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nowhere.json"]) == 3

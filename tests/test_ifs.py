@@ -31,10 +31,20 @@ class TestContractionMap:
         assert shift.contraction_constant(X) == 1.0
 
     @pytest.mark.parametrize(
-        "table", [[0.5, 1.7], [np.nan, 1], [0, np.inf], [True, False], ["0", "1"]]
+        "table",
+        [
+            [0.5, 1.7],
+            [np.nan, 1],
+            [0, np.inf],
+            [True, False],
+            ["0", "1"],
+            [1e30, 0],
+            np.array([2**63, 0], dtype=np.uint64),
+        ],
     )
     def test_tabulated_entries_must_be_finite_integers(self, table):
-        # [0.5, 1.7] used to be truncated to [0, 1]
+        # [0.5, 1.7] used to be truncated to [0, 1]; entries beyond int64
+        # were cast to INT64_MIN or wrapped
         with pytest.raises(si.DomainError, match="finite integers"):
             si.ContractionMap.tabulated(table)
 

@@ -3,7 +3,7 @@ import pytest
 
 import starifs as si
 
-from conftest import ALL_TNORMS, hypograph_hausdorff_bruteforce, random_measure
+from conftest import ALL_TNORMS, hypograph_hausdorff_bruteforce, level_floor, random_measure
 
 TOL = 1e-12
 
@@ -226,7 +226,7 @@ class TestScaleAndUnion:
         t = si.TNorm("minimum")
         lv = si.LevelGrid(8)
         rng = np.random.default_rng(9)
-        subs = [si.SubDensity(X, lv.floor(rng.uniform(0, 1, X.n)), t) for _ in range(3)]
+        subs = [si.SubDensity(X, level_floor(lv, rng.uniform(0, 1, X.n)), t) for _ in range(3)]
         set_union = frozenset().union(*(si.to_saturated(s, lv).members for s in subs))
         assert set_union == si.to_saturated(si.max_union(subs), lv).members
 
@@ -298,7 +298,7 @@ class TestSaturated:
         t = si.TNorm("product")
         lv = si.LevelGrid(8)
         rng = np.random.default_rng(14)
-        density = lv.floor(rng.uniform(0, 1, X.n))
+        density = level_floor(lv, rng.uniform(0, 1, X.n))
         density[0] = 1.0
         mu = si.StarMeasure(X, density, t)
         back = si.from_saturated(si.to_saturated(mu, lv), t)

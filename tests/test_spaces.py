@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import starifs as si
+from starifs.spaces import GridSpace
 
-from conftest import product_metric, projection_bound_check
+from conftest import level_floor, product_metric, projection_bound_check
 
 
 def brute_hausdorff(dist, a_set, b_set):
@@ -88,6 +89,26 @@ class TestGrid2d:
             si.grid_2d(3, 3, ((0, 1), (0, math.inf)))
         with pytest.raises(si.DomainError, match="finite"):
             si.grid_2d(3, 3, ((math.nan, 1), (0, 1)))
+
+
+class TestGridLimits:
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ([], "one or two axes"),
+            ([(0, 1, 3)] * 3, "one or two axes"),
+            ([(0, 1, 2**64)], "numpy"),
+            ([(0, 1, 10**300)], "numpy"),
+            # 2**60 points fit intp, but their 8-byte coordinates do not
+            ([(0, 1, 2**60)], "numpy"),
+            ([(0, 1, 2**62), (0, 1, 2)], "numpy"),
+        ],
+        ids=["no-axes", "three-axes", "2**64", "10**300", "2**60", "2**62x2"],
+    )
+    def test_rejects_axes_it_cannot_hold(self, axes, message):
+        # each raised a numpy ValueError or TypeError; none allocates here
+        with pytest.raises(si.DomainError, match=message):
+            GridSpace(axes)
 
 
 @pytest.mark.parametrize(
@@ -316,14 +337,21 @@ class TestLevelGrid:
 
     def test_floor_rounds_down(self):
         lv = si.LevelGrid(4)
-        assert lv.floor(np.array([0.26]))[0] == 0.25
-        assert lv.floor(np.array([0.249999]))[0] == 0.0
+        assert level_floor(lv, np.array([0.26]))[0] == 0.25
+        assert level_floor(lv, np.array([0.249999]))[0] == 0.0
         # rounding noise below the snap epsilon counts as on-grid
-        assert lv.floor(np.array([0.25 - 1e-13]))[0] == 0.25
+        assert level_floor(lv, np.array([0.25 - 1e-13]))[0] == 0.25
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(si.DomainError):
             si.LevelGrid(0)
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**300], ids=["2**53+1", "10**300"])
+    def test_resolution_beyond_float64_rejected(self, m):
+        # level indices above 2**53 are not all floats; 10**300 gave a false stop
+        with pytest.raises(si.DomainError, match="level resolution must be <="):
+            si.LevelGrid(m)
+        assert si.LevelGrid(2**53).resolution == 2**53
 
     @pytest.mark.parametrize("m", [2.5, 4.0, True, "4"])
     def test_resolution_must_be_an_integer(self, m):
