@@ -1,11 +1,14 @@
 """starifs: invariant idempotent measures of iterated function systems
 under continuous triangular norms.
 
-Build a finite grid, a t-norm, and a weighted system of contractions;
-iterate the system operator on density fields until the hypograph
-residual between consecutive iterates (a heuristic) or the paper's
-bound c^n diam(X) between two continuum orbits falls below a tolerance.
-Neither number bounds the distance to the grid fixed point.
+Build a finite grid, a t-norm, and a weighted system of contractions.
+From the full seed, ``solve`` computes the grid fixed point exactly by a
+(max, T) path sweep and checks it against the operator bit for bit.
+From any other seed it iterates the system operator on density fields
+until the hypograph residual between consecutive iterates (a heuristic)
+or the paper's bound c^n diam(X) between two continuum orbits falls
+below a tolerance; neither number bounds the distance from that iterate
+to a grid fixed point.
 """
 
 from .errors import (

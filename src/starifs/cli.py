@@ -148,7 +148,7 @@ def build_parser():
     add_solver_flags(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", help="iterate to the invariant measure and export")
+    p = sub.add_parser("solve", help="solve for the invariant measure and export")
     p.add_argument("config")
     add_solver_flags(p)
     p.set_defaults(func=cmd_solve)

@@ -2,13 +2,17 @@
 
 The system operator sends a measure A to the union over maps of
 lambda_i * (image of A under f_i).  Its unique fixed point is the
-invariant measure; iteration from the full seed (density identically 1)
-descends monotonically onto it.  For the continuum operator, any two
-orbits are within c^n * diam(X) of each other after n steps in the
-hypograph Hausdorff metric (the paper's equal-projection argument).
-``solve`` stops on that number or on a small distance between
-consecutive iterates; on the grid neither is a certified distance to
-the grid fixed point, and the second is a heuristic.
+invariant measure.  On a grid the operator is linear over the semiring
+([0, 1], max, T), so the limit of the chain from the full seed (density
+identically 1, which the chain descends from monotonically) is the
+solution of an algebraic path problem: ``solve`` computes it exactly by
+a path sweep and checks it against ``psi`` bit for bit.  Other seeds are
+iterated.  For the continuum operator, any two orbits are within
+c^n * diam(X) of each other after n steps in the hypograph Hausdorff
+metric (the paper's equal-projection argument); the iteration stops on
+that number or on a small distance between consecutive iterates.  On
+the grid neither is a certified distance to a grid fixed point, and the
+second is a heuristic.
 
 Affine map images are snapped to the nearest grid point (ties to the
 lowest index).  Snapping contributes at most spacing/2 per application,
@@ -28,6 +32,7 @@ from .errors import (
     DomainError,
     NotAContractionError,
     PreconditionError,
+    ValidationError,
     WeightError,
 )
 from .measures import StarMeasure, hypograph_hausdorff
@@ -187,6 +192,16 @@ def _check_measure(system, mu):
         raise DomainError("the measure must live on the system's space and t-norm")
 
 
+def _psi_density(system, density):
+    """The operator on a raw density array, unchecked: the body of ``psi``."""
+    out = np.zeros(system.space.n)
+    for w, tbl in zip(system.weights, system.tables):
+        image = np.zeros_like(out)
+        np.maximum.at(image, tbl, density)
+        np.maximum(out, system.tnorm._apply(float(w), image), out=out)
+    return out
+
+
 def psi(system, mu):
     """One application of the system operator.
 
@@ -197,12 +212,55 @@ def psi(system, mu):
     """
     _require_validated(system)
     _check_measure(system, mu)
-    out = np.zeros(system.space.n)
-    for w, tbl in zip(system.weights, system.tables):
-        image = np.zeros_like(out)
-        np.maximum.at(image, tbl, mu.density)
-        np.maximum(out, system.tnorm._apply(float(w), image), out=out)
-    return StarMeasure(system.space, out, system.tnorm)
+    return StarMeasure(system.space, _psi_density(system, mu.density), system.tnorm)
+
+
+def _set_image(tables, points):
+    """The sorted union of the images of ``points`` under every row of a
+    ``(k', n)`` table array."""
+    return np.unique(tables[:, points])
+
+
+def _stationary_set(tables):
+    """The stationary set of S -> U_i table_i(S) from the full point set.
+
+    The sets only shrink, so this takes at most n steps.
+    """
+    current = np.arange(tables.shape[1], dtype=np.int64)
+    while True:
+        nxt = _set_image(tables, current)
+        if np.array_equal(nxt, current):
+            return current
+        current = nxt
+
+
+def _path_sweep(system):
+    """The limit of the full-seed chain, exactly; returns (density, rounds).
+
+    ``psi`` is linear over the semiring ([0, 1], max, T), so the limit at
+    y is the best T-fold of weights over the backward-infinite walks that
+    end at y.  Such a fold is nonzero only on a tail of weights >= some
+    e with T(e, e) = e, and an infinite walk on maps of weight >= e ends
+    exactly in their stationary set.  Those sets, at level e, are the
+    sources; the raise d <- max(d, psi(d)) then carries them along
+    finite paths (Bellman-Ford in (max, T)).  T(a, lambda) <= a makes
+    every best walk a simple path, so in exact arithmetic the raise
+    takes at most n rounds; ``rounds`` counts them, the last one
+    unchanged.
+    """
+    weights = system.weights
+    density = np.zeros(system.space.n)
+    # ascending, so a higher source level overwrites a lower one
+    for e in np.unique(weights):
+        if e > 0.0 and system.tnorm._apply(e, e) == e:
+            density[_stationary_set(system.tables[weights >= e])] = e
+    rounds = 0
+    while True:
+        rounds += 1
+        raised = np.maximum(density, _psi_density(system, density))
+        if np.array_equal(raised, density):
+            return density, rounds
+        density = raised
 
 
 def error_bound(n, c, diam):
@@ -219,7 +277,8 @@ def error_bound(n, c, diam):
 def residual(system, mu, levels=None):
     """Hypograph Hausdorff distance between mu and psi(mu).
 
-    Zero at grid resolution exactly when mu is invariant.
+    Zero when the two densities have equal level indices on the level
+    grid; mu need not be invariant then.
     """
     levels = levels or LevelGrid(DEFAULT_LEVEL_RESOLUTION)
     nxt = psi(system, mu)
@@ -228,14 +287,17 @@ def residual(system, mu, levels=None):
 
 @dataclass
 class SolveReport:
-    """Iteration record: the step count, the last consecutive-iterate
+    """Solver record: the step count, the last consecutive-iterate
     residual (None before the first step), ``apriori_bound`` = c^n diam(X)
     and the stop cause.
 
-    c^n diam(X) is the paper's bound between two continuum orbits.
-    Neither it nor the residual bounds the distance from the returned
-    grid density to the grid fixed point; stopping on the residual is a
-    heuristic.
+    From the full seed the stop cause is ``fixedPoint``: the output is
+    the grid fixed point, checked to satisfy psi(mu) == mu bit for bit,
+    ``iterations`` counts the rounds of the path sweep and the residual
+    is 0.0.  From any other seed the output is an iterate: c^n diam(X)
+    is the paper's bound between two continuum orbits, neither it nor
+    the residual bounds the distance from that iterate to a grid fixed
+    point, and stopping on the residual is a heuristic.
     """
 
     iterations: int
@@ -261,14 +323,21 @@ def solve(
     max_iter=DEFAULT_MAX_ITER,
     level_resolution=DEFAULT_LEVEL_RESOLUTION,
 ):
-    """Iterate the operator to its fixed point; returns (measure, report).
+    """The invariant measure on the grid; returns (measure, report).
 
-    The default seed is the full density (hypograph X x I), which the
-    operator maps into itself, so the orbit is a pointwise decreasing
-    chain.  Before each step it stops on the first of: consecutive-iterate
-    hypograph residual <= tol, a priori bound c^n diam(X) <= tol, or
-    max_iter steps taken.  Hitting max_iter is a reported stop, not an
-    error.
+    A seed whose density is identically 1 (the default, the hypograph
+    X x I) descends monotonically onto the greatest grid fixed point.
+    That fixed point is computed exactly by a (max, T) path sweep, not
+    approached: the report says ``fixedPoint`` and counts the sweep's
+    rounds, and a density that fails psi(mu) == mu raises
+    ValidationError instead of being returned.
+
+    Any other seed is iterated, because on a grid its orbit can cycle.
+    Before each step the iteration stops on the first of:
+    consecutive-iterate hypograph residual <= tol, a priori bound
+    c^n diam(X) <= tol, or max_iter steps taken.  Hitting max_iter is a
+    reported stop, not an error.  ``tol``, ``max_iter`` and
+    ``level_resolution`` are checked for every seed.
     """
     _require_validated(system)
     if not (tol > 0.0 and np.isfinite(tol)):
@@ -280,26 +349,33 @@ def solve(
     levels = LevelGrid(level_resolution)
     mu = seed if seed is not None else StarMeasure.full(system.space, system.tnorm)
     diam = system.space.diameter
-    res = None
-    n = 0
-    while True:
-        bound = error_bound(n, system.c, diam)
-        if res is not None and res <= tol:
-            stopped_by = "residual"
-            break
-        if bound <= tol:
-            stopped_by = "bound"
-            break
-        if n == max_iter:
-            stopped_by = "maxIterations"
-            break
-        nxt = psi(system, mu)
-        if np.array_equal(nxt.density, mu.density):
-            res = 0.0
-        else:
-            res = hypograph_hausdorff(system.space, mu.density, nxt.density, levels)
-        mu = nxt
-        n += 1
+    if np.all(mu.density == 1.0):
+        density, n = _path_sweep(system)
+        mu = StarMeasure(system.space, density, system.tnorm)
+        if not np.array_equal(psi(system, mu).density, mu.density):
+            raise ValidationError("the path sweep did not end on a fixed point of psi")
+        res, bound, stopped_by = 0.0, error_bound(n, system.c, diam), "fixedPoint"
+    else:
+        res = None
+        n = 0
+        while True:
+            bound = error_bound(n, system.c, diam)
+            if res is not None and res <= tol:
+                stopped_by = "residual"
+                break
+            if bound <= tol:
+                stopped_by = "bound"
+                break
+            if n == max_iter:
+                stopped_by = "maxIterations"
+                break
+            nxt = psi(system, mu)
+            if np.array_equal(nxt.density, mu.density):
+                res = 0.0
+            else:
+                res = hypograph_hausdorff(system.space, mu.density, nxt.density, levels)
+            mu = nxt
+            n += 1
 
     report = SolveReport(
         iterations=n,

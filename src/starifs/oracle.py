@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .ifs import _check_measure, _require_validated
+from .ifs import _check_measure, _require_validated, _set_image, _stationary_set
 from .measures import StarMeasure
 from .spaces import _integer, _pairs_hausdorff
 
@@ -174,11 +174,6 @@ def word_expansion(system, seed, depth):
     return StarMeasure(space, out, system.tnorm)
 
 
-def _set_image(system, points):
-    """The sorted union of the snapped images of ``points`` under every map."""
-    return np.unique(system.tables[:, points])
-
-
 def attractor_support(system, depth, reference_index=0):
     """Depth-n attractor approximation: word images of one reference point.
 
@@ -197,7 +192,7 @@ def attractor_support(system, depth, reference_index=0):
     if not _all_affine(system):
         points = np.array([reference_index], dtype=np.int64)
         for _ in range(depth):
-            points = _set_image(system, points)
+            points = _set_image(system.tables, points)
         return points
     x0 = space.coords[reference_index : reference_index + 1]
     hit = np.zeros(space.n, dtype=bool)
@@ -213,16 +208,12 @@ def hutchinson_fixed_set(system):
     set operations until stationary; the sets only shrink, so that takes
     at most n steps.  In the degenerate case (all weights 1, minimum
     t-norm) this is exactly the support the solver's fixed point must
-    reproduce; it shares the system's snapped tables but none of the
-    density machinery.
+    reproduce.  It shares the system's snapped tables and this set
+    iteration with the solver's path sweep, which runs it on subsets of
+    the maps for its sources, but none of the density machinery.
     """
     _require_validated(system)
-    current = np.arange(system.space.n, dtype=np.int64)
-    while True:
-        nxt = _set_image(system, current)
-        if np.array_equal(nxt, current):
-            return current
-        current = nxt
+    return _stationary_set(system.tables)
 
 
 @dataclass

@@ -111,9 +111,10 @@ def parse_tnorm(name, parameter=None):
     m = _HAMACHER_RE.match(name)
     if m:
         try:
-            return TNorm("hamacher", float(m.group(1)))
+            parameter = float(m.group(1))
         except ValueError as exc:
             raise DomainError(f"bad hamacher parameter in {name!r}") from exc
+        return TNorm("hamacher", parameter)
     if name == "hamacher":
         if parameter is None:
             raise DomainError("hamacher requires a parameter")

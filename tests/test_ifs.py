@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starifs as si
 
@@ -184,11 +185,17 @@ def ultrametric_halving(tnorm, depth=5):
     two-to-one, so the system has c = 1/2 and nontrivial preimages.
     """
     x = np.arange(2**depth)
+    maps = [si.ContractionMap.tabulated((x >> 1) | (b << (depth - 1))) for b in (0, 1)]
+    return si.validate(si.IFSSystem(binary_tree(depth), maps, [1.0, 0.6], tnorm))
+
+
+def binary_tree(depth):
+    """The 2**depth leaves of a binary tree under the ultrametric
+    d(x, y) = 2**(bit length of x ^ y - depth)."""
+    x = np.arange(2**depth)
     xor = x[:, None] ^ x[None, :]
     bits = np.frexp(xor.astype(float))[1]  # bit length of a positive integer
-    X = si.FiniteMetricSpace(np.where(xor > 0, 2.0 ** (bits - depth), 0.0))
-    maps = [si.ContractionMap.tabulated((x >> 1) | (b << (depth - 1))) for b in (0, 1)]
-    return si.validate(si.IFSSystem(X, maps, [1.0, 0.6], tnorm))
+    return si.FiniteMetricSpace(np.where(xor > 0, 2.0 ** (bits - depth), 0.0))
 
 
 class TestTabulatedAttractor:
@@ -315,10 +322,11 @@ class TestSolve:
             expect[0] = 1.0
             assert np.array_equal(out.density, expect)
             assert si.residual(sys_, out, si.LevelGrid(256)) == 0.0
-            assert report.stopped_by == "residual"
+            assert report.stopped_by == "fixedPoint"
 
     def test_huge_tolerance_stops_immediately(self, cantor):
-        out, report = si.solve(cantor, tol=cantor.space.diameter)
+        seed = si.StarMeasure.dirac(cantor.space, 5, cantor.tnorm)
+        out, report = si.solve(cantor, seed=seed, tol=cantor.space.diameter)
         assert report.iterations == 0
         assert report.stopped_by == "bound"
         assert report.apriori_bound == cantor.space.diameter
@@ -340,13 +348,15 @@ class TestSolve:
             si.solve(cantor, seed=si.StarMeasure.full(cantor.space, si.TNorm("minimum")))
 
     def test_max_iter_stop(self, cantor):
-        out, report = si.solve(cantor, tol=1e-15, max_iter=1)
+        seed = si.StarMeasure.dirac(cantor.space, 5, cantor.tnorm)
+        out, report = si.solve(cantor, seed=seed, tol=1e-15, max_iter=1)
         assert report.iterations == 1
         assert report.stopped_by == "maxIterations"
 
     def test_bound_stop_records_bound(self, cantor):
         # tolerance reachable by the a priori bound before the residual
-        out, report = si.solve(cantor, tol=0.3, max_iter=50)
+        seed = si.StarMeasure.dirac(cantor.space, 5, cantor.tnorm)
+        out, report = si.solve(cantor, seed=seed, tol=0.3, max_iter=50)
         assert report.stopped_by in ("residual", "bound")
         if report.stopped_by == "bound":
             assert report.apriori_bound <= 0.3
@@ -392,10 +402,14 @@ class TestSolve:
         try:
             system = make_sierpinski(96)
             _, report = si.solve(system, tol=1e-9, max_iter=200)
+            # a Dirac seed is iterated, so its solve computes residuals
+            centre = si.StarMeasure.dirac(system.space, 48 * 96 + 48, system.tnorm)
+            _, iterated = si.solve(system, seed=centre, tol=1e-9, max_iter=200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.stopped_by == "residual"
+        assert report.stopped_by == "fixedPoint"
+        assert iterated.stopped_by == "residual"
         assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
@@ -417,6 +431,101 @@ class TestSolve:
     def test_rejects_negative_max_iter(self, cantor):
         with pytest.raises(si.DomainError, match=">= 0"):
             si.solve(cantor, max_iter=-1)
+
+
+def halves(weights, tnorm=si.TNorm("product"), n=101):
+    """x -> x/2 and x -> x/2 + 1/2 on an n-point grid of [0, 1]."""
+    X = si.grid_1d(n, 0, 1)
+    maps = [si.ContractionMap.affine([[0.5]], [b]) for b in (0.0, 0.5)]
+    return si.validate(si.IFSSystem(X, maps, list(weights), tnorm))
+
+
+@st.composite
+def small_systems(draw):
+    """A validated system with 2 or 3 maps on a small space: a 1-D grid
+    or a 2-D grid of at most 12 x 12 (affine or constant tabulated maps),
+    or a binary tree (tabulated halving maps, as in
+    ``ultrametric_halving``, followed by a random isometry x -> x ^ mask)."""
+    tnorm = draw(st.sampled_from(ALL_TNORMS))
+    kind = draw(st.sampled_from(["grid1d", "grid2d", "tree"]))
+    k = draw(st.integers(2, 3))
+    unit = st.floats(0.0, 1.0)
+    maps = []
+    if kind == "tree":
+        depth = draw(st.integers(2, 5))
+        space = binary_tree(depth)
+        x = np.arange(space.n)
+        for _ in range(k):
+            halving = (x >> 1) | (draw(st.integers(0, 1)) << (depth - 1))
+            maps.append(si.ContractionMap.tabulated(halving ^ draw(st.integers(0, space.n - 1))))
+    else:
+        dim = 1 if kind == "grid1d" else 2
+        if dim == 1:
+            space = si.grid_1d(draw(st.integers(2, 40)), 0.0, 1.0)
+        else:
+            counts = [draw(st.integers(2, 12)) for _ in range(2)]
+            space = si.grid_2d(*counts, ((0, 1), (0, 1)))
+        corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])[: 2**dim, :dim]
+        for _ in range(k):
+            if draw(st.integers(0, 3)) == 0:
+                target = draw(st.integers(0, space.n - 1))
+                maps.append(si.ContractionMap.tabulated(np.full(space.n, target)))
+                continue
+            # entries of at most 0.9 / dim keep the 2-norm below 0.9
+            entry = st.floats(-0.9 / dim, 0.9 / dim)
+            matrix = np.array([[draw(entry) for _ in range(dim)] for _ in range(dim)])
+            images = corners @ matrix.T
+            lo, hi = images.min(axis=0), images.max(axis=0)
+            # a translation that keeps the image of the unit cube inside it
+            shift = [-a + draw(unit) * (1.0 - (b - a)) for a, b in zip(lo, hi)]
+            maps.append(si.ContractionMap.affine(matrix, shift))
+    weights = [draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9]), unit)) for _ in range(k)]
+    weights[draw(st.integers(0, k - 1))] = 1.0
+    return si.validate(si.IFSSystem(space, maps, weights, tnorm))
+
+
+class TestPathSweep:
+    @pytest.mark.parametrize("weight", [0.99, 0.999])
+    def test_halves_repro_is_exact(self, weight):
+        # the iteration stopped 0.740 (0.99) and 0.987 (0.999) above the
+        # fixed point at x = 1, the second with a residual of 0.0
+        system = halves((1.0, weight))
+        out, report = si.solve(system, tol=1e-9)
+        assert out.density[-1] == 0.0
+        assert report.stopped_by == "fixedPoint"
+        assert report.final_residual == 0.0
+        assert np.array_equal(si.psi(system, out).density, out.density)
+
+    def test_report_counts_rounds(self, cantor):
+        out, report = si.solve(cantor, max_iter=0)
+        assert report.stopped_by == "fixedPoint" and report.iterations > 0
+        assert report.apriori_bound == si.error_bound(
+            report.iterations, cantor.c, cantor.space.diameter
+        )
+
+    def test_uncertified_density_raises(self, cantor, monkeypatch):
+        # the full density is not a fixed point of the Cantor system
+        monkeypatch.setattr(si.ifs, "_path_sweep", lambda s: (np.ones(s.space.n), 1))
+        with pytest.raises(si.ValidationError, match="fixed point"):
+            si.solve(cantor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=small_systems())
+    def test_full_seed_output_is_the_chain_limit(self, system):
+        g, report = si.solve(system)
+        assert report.stopped_by == "fixedPoint"
+        assert np.array_equal(si.psi(system, g).density, g.density)
+        mu = si.StarMeasure.full(system.space, system.tnorm)
+        for step in range(2000):
+            if step < 200:
+                assert np.all(g.density <= mu.density)
+            nxt = si.psi(system, mu)
+            if np.array_equal(nxt.density, mu.density):
+                # the chain keeps subnormal residues that are 0 in exact arithmetic
+                residue = g.density != mu.density
+                assert np.all(np.maximum(g.density, mu.density)[residue] <= 1e-300)
+                break
+            mu = nxt
 
 
 class TestResidual:
