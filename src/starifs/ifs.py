@@ -36,7 +36,7 @@ from .errors import (
     WeightError,
 )
 from .measures import StarMeasure, hypograph_hausdorff
-from .spaces import LevelGrid, _indices, _integer
+from .spaces import LevelGrid, _distinct, _indices, _integer
 
 WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-6
@@ -218,7 +218,7 @@ def psi(system, mu):
 def _set_image(tables, points):
     """The sorted union of the images of ``points`` under every row of a
     ``(k', n)`` table array."""
-    return np.unique(tables[:, points])
+    return _distinct(tables[:, points])
 
 
 def _stationary_set(tables):
@@ -251,7 +251,7 @@ def _path_sweep(system):
     weights = system.weights
     density = np.zeros(system.space.n)
     # ascending, so a higher source level overwrites a lower one
-    for e in np.unique(weights):
+    for e in _distinct(weights):
         if e > 0.0 and system.tnorm._apply(e, e) == e:
             density[_stationary_set(system.tables[weights >= e])] = e
     rounds = 0

@@ -2,9 +2,13 @@
 
 CSV is the primary format: header ``index,x[,y],density``, one row per
 grid point in row-major order, 17 significant digits so 64-bit values
-round-trip losslessly.  JSON mirrors the same table.  PGM (plain P2,
-maxval 255) quantizes density d to round-half-up(255 d) and is the only
-lossy encoding.
+round-trip losslessly.  JSON mirrors the same table in the layout of
+``json.dump(indent=2)``.  PGM (plain P2, maxval 255) quantizes density
+d to round-half-up(255 d) and is the only lossy encoding.
+
+The writers stream the table in blocks of ``_ROW_BLOCK`` rows, each
+filled into one ``%`` template, and format every distinct float of a
+block's column once.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .spaces import _distinct
 
 PGM_MAXVAL = 255
 _PGM_VALUES_PER_LINE = 16
+# rows formatted at once by the writers; a multiple of _PGM_VALUES_PER_LINE
+_ROW_BLOCK = 4096
 # the header of a table, by the dimension of its coordinates
 HEADERS = (("index", "x", "density"), ("index", "x", "y", "density"))
 
@@ -59,8 +66,9 @@ class DensityTable:
         return self.rows[:, -1]
 
     def grid_shape(self):
-        """(width, height) of the row-major grid the table covers."""
-        width, height, *_ = [len(np.unique(c)) for c in self.rows[:, 1:-1].T] + [1]
+        """(width, height) of the row-major grid the table covers: the
+        number of distinct values of each coordinate column."""
+        width, height, *_ = [len(_distinct(c)) for c in self.rows[:, 1:-1].T] + [1]
         if width * height != len(self.rows):
             raise ConfigError("the coordinates do not form a row-major grid")
         return width, height
@@ -83,11 +91,37 @@ def table_from_space(space, density):
     return DensityTable(HEADERS[dim - 1], rows)
 
 
+def _formatted(column, fmt):
+    """``fmt`` of each value of a float column, called once per distinct
+    value; values are told apart by their bits, so -0.0 keeps its sign."""
+    bits = column.view(np.int64)
+    distinct = _distinct(bits)
+    strings = np.array([fmt(v) for v in distinct.view(float).tolist()], dtype=object)
+    return strings[np.searchsorted(distinct, bits)].tolist()
+
+
+def _row_blocks(table, row_template, fmt, sep=""):
+    """The rows as text, one string per block of ``_ROW_BLOCK`` rows.
+
+    ``row_template`` takes the index by ``%d`` and every other column
+    by ``%s`` of its ``fmt`` string; rows, and blocks, are joined by
+    ``sep``.
+    """
+    rows, width = table.rows, len(table.columns)
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        fields = [None] * block.size
+        fields[::width] = range(start, start + len(block))
+        for j in range(1, width):
+            fields[j::width] = _formatted(block[:, j], fmt)
+        yield (sep if start else "") + sep.join([row_template] * len(block)) % tuple(fields)
+
+
 def write_density_csv(path, table):
-    row_format = ",".join(["%d"] + ["%.17g"] * (len(table.columns) - 1)) + "\n"
+    row_template = ",".join(["%d"] + ["%s"] * (len(table.columns) - 1)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table.columns) + "\n")
-        fh.writelines(row_format % tuple(row) for row in table.rows.tolist())
+        fh.writelines(_row_blocks(table, row_template, "%.17g".__mod__))
 
 
 def read_density_csv(path):
@@ -109,12 +143,15 @@ def read_density_csv(path):
 
 
 def write_density_json(path, table):
-    rows = table.rows.astype(object)
-    rows[:, 0] = table.rows[:, 0].astype(np.int64).tolist()  # the index as int
-    payload = {"columns": list(table.columns), "rows": rows.tolist()}
+    """``json.dump({"columns": ..., "rows": ...}, indent=2)`` and a newline,
+    byte for byte, without the encoder: the index as an int, every other
+    value by ``repr``, which is how ``json`` writes a float."""
+    fields = ",\n".join(["      %d"] + ["      %s"] * (len(table.columns) - 1))
+    columns = ",\n".join("    " + json.dumps(c) for c in table.columns)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "columns": [\n' + columns + '\n  ],\n  "rows": [\n')
+        fh.writelines(_row_blocks(table, "    [\n" + fields + "\n    ]", repr, ",\n"))
+        fh.write("\n  ]\n}\n")
 
 
 def read_density_json(path):
@@ -133,13 +170,15 @@ def read_density_json(path):
 def write_density_pgm(path, table):
     """Plain P2, maxval 255, row-major; value = round-half-up(255 d)."""
     width, height = table.grid_shape()
-    values = np.floor(PGM_MAXVAL * table.density + 0.5).astype(np.int64).tolist()
+    line = " ".join(["%d"] * _PGM_VALUES_PER_LINE)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"P2\n{width} {height}\n{PGM_MAXVAL}\n")
-        fh.writelines(
-            " ".join(map(str, values[start : start + _PGM_VALUES_PER_LINE])) + "\n"
-            for start in range(0, len(values), _PGM_VALUES_PER_LINE)
-        )
+        for start in range(0, len(table.rows), _ROW_BLOCK):
+            density = table.density[start : start + _ROW_BLOCK]
+            values = np.floor(PGM_MAXVAL * density + 0.5).astype(np.int64).tolist()
+            full, rest = divmod(len(values), _PGM_VALUES_PER_LINE)
+            lines = [line] * full + [" ".join(["%d"] * rest)] * bool(rest)
+            fh.write("\n".join(lines) % tuple(values) + "\n")
 
 
 def read_density_pgm(path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .spaces import FiniteMetricSpace, LevelGrid, _indices, _integer
+from .spaces import FiniteMetricSpace, LevelGrid, _distinct, _indices, _integer
 
 NORMALIZATION_TOL = 1e-12
 
@@ -223,7 +223,7 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
     m = levels.resolution
 
     def directed(k_from, k_to):
-        js = np.unique(k_to)
+        js = _distinct(k_to)
         # every point reaches the lowest level, so D is 0 there
         best = np.maximum(k_from - js[0], 0) / m
         for j in js[1:]:

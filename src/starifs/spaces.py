@@ -60,6 +60,18 @@ def _integer(value, name, lo=0, space=None):
     return value
 
 
+def _distinct(values):
+    """The sorted distinct values of an array, flattened.
+
+    The sort-and-compare of ``np.unique``, which under numpy 2 also
+    imports ``numpy.ma`` (about 10 ms) on its first call in a process.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _indices(values, name, space=None):
     """``values`` as an int64 array of the same shape: the array twin of ``_integer``.
 

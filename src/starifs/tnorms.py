@@ -71,10 +71,16 @@ class TNorm:
             return np.minimum(a, b)
         if self.family == "product":
             return a * b
+        # in terms of the larger and the smaller operand, so commutative bit
+        # for bit; at hi = 1 the term 1 - hi is 0, so T(1, a) == a exactly
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
         if self.family == "lukasiewicz":
-            return np.maximum(0.0, (a + b) - 1.0)
+            # 1 - hi is exact (Sterbenz) whenever the result can be nonzero
+            return np.maximum(0.0, lo - (1.0 - hi))
         p = self.parameter
-        denom = p + (1.0 - p) * (a + b - a * b)
+        # p + (1 - p) s, with s = a + b - ab, written as s + p (1 - s)
+        s = hi + lo * (1.0 - hi)
+        denom = s + p * (1.0 - s)
         safe = np.where(denom > 0.0, denom, 1.0)
         # clip: the denominator rounding can push the quotient one ulp past 1
         return np.clip(np.where(denom > 0.0, a * b / safe, 0.0), 0.0, 1.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,35 @@ def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
     lv = levels.levels
     line = si.FiniteMetricSpace(np.abs(lv[:, None] - lv[None, :]))
     return _pairs_hausdorff(space, line, members(dens_a), members(dens_b))
+
+
+def reference_csv(path, table):
+    """The per-row CSV writer: one ``%d,%.17g,...`` format per row."""
+    row_format = ",".join(["%d"] + ["%.17g"] * (len(table.columns) - 1)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(table.columns) + "\n")
+        fh.writelines(row_format % tuple(row) for row in table.rows.tolist())
+
+
+def reference_json(path, table):
+    """``json.dump(indent=2)`` of the table, the index column as ints."""
+    rows = table.rows.astype(object)
+    rows[:, 0] = table.rows[:, 0].astype(np.int64).tolist()
+    payload = {"columns": list(table.columns), "rows": rows.tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def reference_pgm(path, table):
+    """Plain P2 with the pixels joined 16 to a line."""
+    width, height = table.grid_shape()
+    values = np.floor(255 * table.density + 0.5).astype(np.int64).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"P2\n{width} {height}\n255\n")
+        fh.writelines(
+            " ".join(map(str, values[i : i + 16])) + "\n" for i in range(0, len(values), 16)
+        )
+
+
+REFERENCE_WRITERS = {"csv": reference_csv, "json": reference_json, "pgm": reference_pgm}

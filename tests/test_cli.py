@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -471,3 +474,37 @@ class Test2dExports:
         assert main(["solve", str(cfg)]) == 0
         header = (tmp_path / "sp.density.pgm").read_text().split()[:4]
         assert header == ["P2", "16", "16", "255"]
+
+
+def _python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports starifs from this checkout."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_check_solve_export_do_not_import_numpy_ma(tmp_path):
+    # numpy 1.x imports numpy.ma with numpy itself
+    if _python("import sys, numpy; print('numpy.ma' in sys.modules)", tmp_path) == "True":
+        pytest.skip("a bare `import numpy` loads numpy.ma")
+    commands = []
+    for name in ("cantor", "sierpinski"):
+        config = str(CONFIGS / f"{name}.json")
+        commands += [["check", config], ["solve", config]]
+        for fmt in ("csv", "json", "pgm"):
+            out = f"out/{name}.export.{fmt}"
+            commands.append(["export", f"out/{name}.density.{fmt}", "--format", fmt, "--out", out])
+    code = (
+        "import sys\nfrom starifs.cli import main\n"
+        f"for argv in {commands!r}:\n    assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _python(code, tmp_path) == "False"

@@ -1,0 +1,92 @@
+"""The density writers against the encoders they replace, and the
+pinned bytes of the test configs' CSV and JSON outputs."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import starifs as si
+from starifs import io_formats
+from starifs.cli import main
+from starifs.config import RunConfig
+from starifs.io_formats import HEADERS, _ROW_BLOCK, DensityTable
+
+from conftest import REFERENCE_WRITERS
+
+TESTS = Path(__file__).parent
+CONFIGS = TESTS / "configs"
+GOLDEN = TESTS / "golden"
+
+
+def _solved_table(name):
+    config = RunConfig.from_path(CONFIGS / f"{name}.json")
+    space = config.build_space()
+    tnorm = config.build_tnorm()
+    system = si.validate(config.build_system(space, tnorm))
+    measure, _ = si.solve(system, seed=config.seed_measure(space, tnorm))
+    return io_formats.table_from_space(space, measure.density)
+
+
+def _grid_table(width, height, rng):
+    """A random density on a width x height unit grid, 1-D when height is 1;
+    about half of the densities repeat a few values."""
+    n = width * height
+    density = rng.uniform(0.0, 1.0, n)
+    repeated = rng.random(n) < 0.5
+    density[repeated] = rng.choice([0.0, 0.5, 1.0, 1.0 / 3.0], int(repeated.sum()))
+    axes = [np.linspace(0.0, 1.0, c) for c in ((width,) if height == 1 else (width, height))]
+    coords = np.column_stack([g.ravel() for g in np.meshgrid(*axes)])
+    return DensityTable(HEADERS[len(axes) - 1], np.column_stack([np.arange(n), coords, density]))
+
+
+def _edge_table():
+    """Floats whose shortest repr and 17-digit forms differ, the smallest
+    subnormal, and negative zeros, one of them in a column that also
+    holds 0.0."""
+    x = [-0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 2.0, 1e16]
+    density = [5e-324, 1e-300, 0.1, 1.0 / 3.0, 1.0, 0.0, -0.0]
+    return DensityTable(HEADERS[0], np.column_stack([np.arange(len(x)), x, density]))
+
+
+TABLES = {
+    "cantor-solve": lambda: _solved_table("cantor"),
+    "sierpinski-solve": lambda: _solved_table("sierpinski"),
+    "golden-pgm": lambda: io_formats.read_density_pgm(GOLDEN / "cantor_m256.pgm"),
+    "edge-values": _edge_table,
+    "one-row": lambda: DensityTable(HEADERS[0], [[0, 0.25, 1.0]]),
+    "one-row-2d": lambda: DensityTable(HEADERS[1], [[0, 0.25, -0.0, 1.0]]),
+}
+# one row block (4,096 rows) and one row either side of it, in 1-D and 2-D
+GRIDS = [(_ROW_BLOCK - 1, 1), (_ROW_BLOCK, 1), (_ROW_BLOCK + 1, 1), (65, 63), (64, 64), (241, 17)]
+for shape in GRIDS:
+    TABLES["grid-%dx%d" % shape] = lambda s=shape: _grid_table(*s, np.random.default_rng(s))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])
+@pytest.mark.parametrize("name", list(TABLES))
+def test_writer_bytes_match_reference(tmp_path, name, fmt):
+    table = TABLES[name]()
+    io_formats.WRITERS[fmt](tmp_path / f"new.{fmt}", table)
+    REFERENCE_WRITERS[fmt](tmp_path / f"ref.{fmt}", table)
+    assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+def _pinned():
+    """{file name: sha256} from ``tests/golden/density.sha256``."""
+    lines = (GOLDEN / "density.sha256").read_text().splitlines()
+    return {Path(name).name: digest for digest, name in (ln.split() for ln in lines)}
+
+
+@pytest.mark.parametrize("name", ["cantor", "sierpinski"])
+def test_solve_outputs_match_pinned_sha256(tmp_path, name):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    raw["output"]["pathPrefix"] = str(tmp_path / name)
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert main(["solve", str(tmp_path / "cfg.json")]) == 0
+    pinned = {k: v for k, v in _pinned().items() if k.startswith(f"{name}.")}
+    assert sorted(pinned) == [f"{name}.density.csv", f"{name}.density.json"]
+    for file_name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest

@@ -18,9 +18,17 @@ def test_closed_form_examples():
     assert si.TNorm("lukasiewicz").apply(0.6, 0.7) == pytest.approx(0.3, abs=TOL)
 
 
-@pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.config_name())
+@pytest.mark.parametrize(
+    "tnorm", ALL_TNORMS + [si.TNorm("hamacher", 5.0)], ids=lambda t: t.config_name()
+)
 def test_one_is_a_unit(tnorm):
-    assert tnorm.apply(1.0, 0.42) == pytest.approx(0.42, abs=TOL)
+    # bit for bit, in both operand orders
+    rng = np.random.default_rng(5)
+    a = np.concatenate([rng.uniform(0.0, 1.0, 10**5), [0.0, 0.42, 1.0, 5e-324]])
+    one = np.ones_like(a)
+    assert tnorm.apply(1.0, 0.42) == 0.42
+    assert np.array_equal(tnorm.apply(one, a), a)
+    assert np.array_equal(tnorm.apply(a, one), a)
 
 
 @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.config_name())
