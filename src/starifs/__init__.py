@@ -47,9 +47,7 @@ from .measures import (
 )
 from .oracle import (
     LemmaFuzzReport,
-    Word,
     attractor_support,
-    enumerate_words,
     hutchinson_fixed_set,
     lemma_prod_fuzzer,
     word_expansion,
@@ -86,10 +84,8 @@ __all__ = [
     "TNorm",
     "ValidationError",
     "WeightError",
-    "Word",
     "attractor_support",
     "axiom_report",
-    "enumerate_words",
     "error_bound",
     "evaluate",
     "from_saturated",

@@ -75,18 +75,19 @@ class StarMeasure(SubDensity):
         return cls(space, d, tnorm)
 
 
-def _check_phi(mu, phi):
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (mu.space.n,):
-        raise DomainError("test function must assign one value per point")
-    if not np.all((phi >= 0.0) & (phi <= 1.0)):
-        raise DomainError("test function values must lie in [0, 1]")
-    return phi
+def _unit_field(values, space, name):
+    """``values`` as a float array of one value in [0, 1] per point of ``space``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (space.n,):
+        raise DomainError(f"{name} must assign one value per point")
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DomainError(f"{name} values must lie in [0, 1]")
+    return values
 
 
 def evaluate(mu, phi):
     """mu(phi) = max over x of density(x) * phi(x)."""
-    phi = _check_phi(mu, phi)
+    phi = _unit_field(phi, mu.space, "test function")
     return float(np.max(mu.tnorm._apply(mu.density, phi)))
 
 
@@ -216,10 +217,11 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
     term does not grow with j, so the sweep equals the min over all y
     exactly; level arithmetic is done on integer indices.  Matches the
     member-level brute force bit for bit on power-of-two resolutions,
-    where k/m is itself exact.
+    where k/m is itself exact.  Each density must give one value in
+    [0, 1] per point of ``space``.
     """
-    ka = levels.floor_index(np.asarray(dens_a, dtype=float))
-    kb = levels.floor_index(np.asarray(dens_b, dtype=float))
+    ka = levels.floor_index(_unit_field(dens_a, space, "density A"))
+    kb = levels.floor_index(_unit_field(dens_b, space, "density B"))
     m = levels.resolution
 
     def directed(k_from, k_to):

@@ -12,7 +12,6 @@ All randomness is seeded and the seed is part of every report.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +24,6 @@ from .spaces import _integer, _pairs_hausdorff
 WORD_BUDGET = 1_000_000
 # point images (coordinates or table entries) held by one block of words
 _BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class Word:
-    """A composition f_{i1} o ... o f_{in} with its folded weight.
-
-    For all-affine systems the composition is carried exactly as a
-    (matrix, translation) pair; otherwise as a chained lookup table.
-    """
-
-    letters: tuple
-    weight: float
-    matrix: np.ndarray | None = None
-    translation: np.ndarray | None = None
-    table: np.ndarray | None = None
 
 
 def _check_budget(k, depth):
@@ -69,8 +53,8 @@ def _word_blocks(system, depth, per_word):
     operator's nesting.  A block is every word with a given prefix; it
     grows by appending all k letters to all its words at once, so each
     word gets the same arithmetic whichever block it lands in.  A block
-    that would grow past ``_BLOCK // per_word`` words (at least one; a
-    tabulated word counts at least its n-long table) is split by the
+    that would grow past ``_BLOCK // per_word`` words (at least one;
+    ``per_word`` is the point images one word holds) is split by the
     letter after its prefix into k blocks that are walked depth first,
     so blocks come out in lexicographic order.
     """
@@ -83,7 +67,6 @@ def _word_blocks(system, depth, per_word):
         letter_trans = np.stack([f.translation for f in system.maps])[..., None]
         root = (np.eye(dim)[None], np.zeros((1, dim)))
     else:
-        per_word = max(per_word, space.n)
         root = (np.arange(space.n, dtype=np.int64)[None],)
     cap = max(1, _BLOCK // per_word)
 
@@ -123,28 +106,6 @@ def _snap_images(space, coords, mats, trans):
     pts = coords @ np.swapaxes(mats, 1, 2)
     pts += trans[:, None, :]
     return space.snap(pts.reshape(-1, pts.shape[-1]))
-
-
-def enumerate_words(system, depth):
-    """Yield every Word of the given length in lexicographic order.
-
-    Word (i_1, ..., i_n) composes left-to-right: the prefix map is
-    applied after the next letter's map, matching the operator's
-    nesting.  Budget-checked at k^depth <= 1e6.  Blocks come in
-    lexicographic order, so the letters of the i-th word are the i-th
-    tuple of ``itertools.product``: the base-k digits of i.
-    """
-    _require_validated(system)
-    depth = _check_budget(system.k, depth)
-    affine = _all_affine(system)
-    letters = itertools.product(range(system.k), repeat=depth)
-    for weights, *arrays in _word_blocks(system, depth, 1):
-        for i, weight in enumerate(weights.tolist()):
-            if affine:
-                maps = {"matrix": arrays[0][i], "translation": arrays[1][i]}
-            else:
-                maps = {"table": arrays[0][i]}
-            yield Word(next(letters), weight, **maps)
 
 
 def word_expansion(system, seed, depth):
@@ -226,16 +187,6 @@ class LemmaFuzzReport:
     tight_ratio: float
     violations: int
     passed: bool
-
-    def to_dict(self):
-        return {
-            "trials": self.trials,
-            "rngSeed": self.rng_seed,
-            "maxRatio": self.max_ratio,
-            "tightRatio": self.tight_ratio,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
 
 
 def lemma_prod_fuzzer(space_x, space_y, trials, rng_seed):

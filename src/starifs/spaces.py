@@ -29,7 +29,8 @@ from .errors import DomainError
 
 _TRIANGLE_EXHAUSTIVE_LIMIT = 512
 _TRIANGLE_SAMPLES = 10_000
-# rows of a dense matrix scanned at once by ``distance_to``
+# rows scanned at once by the dense ``distance_to`` and ``snap`` and by
+# the dense distance build
 _DENSE_ROW_BLOCK = 256
 
 # values within this distance of a level line are treated as on it
@@ -165,16 +166,17 @@ class FiniteMetricSpace:
     def snap(self, pts):
         """Indices of the nearest points by coordinates; ties go to the lowest index.
 
-        ``pts`` is (k, d) coordinates, matched by an argmin scan.
+        ``pts`` is (k, d) coordinates, matched by an argmin scan,
+        ``_DENSE_ROW_BLOCK`` points at a time.
         """
         pts = _as_points(pts)
         if self.coords is None:
             raise DomainError("snapping requires coordinates")
         out = np.empty(len(pts), dtype=np.int64)
-        for start in range(0, len(pts), 1024):
-            chunk = pts[start : start + 1024]
-            d2 = ((chunk[:, None, :] - self.coords[None, :, :]) ** 2).sum(axis=-1)
-            out[start : start + 1024] = np.argmin(d2, axis=1)
+        for start in range(0, len(pts), _DENSE_ROW_BLOCK):
+            block = pts[start : start + _DENSE_ROW_BLOCK]
+            d2 = ((block[:, None, :] - self.coords[None, :, :]) ** 2).sum(axis=-1)
+            out[start : start + _DENSE_ROW_BLOCK] = np.argmin(d2, axis=1)
         return out
 
 
@@ -306,15 +308,15 @@ def _nearest_gap(x, mask):
     return np.minimum(x - padded[left + 1], padded[right + 1] - x)
 
 
-def _pairwise_euclidean(coords, chunk=512):
+def _pairwise_euclidean(coords):
     n = len(coords)
     if coords.shape[1] == 1:
         x = coords[:, 0]
         return np.abs(x[:, None] - x[None, :])
     d = np.empty((n, n), dtype=float)
-    for start in range(0, n, chunk):
-        diff = coords[start : start + chunk, None, :] - coords[None, :, :]
-        d[start : start + chunk] = np.sqrt((diff**2).sum(axis=-1))
+    for start in range(0, n, _DENSE_ROW_BLOCK):
+        diff = coords[start : start + _DENSE_ROW_BLOCK, None, :] - coords[None, :, :]
+        d[start : start + _DENSE_ROW_BLOCK] = np.sqrt((diff**2).sum(axis=-1))
     return d
 
 

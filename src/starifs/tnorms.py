@@ -39,7 +39,8 @@ class TNorm:
     """A continuous t-norm from a built-in family.
 
     ``parameter`` is read only by the Hamacher family (p >= 0); the
-    other families ignore it.  Hamacher with p = 0 is extended by
+    other families store 1.0 whatever they are given, so two t-norms
+    of one such family are equal.  Hamacher with p = 0 is extended by
     apply(0, 0) = 0, which is its continuous limit.
     """
 
@@ -51,9 +52,11 @@ class TNorm:
         if family not in FAMILIES:
             raise DomainError(f"unknown t-norm family {self.family!r}")
         object.__setattr__(self, "family", family)
-        p = float(self.parameter)
-        if not np.isfinite(p) or p < 0.0:
-            raise DomainError("hamacher parameter must be finite and >= 0")
+        p = 1.0
+        if family == "hamacher":
+            p = float(self.parameter)
+            if not np.isfinite(p) or p < 0.0:
+                raise DomainError("hamacher parameter must be finite and >= 0")
         object.__setattr__(self, "parameter", p)
 
     def apply(self, a, b):
@@ -97,11 +100,12 @@ class TNorm:
 
         The three fixed families are 1-Lipschitz; Hamacher exceeds 1
         only for p > 2, where the partial derivatives peak at
-        p^2 / (4(p-1)).
+        p^2 / (4(p-1)), evaluated in a form that stays finite up to the
+        largest float.
         """
         if self.family == "hamacher" and self.parameter > 2.0:
             p = self.parameter
-            return p * p / (4.0 * (p - 1.0))
+            return (p / 4.0) * (p / (p - 1.0))
         return 1.0
 
     def config_name(self):

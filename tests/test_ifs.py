@@ -152,7 +152,6 @@ class TestFrozenSystem:
         "psi": si.psi,
         "residual": si.residual,
         "solve": lambda s, mu: si.solve(s),
-        "enumerate_words": lambda s, mu: list(si.enumerate_words(s, 1)),
         "word_expansion": lambda s, mu: si.word_expansion(s, mu, 0),
         "attractor_support": lambda s, mu: si.attractor_support(s, 1),
         "hutchinson_fixed_set": lambda s, mu: si.hutchinson_fixed_set(s),

@@ -388,6 +388,21 @@ class TestHypographHausdorff:
         db[2] += 0.5
         assert si.hypograph_hausdorff(X, da, db, lv) > 0.0
 
+    def test_densities_are_checked(self):
+        # each of these used to return 0.0, or warn and read garbage levels
+        X = si.grid_1d(10, 0, 1)
+        lv = si.LevelGrid(8)
+        good = np.linspace(0, 1, X.n)
+        bad = {
+            "one value per point": [np.ones(9), np.ones((2, 5))],
+            r"lie in \[0, 1\]": [np.full(X.n, np.nan), np.full(X.n, 2.0), -good],
+        }
+        for message, densities in bad.items():
+            for dens in densities:
+                for pair in ((dens, good), (good, dens)):
+                    with pytest.raises(si.DomainError, match=message):
+                        si.hypograph_hausdorff(X, *pair, lv)
+
     def test_symmetry_and_chunking(self):
         # above 256 points the dense row-min crosses a row-block boundary
         X = si.grid_1d(300, 0, 1)

@@ -1,5 +1,5 @@
-import itertools
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,6 +8,17 @@ import starifs as si
 from starifs import oracle
 
 from conftest import make_cantor, make_sierpinski, product_metric
+
+
+class Word(NamedTuple):
+    """A composition f_{i1} o ... o f_{in} with its folded weight: an
+    exact (matrix, translation) pair for affine systems, a chained
+    lookup table otherwise."""
+
+    weight: float
+    matrix: np.ndarray = None
+    translation: np.ndarray = None
+    table: np.ndarray = None
 
 
 def reference_words(system, depth):
@@ -19,22 +30,20 @@ def reference_words(system, depth):
     space = system.space
     if all(m.kind == "affine" for m in system.maps):
         dim = space.coords.shape[1]
-        root = si.Word((), 1.0, np.eye(dim), np.zeros(dim))
+        root = Word(1.0, np.eye(dim), np.zeros(dim))
     else:
-        root = si.Word((), 1.0, table=np.arange(space.n, dtype=np.int64))
+        root = Word(1.0, table=np.arange(space.n, dtype=np.int64))
 
     def extend(word, letter):
         f = system.maps[letter]
         weight = system.tnorm.apply(word.weight, float(system.weights[letter]))
-        letters = word.letters + (letter,)
         if word.table is None:
-            return si.Word(
-                letters,
+            return Word(
                 weight,
                 word.matrix @ f.matrix,
                 word.matrix @ f.translation + word.translation,
             )
-        return si.Word(letters, weight, table=word.table[system.tables[letter]])
+        return Word(weight, table=word.table[system.tables[letter]])
 
     def walk(word, remaining):
         if remaining == 0:
@@ -136,31 +145,8 @@ EXPANSION_CASES = {
 
 
 class TestWords:
-    def test_counts_and_weights(self, cantor):
-        words = list(si.enumerate_words(cantor, 3))
-        assert len(words) == 8
-        for w in words:
-            lam = [cantor.weights[i] for i in w.letters]
-            assert w.weight == cantor.tnorm.fold(lam)
-        assert max(w.weight for w in words) == 1.0
-
-    def test_depth_zero_is_empty_word(self, cantor):
-        (w,) = list(si.enumerate_words(cantor, 0))
-        assert w.letters == ()
-        assert w.weight == 1.0
-        assert np.array_equal(w.matrix, np.eye(1))
-
-    def test_exact_composition(self, cantor):
-        # word (0, 1): f0 o f1, x -> (x/3 + 2/3)/3
-        words = {w.letters: w for w in si.enumerate_words(cantor, 2)}
-        w = words[(0, 1)]
-        assert w.matrix[0, 0] == pytest.approx(1 / 9)
-        assert w.translation[0] == pytest.approx(2 / 9)
-
     def test_budget_enforced(self, cantor):
-        with pytest.raises(si.ResourceBudgetError):
-            list(si.enumerate_words(cantor, 21))  # 2^21 > 1e6
-        with pytest.raises(si.ResourceBudgetError):
+        with pytest.raises(si.ResourceBudgetError):  # 2^21 > 1e6
             si.word_expansion(
                 cantor, si.StarMeasure.full(cantor.space, cantor.tnorm), 21
             )
@@ -176,7 +162,6 @@ class TestWords:
         monkeypatch.setattr(oracle, "_word_blocks", walk)
         seed = si.StarMeasure.full(cantor.space, cantor.tnorm)
         calls = [
-            lambda: list(si.enumerate_words(cantor, depth)),
             lambda: si.word_expansion(cantor, seed, depth),
             lambda: si.attractor_support(cantor, depth),
         ]
@@ -198,34 +183,12 @@ class TestWords:
         monkeypatch.setattr(oracle, "_word_blocks", walk)
         depth = oracle.WORD_BUDGET + 1
         calls = [
-            lambda: list(si.enumerate_words(system, depth)),
             lambda: si.word_expansion(system, si.StarMeasure.full(X, t), depth),
             lambda: si.attractor_support(system, depth),
         ]
         for call in calls:
             with pytest.raises(si.ResourceBudgetError):
                 call()
-
-    def test_lexicographic_and_equal_to_reference(self, monkeypatch):
-        for block in (None, 1, 40, 300):
-            if block is not None:
-                monkeypatch.setattr(oracle, "_BLOCK", block)
-            for system, depth in (
-                (make_cantor(27), 6),
-                (make_rotated(10), 4),
-                (make_mixed(27), 4),
-            ):
-                words = list(si.enumerate_words(system, depth))
-                expected = list(reference_words(system, depth))
-                letters = [w.letters for w in words]
-                assert letters == list(itertools.product(range(system.k), repeat=depth))
-                assert letters == [w.letters for w in expected]
-                for got, want in zip(words, expected):
-                    assert type(got.weight) is float and got.weight == want.weight
-                    for field in ("matrix", "translation", "table"):
-                        a, b = getattr(got, field), getattr(want, field)
-                        assert (a is None) == (b is None)
-                        assert a is None or np.array_equal(a, b)
 
 
 class TestBlockedExpansion:
@@ -280,12 +243,6 @@ class TestBlockedExpansion:
         system = make_mixed(2048)
         seed = full(system)
         assert traced_peak(lambda: si.word_expansion(system, seed, 7)) < 4 * 2**20
-
-        def walk():
-            for _ in si.enumerate_words(system, 7):
-                pass
-
-        assert traced_peak(walk) < 4 * 2**20
 
 
 class TestWordExpansion:
@@ -442,7 +399,7 @@ class TestLemmaFuzzer:
         Y = si.grid_1d(5, 0, 1)
         a = si.lemma_prod_fuzzer(X, Y, trials=20, rng_seed=3)
         b = si.lemma_prod_fuzzer(X, Y, trials=20, rng_seed=3)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_fuzzer_distance_matches_product_space_hausdorff(self):
         # dual route: the fuzzer's pair distance vs the materialized

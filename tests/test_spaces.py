@@ -319,8 +319,11 @@ class TestSnap:
     def test_generic_cloud_matches_grid_formula(self):
         X = si.grid_1d(7, 0, 1)
         cloud = si.FiniteMetricSpace(X.dist, coords=X.coords)  # no grid metadata
-        pts = np.random.default_rng(2).uniform(-0.2, 1.2, (50, 1))
-        assert np.array_equal(X.snap(pts), cloud.snap(pts))
+        rng = np.random.default_rng(2)
+        # 600 points cross the dense scan's row-block boundaries
+        for count in (50, 600):
+            pts = rng.uniform(-0.2, 1.2, (count, 1))
+            assert np.array_equal(X.snap(pts), cloud.snap(pts))
 
 
 class TestLevelGrid:

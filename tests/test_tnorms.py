@@ -133,3 +133,26 @@ def test_parse_tnorm_rejections():
 def test_config_name_round_trip():
     for tnorm in ALL_TNORMS:
         assert parse_tnorm(tnorm.config_name()) == tnorm
+
+
+@pytest.mark.parametrize("p", [1e154, 1e300, 1.7e308])
+def test_large_hamacher_lipschitz_bound_is_finite(p):
+    # p * p / (4 (p - 1)) overflowed to inf from p ~ 1.34e154 and to nan from 1e308
+    t = si.TNorm("hamacher", p)
+    assert np.isfinite(t.lipschitz_bound())
+    report = axiom_report(t)
+    assert report["passed"], report
+
+
+def test_non_hamacher_families_ignore_the_parameter():
+    for family in ("min", "product", "lukasiewicz"):
+        assert si.TNorm(family, 2.0) == si.TNorm(family)
+        assert si.TNorm(family, float("nan")).parameter == 1.0
+    # a product measure is accepted by a system built with another parameter
+    X = si.grid_1d(9, 0, 1)
+    system = si.validate(
+        si.IFSSystem(
+            X, [si.ContractionMap.affine([[0.5]], [0.0])], [1.0], si.TNorm("product", 2.0)
+        )
+    )
+    si.psi(system, si.StarMeasure.full(X, si.TNorm("product")))
