@@ -26,6 +26,13 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
+# the first class that matches decides the exit code: subclasses first
+_EXIT_CODES = (
+    (ConfigError, EXIT_PARSE),
+    (ResourceBudgetError, EXIT_BUDGET),
+    (StarIfsError, EXIT_VALIDATION),
+    (OSError, EXIT_IO),
+)
 
 
 def _check(args):
@@ -165,18 +172,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResourceBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except StarIfsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
 from .ifs import DEFAULT_LEVEL_RESOLUTION, DEFAULT_MAX_ITER, DEFAULT_TOL, ContractionMap, IFSSystem
+from .io_formats import WRITERS
 from .measures import StarMeasure
 from .spaces import MAX_LEVEL_RESOLUTION, GridSpace
 from .tnorms import parse_tnorm
 
-FORMATS = ("csv", "pgm", "json")
+# a tuple, so an unhashable entry of output.formats compares unequal
+FORMATS = tuple(WRITERS)
 _GRID_DIMS = {"grid1d": 1, "grid2d": 2}
 
 _SOLVER_DEFAULTS = dict(

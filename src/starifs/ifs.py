@@ -36,7 +36,7 @@ from .errors import (
     WeightError,
 )
 from .measures import StarMeasure, hypograph_hausdorff
-from .spaces import LevelGrid, _distinct, _indices, _integer
+from .spaces import LevelGrid, _distinct, _indices, _integer, _unit_values
 
 WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-6
@@ -112,7 +112,7 @@ class IFSSystem:
 
     The weight vector must attain 1 (its max is the normalization the
     operator preserves); it is held as a read-only copy.  The derived
-    ``constants``, ``c`` (their max, the system constant) and ``tables``
+    ``c`` (the largest contraction constant of the maps) and ``tables``
     (the snapped maps, one read-only ``(k, n)`` int64 array, row i for
     map i) are None until validate() returns a copy carrying them;
     iterating a system without them raises PreconditionError.
@@ -122,7 +122,6 @@ class IFSSystem:
     maps: tuple
     weights: np.ndarray
     tnorm: object
-    constants: tuple | None = field(default=None, init=False)
     c: float | None = field(default=None, init=False)
     tables: np.ndarray | None = field(default=None, init=False)
 
@@ -139,8 +138,8 @@ class IFSSystem:
 def validate(system):
     """Check the system invariants; returns a validated frozen copy.
 
-    The copy carries the contraction constants, ``c`` and the snapped
-    tables; the argument is left as it was.  Raises WeightError when
+    The copy carries the system constant ``c`` and the snapped tables;
+    the argument is left as it was.  Raises WeightError when
     max weight != 1, NotAContractionError when any constant reaches 1,
     CoverageError when an affine image leaves the grid hull by more
     than one spacing.
@@ -149,14 +148,12 @@ def validate(system):
         raise DomainError("a system needs at least one map")
     if system.weights.shape != (system.k,):
         raise DomainError("one weight per map is required")
-    if not np.all((system.weights >= 0.0) & (system.weights <= 1.0)):
-        raise DomainError("weights must be finite and lie in [0, 1]")
+    _unit_values(system.weights, "weights")
     max_w = float(system.weights.max())
     if abs(max_w - 1.0) > WEIGHT_TOL:
         raise WeightError(f"weight error: max λ = {max_w:g}")
 
-    constants = tuple(m.contraction_constant(system.space) for m in system.maps)
-    worst = max(constants)
+    worst = max(m.contraction_constant(system.space) for m in system.maps)
     if worst >= 1.0:
         raise NotAContractionError(
             f"not a contraction: estimated constant {worst:g} >= 1"
@@ -178,7 +175,7 @@ def validate(system):
     validated = replace(system)
     tables = _readonly(np.stack([m.snapped_table(space) for m in system.maps]))
     # the class is frozen: set the derived fields on the fresh copy only
-    vars(validated).update(constants=constants, c=float(worst), tables=tables)
+    vars(validated).update(c=float(worst), tables=tables)
     return validated
 
 
@@ -267,11 +264,9 @@ def error_bound(n, c, diam):
     """The a priori bound c^n * diam(X) on the distance between orbits."""
     if not 0.0 <= c < 1.0:
         raise DomainError("the contraction constant must satisfy 0 <= c < 1")
-    if diam <= 0.0:
-        raise DomainError("diameter must be positive")
-    if n < 0:
-        raise DomainError("iteration count must be >= 0")
-    return float(c**n * diam)
+    if not 0.0 < diam < np.inf:
+        raise DomainError("diameter must be positive and finite")
+    return float(c ** _integer(n, "iteration count", 0) * diam)
 
 
 def residual(system, mu, levels=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .spaces import FiniteMetricSpace, LevelGrid, _distinct, _indices, _integer
+from .spaces import FiniteMetricSpace, LevelGrid, _distinct, _indices, _integer, _unit_values
 
 NORMALIZATION_TOL = 1e-12
 
@@ -33,14 +33,7 @@ class SubDensity:
     """
 
     def __init__(self, space, density, tnorm):
-        density = np.asarray(density, dtype=float).copy()
-        if density.shape != (space.n,):
-            raise DomainError("density must assign one level per point")
-        if not np.all(
-            (density >= -NORMALIZATION_TOL) & (density <= 1.0 + NORMALIZATION_TOL)
-        ):
-            raise DomainError("density values must lie in [0, 1]")
-        np.clip(density, 0.0, 1.0, out=density)
+        density = _unit_values(density, "density", space).copy()
         density.flags.writeable = False
         self.space = space
         self.density = density
@@ -75,19 +68,9 @@ class StarMeasure(SubDensity):
         return cls(space, d, tnorm)
 
 
-def _unit_field(values, space, name):
-    """``values`` as a float array of one value in [0, 1] per point of ``space``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (space.n,):
-        raise DomainError(f"{name} must assign one value per point")
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise DomainError(f"{name} values must lie in [0, 1]")
-    return values
-
-
 def evaluate(mu, phi):
     """mu(phi) = max over x of density(x) * phi(x)."""
-    phi = _unit_field(phi, mu.space, "test function")
+    phi = _unit_values(phi, "test function", mu.space)
     return float(np.max(mu.tnorm._apply(mu.density, phi)))
 
 
@@ -155,7 +138,7 @@ class SaturatedSet:
     top_indices: np.ndarray
 
     def __post_init__(self):
-        tops = np.array(self.top_indices, dtype=np.int64)
+        tops = _indices(self.top_indices, "top level indices")
         if tops.shape != (self.space.n,):
             raise ValidationError("one top level index per point is required")
         if np.any((tops < 0) | (tops > self.levels.resolution)):
@@ -220,8 +203,8 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
     where k/m is itself exact.  Each density must give one value in
     [0, 1] per point of ``space``.
     """
-    ka = levels.floor_index(_unit_field(dens_a, space, "density A"))
-    kb = levels.floor_index(_unit_field(dens_b, space, "density B"))
+    ka = levels.floor_index(_unit_values(dens_a, "density A", space))
+    kb = levels.floor_index(_unit_values(dens_b, "density B", space))
     m = levels.resolution
 
     def directed(k_from, k_to):

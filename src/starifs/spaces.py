@@ -94,6 +94,20 @@ def _indices(values, name, space=None):
     return arr.astype(np.int64)
 
 
+def _unit_values(values, name, space=None):
+    """``values`` as a float array with every entry in [0, 1], unclipped.
+
+    NaN, infinite, out-of-range and non-numeric entries raise DomainError,
+    as does, with ``space``, any shape but one value per point.
+    """
+    arr = np.asarray(values)
+    if space is not None and arr.shape != (space.n,):
+        raise DomainError(f"{name} must assign one value per point")
+    if arr.dtype.kind not in "biuf" or not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise DomainError(f"{name} must be finite and lie in [0, 1]")
+    return arr.astype(float, copy=False)
+
+
 class FiniteMetricSpace:
     """A finite point set with a full distance matrix.
 
@@ -189,7 +203,8 @@ class GridSpace(FiniteMetricSpace):
     before anything is allocated.  Integer counts >= 2, finite bounds, a
     positive step on each axis and strictly increasing axis coordinates
     make the Euclidean distance a metric on the lattice by construction,
-    so only these O(n) facts are checked.  ``spacing`` is
+    so only these O(n) facts are checked, and in 2-D that each squared
+    step is a normal float and the squared extent is finite.  ``spacing`` is
     the step in 1-D and the cell diagonal in 2-D.  ``dist`` is built on
     first use and cached; distances, the diameter and snapping are
     otherwise computed from the axes and equal the dense matrix's, bit
@@ -221,20 +236,23 @@ class GridSpace(FiniteMetricSpace):
             coords_per_axis.append(coord)
             grid_axes.append((lo, step, count, stride))
             stride *= count
+        # the corner-to-corner distance, evaluated as the dense matrix would
+        extent = [float(ax[-1] - ax[0]) for ax in coords_per_axis]
+        steps = [step for _, step, _, _ in grid_axes]
+        if len(extent) == 1:
+            self.diameter, self.spacing = extent[0], steps[0]
+        else:
+            # distances square the gaps: plain float *, which neither raises nor warns
+            squared = sum(e * e for e in extent)
+            if min(s * s for s in steps) < np.finfo(float).tiny or not math.isfinite(squared):
+                raise DomainError("2-D grid steps and extent must square to normal finite floats")
+            self.diameter, self.spacing = math.sqrt(squared), float(np.hypot(*steps))
         self.axes = tuple(coords_per_axis)
         self._grid_axes = tuple(grid_axes)
         self.n = n
         mesh = np.meshgrid(*self.axes)  # row-major: y varies along rows
         self.coords = np.column_stack([g.ravel() for g in mesh])
         self.coords.flags.writeable = False
-        # the corner-to-corner distance, evaluated as the dense matrix would
-        extent = [ax[-1] - ax[0] for ax in self.axes]
-        if len(extent) == 1:
-            self.diameter = float(extent[0])
-        else:
-            self.diameter = float(np.sqrt(sum(e * e for e in extent)))
-        steps = [step for _, step, _, _ in grid_axes]
-        self.spacing = steps[0] if len(steps) == 1 else float(np.hypot(*steps))
 
     @cached_property
     def dist(self):

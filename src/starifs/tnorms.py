@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .spaces import _unit_values
 
 FAMILIES = ("minimum", "product", "lukasiewicz", "hamacher")
 
@@ -25,13 +26,6 @@ FAMILIES = ("minimum", "product", "lukasiewicz", "hamacher")
 _ALIASES = {"min": "minimum", "luk": "lukasiewicz"}
 
 _HAMACHER_RE = re.compile(r"^hamacher\(\s*([^)]+)\s*\)$")
-
-
-def _check_unit_range(name, value):
-    arr = np.asarray(value, dtype=float)
-    if arr.size and not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class TNorm:
         Both operands are checked to lie in [0, 1].
         """
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-        out = self._apply(_check_unit_range("a", a), _check_unit_range("b", b))
+        out = self._apply(_unit_values(a, "a"), _unit_values(b, "b"))
         return float(out) if scalar else out
 
     def _apply(self, a, b):

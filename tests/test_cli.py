@@ -208,6 +208,11 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "weight error: max λ = 0.7" in err
 
+    def test_grid_overflow_named(self, capsys):
+        # check passed with "diameter inf", and solve wrote "aprioriBound": Infinity
+        assert main(["check", str(CONFIGS / "grid_overflow.json")]) == 2
+        assert "error: space: " in capsys.readouterr().err
+
     def test_malformed_config(self):
         assert main(["check", str(CONFIGS / "malformed.json")]) == 2
 

@@ -146,7 +146,7 @@ class TestFrozenSystem:
         raw = si.IFSSystem(X, [si.ContractionMap.affine([[0.5]], [0.0])], [1.0], t)
         sys_ = si.validate(raw)
         assert sys_ is not raw and sys_.c == 0.5
-        assert raw.c is None and raw.constants is None and raw.tables is None
+        assert raw.c is None and raw.tables is None
 
     ENTRY_POINTS = {
         "psi": si.psi,
@@ -307,6 +307,16 @@ class TestErrorBound:
             si.error_bound(3, 1.0, 1.0)
         with pytest.raises(si.DomainError):
             si.error_bound(3, 0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "n, diam",
+        [(np.nan, 1.0), (2.5, 1.0), (True, 1.0), (3, np.nan), (3, np.inf)],
+        ids=["nan-count", "fractional-count", "bool-count", "nan-diam", "inf-diam"],
+    )
+    def test_rejects_non_integer_counts_and_nonfinite_diameters(self, n, diam):
+        # these returned nan, 0.177, 0.5, nan and inf
+        with pytest.raises(si.DomainError):
+            si.error_bound(n, 0.5, diam)
 
 
 class TestSolve:

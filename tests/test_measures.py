@@ -27,6 +27,15 @@ class TestDensityTypes:
         with pytest.raises(si.DomainError):
             si.SubDensity(small_grid, [-0.5, 1.0], t)
 
+    @pytest.mark.parametrize("cls", [si.SubDensity, si.StarMeasure])
+    @pytest.mark.parametrize(
+        "density", [[1.0 + 5e-13, 0.5], [-1e-13, 1.0]], ids=["above-one", "below-zero"]
+    )
+    def test_rejects_values_just_outside_unit_interval(self, small_grid, cls, density):
+        # these were clipped into [0, 1] without an error
+        with pytest.raises(si.DomainError, match=r"lie in \[0, 1\]"):
+            cls(small_grid, density, si.TNorm("product"))
+
     def test_rejects_wrong_length(self, small_grid):
         with pytest.raises(si.DomainError):
             si.StarMeasure(small_grid, [1.0, 0.0, 0.0], si.TNorm("product"))
@@ -326,6 +335,13 @@ class TestSaturated:
             si.SaturatedSet(X, lv, [0, -1])
         with pytest.raises(si.ValidationError):  # outside the grid
             si.SaturatedSet(X, lv, [0, 5])
+
+    @pytest.mark.parametrize("top", [1.7, np.nan])
+    def test_tops_must_be_integers(self, top):
+        # 1.7 was truncated to level 1, and NaN raised numpy's cast error
+        X = si.grid_1d(4, 0, 1)
+        with pytest.raises(si.DomainError, match="finite integers"):
+            si.SaturatedSet(X, si.LevelGrid(4), [0, top, 2, 4])
 
 
 def dense_closed_form(space, dens_a, dens_b, levels):

@@ -102,11 +102,17 @@ class TestGridLimits:
             # 2**60 points fit intp, but their 8-byte coordinates do not
             ([(0, 1, 2**60)], "numpy"),
             ([(0, 1, 2**62), (0, 1, 2)], "numpy"),
+            # 2-D distances square the gaps: the diameter read inf, or every
+            # distance read 0.0 (the pytest config turns a warning into an error)
+            ([(0, 1e200, 3)] * 2, "square"),
+            ([(0, 1e-165, 3)] * 2, "square"),
         ],
-        ids=["no-axes", "three-axes", "2**64", "10**300", "2**60", "2**62x2"],
+        ids=[
+            "no-axes", "three-axes", "2**64", "10**300", "2**60", "2**62x2", "1e200^2", "1e-165^2"
+        ],
     )
     def test_rejects_axes_it_cannot_hold(self, axes, message):
-        # each raised a numpy ValueError or TypeError; none allocates here
+        # each raised a numpy error or warning, or passed; none allocates much
         with pytest.raises(si.DomainError, match=message):
             GridSpace(axes)
 

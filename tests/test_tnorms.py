@@ -75,7 +75,8 @@ def test_hamacher_zero_parameter_degenerate_corner():
 
 def test_apply_rejects_out_of_range():
     t = si.TNorm("product")
-    for a, b in [(-0.1, 0.5), (0.5, 1.1), (float("nan"), 0.2)]:
+    # a string raised numpy's conversion ValueError
+    for a, b in [(-0.1, 0.5), (0.5, 1.1), (float("nan"), 0.2), ("x", 0.5)]:
         with pytest.raises(si.DomainError):
             t.apply(a, b)
 
