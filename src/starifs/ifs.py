@@ -266,7 +266,9 @@ def error_bound(n, c, diam):
         raise DomainError("the contraction constant must satisfy 0 <= c < 1")
     if not 0.0 < diam < np.inf:
         raise DomainError("diameter must be positive and finite")
-    return float(c ** _integer(n, "iteration count", 0) * diam)
+    # c ** 2**63 underflows to 0.0 for every c < 1, and a float power of
+    # an int beyond the float range would raise OverflowError
+    return float(c ** min(_integer(n, "iteration count", 0), 2**63) * diam)
 
 
 def residual(system, mu, levels=None):

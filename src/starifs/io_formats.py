@@ -125,13 +125,30 @@ def write_density_csv(path, table):
 
 
 def read_density_csv(path):
+    """Read a CSV table: every field in one numpy conversion, or, when
+    that fails, line by line, so the error names the physical line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
+        lines = [ln.strip() for ln in fh]
+    body = [ln for ln in lines if ln]
+    if not body:
         raise ConfigError(f"{path}: empty density file")
-    columns = tuple(lines[0][1].split(","))
+    columns = tuple(body[0].split(","))
+    rows = body[1:]
+    try:
+        if any(ln.count(",") != len(columns) - 1 for ln in rows):
+            raise ValueError("a row has the wrong field count")
+        # numpy converts each string with float(), as the line scan does
+        values = np.array(",".join(rows).split(","), dtype=float)
+    except ValueError:
+        return _read_csv_lines(path, columns, lines)
+    return _checked(path, columns, values.reshape(len(rows), len(columns)))
+
+
+def _read_csv_lines(path, columns, lines):
+    """The line scan of ``read_density_csv``, which names the first bad line."""
     rows = []
-    for lineno, ln in lines[1:]:
+    numbered = [(no, ln) for no, ln in enumerate(lines, start=1) if ln]
+    for lineno, ln in numbered[1:]:
         parts = ln.split(",")
         if len(parts) != len(columns):
             raise ConfigError(f"{path}:{lineno}: expected {len(columns)} fields")

@@ -4,8 +4,16 @@ The n-th operator power expands into k^n terms indexed by words
 (i_1, ..., i_n), each contributing the word-composed map weighted by the
 fold of its letter weights.  The oracle evaluates this expansion with
 exact affine composition and a single snap at the end — deliberately a
-different error mode from the solver's snap-each-step — so agreement
-between the two bounds the discretization error empirically.
+different error mode from the solver's snap-each-step.  The two agree
+within h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps
+send the grid hull into itself.
+
+On a grid a word needs only its 2^d corner images: every image
+coordinate is monotone in each grid coordinate and the snap is monotone
+along each axis, so a word whose corners snap to one cell sends the
+whole grid there.  The expansion costs O(k^n 2^d) corner snaps plus n
+snaps per word whose image straddles a cell boundary, in blocks of at
+most ``_BLOCK`` values whatever the word count.
 
 All randomness is seeded and the seed is part of every report.
 """
@@ -19,10 +27,11 @@ import numpy as np
 from .errors import ResourceBudgetError
 from .ifs import _check_measure, _require_validated, _set_image, _stationary_set
 from .measures import StarMeasure
-from .spaces import _integer, _pairs_hausdorff
+from .spaces import GridSpace, _distinct, _integer, _pairs_hausdorff
 
 WORD_BUDGET = 1_000_000
-# point images (coordinates or table entries) held by one block of words
+# values (point images, table entries, or a word's map and corner images)
+# held by one block of words
 _BLOCK = 1 << 14
 
 
@@ -54,7 +63,7 @@ def _word_blocks(system, depth, per_word):
     grows by appending all k letters to all its words at once, so each
     word gets the same arithmetic whichever block it lands in.  A block
     that would grow past ``_BLOCK // per_word`` words (at least one;
-    ``per_word`` is the point images one word holds) is split by the
+    ``per_word`` is the values one word holds) is split by the
     letter after its prefix into k blocks that are walked depth first,
     so blocks come out in lexicographic order.
     """
@@ -102,10 +111,43 @@ def _word_blocks(system, depth, per_word):
 
 
 def _snap_images(space, coords, mats, trans):
-    """Snapped images of ``coords`` under every word map of a block, word-major."""
-    pts = coords @ np.swapaxes(mats, 1, 2)
-    pts += trans[:, None, :]
-    return space.snap(pts.reshape(-1, pts.shape[-1]))
+    """Snapped images of ``coords`` under every word map of a block, word-major.
+
+    Image coordinate i is ``x_0 a_i0 + x_1 a_i1 + t_i``, one ufunc at a
+    time in that order, so every point of every word gets the same
+    formula, monotone in each coordinate (``@`` may fuse a product into
+    an fma, and whether it does can vary by row with the BLAS build).
+    """
+    dim = coords.shape[1]
+    pts = np.empty((len(mats), len(coords), dim))
+    for i in range(dim):
+        axis = pts[..., i]
+        np.multiply(mats[:, i, 0, None], coords[:, 0], out=axis)
+        for j in range(1, dim):
+            axis += mats[:, i, j, None] * coords[:, j]
+        axis += trans[:, i, None]
+    return space.snap(pts.reshape(-1, dim))
+
+
+def _grid_corners(space):
+    """The 2^d corner points of a grid, or None for a dense space, whose
+    nearest-point snap is not monotone along each axis."""
+    if not isinstance(space, GridSpace):
+        return None
+    mesh = np.meshgrid(*[axis[[0, -1]] for axis in space.axes])
+    return np.column_stack([g.ravel() for g in mesh])
+
+
+def _best_values(apply, weights, levels):
+    """max over ``levels`` of apply(w, level) for each weight w, computed
+    once per distinct weight, at most ``_BLOCK`` values at a time."""
+    distinct = _distinct(weights)
+    best = np.empty(len(distinct))
+    rows = max(1, _BLOCK // len(levels))
+    for start in range(0, len(distinct), rows):
+        part = distinct[start : start + rows, None]
+        best[start : start + rows] = apply(part, levels).max(axis=1)
+    return best[np.searchsorted(distinct, weights)]
 
 
 def word_expansion(system, seed, depth):
@@ -114,7 +156,12 @@ def word_expansion(system, seed, depth):
     density(y) = max over words w and points x snapped into y of
     weight(w) * seed(x).  Affine compositions are exact and snapped
     once; tabulated systems chain their tables.  Depth 0 is the seed.
-    Words are processed in blocks of at most ``_BLOCK`` point images.
+
+    On a grid a word whose 2^d corner images snap to one cell sends
+    every point there (see the module docstring) and adds
+    max_s weight(w) * s over the distinct seed values s.  Only a word
+    whose image straddles a cell boundary, and every word on a dense
+    space, snaps all n points, ``_BLOCK // (n d)`` words at a time.
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -123,15 +170,36 @@ def word_expansion(system, seed, depth):
     if depth == 0:
         return StarMeasure(space, seed.density, system.tnorm)
     out = np.zeros(space.n)
-    affine = _all_affine(system)
-    per_word = space.n * space.coords.shape[1] if affine else space.n
-    for weights, *maps in _word_blocks(system, depth, per_word):
-        # one statement, so a block's targets and values die before the next
-        np.maximum.at(
-            out,
-            _snap_images(space, space.coords, *maps) if affine else maps[0].ravel(),
-            system.tnorm._apply(weights[:, None], seed.density).ravel(),
-        )
+    apply = system.tnorm._apply
+    if not _all_affine(system):
+        for weights, tables in _word_blocks(system, depth, space.n):
+            np.maximum.at(out, tables.ravel(), apply(weights[:, None], seed.density).ravel())
+        return StarMeasure(space, out, system.tnorm)
+    dim = space.coords.shape[1]
+    corners = _grid_corners(space)
+    levels = _distinct(seed.density)
+    per_point = max(1, _BLOCK // (space.n * dim))
+    # values one word holds: its n images on a dense space; on a grid its
+    # matrix, translation and weight, and each corner's image and target
+    if corners is None:
+        per_word = space.n * dim
+    else:
+        per_word = dim * dim + dim + 1 + len(corners) * (dim + 1)
+    for weights, mats, trans in _word_blocks(system, depth, per_word):
+        if corners is not None:
+            ends = _snap_images(space, corners, mats, trans).reshape(len(weights), -1)
+            one = np.all(ends == ends[:, :1], axis=1)
+            np.maximum.at(out, ends[one, 0], _best_values(apply, weights[one], levels))
+            straddle = ~one
+            weights, mats, trans = weights[straddle], mats[straddle], trans[straddle]
+        for start in range(0, len(weights), per_point):
+            part = slice(start, start + per_point)
+            # one statement, so a block's targets and values die before the next
+            np.maximum.at(
+                out,
+                _snap_images(space, space.coords, mats[part], trans[part]),
+                apply(weights[part, None], seed.density).ravel(),
+            )
     return StarMeasure(space, out, system.tnorm)
 
 

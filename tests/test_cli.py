@@ -346,6 +346,37 @@ class TestSolveCommand:
         assert main(["solve", str(cfg)]) == 3
 
 
+def _psi_on(tables):
+    """``psi`` over the tables that ``tables(system)`` gives instead of the system's."""
+
+    def mutated(system, mu):
+        out = np.zeros(system.space.n)
+        for table, weight in zip(tables(system), system.weights):
+            np.maximum.at(out, table, system.tnorm._apply(weight, mu.density))
+        return si.SubDensity(system.space, out, system.tnorm)
+
+    return mutated
+
+
+def _snapped_tables(shift):
+    """Tables that round each image half-up on every axis, then move it
+    ``shift`` cells up (clipped to the grid)."""
+
+    def tables(system):
+        space, out = system.space, []
+        for f in system.maps:
+            img, index, stride = f.image_coords(space), 0, 1
+            for ax, axis in enumerate(space.axes):
+                step = (axis[-1] - axis[0]) / (len(axis) - 1)
+                cell = np.floor((img[:, ax] - axis[0]) / step + 0.5) + shift
+                index = index + np.clip(cell, 0, len(axis) - 1).astype(np.int64) * stride
+                stride *= len(axis)
+            out.append(index)
+        return out
+
+    return tables
+
+
 class TestOracleCommand:
     def test_depth_one_report(self, cantor_cfg, capsys):
         assert main(["oracle", str(cantor_cfg), "--depth", "1"]) == 0
@@ -360,9 +391,58 @@ class TestOracleCommand:
         payload = json.loads(out[out.index("{") :])
         assert payload["words"] == 256
         assert payload["maxDensityDiscrepancy"] <= payload["analyticTolerance"]
+        assert payload["hypographDistance"] == 0.0 < payload["snapTolerance"]
 
     def test_budget_exceeded(self, cantor_cfg):
         assert main(["oracle", str(cantor_cfg), "--depth", "21"]) == 4
+
+    @staticmethod
+    def _report(argv, capsys, code=0):
+        assert main(["oracle", *argv]) == code
+        out = capsys.readouterr().out
+        return json.loads(out[out.index("{") :])
+
+    def test_sierpinski_passes_in_the_hypograph_metric(self, capsys):
+        # a word's one snap and its step-by-step snaps land a cell apart,
+        # so the densities differ by a whole weight at a point; the
+        # hypographs are one cell diagonal apart
+        report = self._report([str(CONFIGS / "sierpinski.json"), "--depth", "4"], capsys)
+        assert report["hypographDistance"] == pytest.approx(np.hypot(1 / 63, 1 / 63))
+        assert report["snapTolerance"] == pytest.approx(0.0322687618)
+        assert report["maxDensityDiscrepancy"] == 1.0
+        assert report["maxDensityDiscrepancy"] > report["analyticTolerance"]
+
+    def test_random_system_fails_only_the_density_gap(self, tmp_path, capsys):
+        raw = {
+            "space": {"kind": "grid1d", "counts": [25], "bounds": [0, 1]},
+            "tnorm": "min",
+            "maps": [
+                {"affine": {"matrix": [[0.23]], "translation": [0.6]}},
+                {"affine": {"matrix": [[0.71]], "translation": [0.07]}},
+            ],
+            "weights": [1.0, 0.5],
+        }
+        cfg = tmp_path / "random.json"
+        cfg.write_text(json.dumps(raw))
+        report = self._report([str(cfg), "--depth", "3"], capsys)
+        assert report["maxDensityDiscrepancy"] == 0.5 > report["analyticTolerance"]
+        assert report["hypographDistance"] == pytest.approx(1 / 24)
+
+    @pytest.mark.parametrize("name", ["cantor", "sierpinski"])
+    @pytest.mark.parametrize(
+        "tables, code",
+        [
+            (lambda s: s.tables[:-1], 1),
+            (_snapped_tables(1), 1),
+            # a tie goes to either nearest point: both are within h/2
+            (_snapped_tables(0), 0),
+        ],
+        ids=["drop-a-map", "one-cell-up", "ties-up"],
+    )
+    def test_pass_rule_on_mutated_psi(self, monkeypatch, capsys, name, tables, code):
+        monkeypatch.setattr("starifs.cli.psi", _psi_on(tables))
+        report = self._report([str(CONFIGS / f"{name}.json"), "--depth", "4"], capsys, code)
+        assert (report["hypographDistance"] <= report["snapTolerance"]) == (code == 0)
 
     def test_one_map_depth_budget(self, tmp_path):
         raw = {
@@ -506,10 +586,10 @@ def test_check_solve_export_do_not_import_numpy_ma(tmp_path):
     loaded = "print([m in sys.modules for m in ('numpy.ma', 'numpy.random')])"
     if _python(f"import sys, numpy; {loaded}", tmp_path) != "[False, False]":
         pytest.skip("a bare `import numpy` loads numpy.ma or numpy.random")
-    commands = [["oracle", str(CONFIGS / "cantor.json"), "--depth", "4"]]
+    commands = []
     for name in ("cantor", "sierpinski"):
         config = str(CONFIGS / f"{name}.json")
-        commands += [["check", config], ["solve", config]]
+        commands += [["check", config], ["solve", config], ["oracle", config, "--depth", "4"]]
         for fmt in ("csv", "json", "pgm"):
             out = f"out/{name}.export.{fmt}"
             commands.append(["export", f"out/{name}.density.{fmt}", "--format", fmt, "--out", out])

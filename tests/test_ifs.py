@@ -302,6 +302,17 @@ class TestErrorBound:
         assert si.error_bound(3, 0.5, 1.0) == 0.125
         assert si.error_bound(20, 0.5, 1.0) == pytest.approx(9.5367431640625e-07)
 
+    @pytest.mark.parametrize("n", [2**63, 2**1024, 10**400], ids=["2**63", "2**1024", "10**400"])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0 - 2**-53])
+    def test_huge_counts_underflow_to_zero(self, n, c):
+        # a count beyond the float range raised OverflowError
+        assert si.error_bound(n, c, 1.0) == 0.0
+
+    def test_counts_below_the_clamp_unchanged(self):
+        c = 1.0 - 2**-53
+        for n in (2**61, 2**62, 2**63 - 1):
+            assert si.error_bound(n, c, 3.0) == float(c**n * 3.0)
+
     def test_rejects_non_contraction(self):
         with pytest.raises(si.DomainError):
             si.error_bound(3, 1.0, 1.0)

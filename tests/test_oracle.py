@@ -3,11 +3,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starifs as si
 from starifs import oracle
 
-from conftest import make_cantor, make_sierpinski, product_metric
+from conftest import ALL_TNORMS, make_cantor, make_sierpinski, product_metric
 
 
 class Word(NamedTuple):
@@ -110,10 +111,10 @@ def full(system):
     return si.StarMeasure.full(system.space, system.tnorm)
 
 
-def random_seed(system, rng_seed=11):
+def random_seed(system, rng_seed=11, top=1.0):
     rng = np.random.default_rng(rng_seed)
     density = rng.uniform(0.0, 1.0, system.space.n)
-    density[rng.integers(system.space.n)] = 1.0
+    density[rng.integers(system.space.n)] = top
     return si.StarMeasure(system.space, density, system.tnorm)
 
 
@@ -140,6 +141,9 @@ EXPANSION_CASES = {
     "rotated-hamacher": (make_rotated, random_seed, 5),
     "dense": (make_dense, random_seed, 8),
     "deep": (lambda: make_cantor(27), full, 13),
+    # 4 of the 1,024 words straddle a cell boundary; at depth 12 none does.
+    # A top just below 1 tells T(w, top) from w.
+    "cantor-729": (make_cantor, lambda s: random_seed(s, top=1.0 - 2**-42), 10),
     "tabulated": (make_mixed, random_seed, 5),
 }
 
@@ -191,8 +195,80 @@ class TestWords:
                 call()
 
 
+@st.composite
+def grid_systems(draw):
+    """A validated system of 2 or 3 affine maps on a 1-D grid or a 2-D
+    grid of at most 16 x 16 on the unit box, each map fitted into the
+    box, with rotated and sheared matrices in 2-D; a seed (full, Dirac,
+    or random with a top just below 1); and a depth with at most 729
+    words."""
+    dim = draw(st.integers(1, 2))
+    if dim == 1:
+        space = si.grid_1d(draw(st.integers(2, 60)), 0.0, 1.0)
+    else:
+        space = si.grid_2d(draw(st.integers(2, 16)), draw(st.integers(2, 16)), ((0, 1), (0, 1)))
+    k = draw(st.integers(2, 3))
+    unit = st.floats(0.0, 1.0)
+    corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])[: 2**dim, :dim]
+    maps = []
+    for _ in range(k):
+        if dim == 1:
+            matrix = np.array([[draw(st.floats(-0.9, 0.9))]])
+        else:
+            angle = draw(st.floats(0.0, 2 * np.pi))
+            rotation = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+            # a shear and a squash; at -1 and 0 the diagonal (1, 1) maps to 0
+            shear = [[1.0, draw(st.floats(-1.0, 1.0))], [0.0, draw(st.floats(0.0, 1.0))]]
+            matrix = np.array(rotation) @ np.array(shear)
+            matrix *= draw(st.floats(0.05, 0.9)) / np.linalg.norm(matrix, 2)
+            # a rotated image can be wider than the box along an axis
+            matrix /= max(1.0, np.ptp(corners @ matrix.T, axis=0).max())
+        images = corners @ matrix.T
+        lo, hi = images.min(axis=0), images.max(axis=0)
+        # a translation that keeps the image of the unit box inside it
+        shift = [-a + draw(unit) * (1.0 - (b - a)) for a, b in zip(lo, hi)]
+        maps.append(si.ContractionMap.affine(matrix, shift))
+    weights = [draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9]), unit)) for _ in range(k)]
+    weights[draw(st.integers(0, k - 1))] = 1.0
+    system = si.validate(si.IFSSystem(space, maps, weights, draw(st.sampled_from(ALL_TNORMS))))
+    kind = draw(st.sampled_from(["full", "dirac", "random"]))
+    if kind == "full":
+        seed = full(system)
+    elif kind == "dirac":
+        seed = si.StarMeasure.dirac(space, draw(st.integers(0, space.n - 1)), system.tnorm)
+    else:
+        density = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, space.n)
+        # a top within the normalization tolerance below 1 tells T(w, top) from w
+        density[draw(st.integers(0, space.n - 1))] = 1.0 - 2**-42
+        seed = si.StarMeasure(space, density, system.tnorm)
+    depth = draw(st.integers(1, 8 if k == 2 else 6))
+    return system, seed, depth
+
+
+def path_counts(monkeypatch, system, seed, depth):
+    """The word expansion's density and its ``_snap_images`` calls, split
+    into corner snaps and full per-point snaps."""
+    calls = {"corners": 0, "points": 0}
+    snap_images = oracle._snap_images
+
+    def spy(space, coords, mats, trans):
+        calls["points" if coords is space.coords else "corners"] += 1
+        return snap_images(space, coords, mats, trans)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_snap_images", spy)
+        return si.word_expansion(system, seed, depth).density, calls
+
+
 class TestBlockedExpansion:
     """The blocked oracle against the per-word loop it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_systems())
+    def test_corner_collapse_equals_per_word_loop(self, case):
+        system, seed, depth = case
+        out = si.word_expansion(system, seed, depth)
+        assert np.array_equal(out.density, per_word_expansion(system, seed, depth))
 
     @pytest.mark.parametrize("case", sorted(EXPANSION_CASES))
     def test_equals_per_word_loop(self, case):
@@ -208,12 +284,15 @@ class TestBlockedExpansion:
         monkeypatch.setattr(oracle, "_BLOCK", block)
         for system, depth in (
             (make_cantor(27, family="product"), 7),
+            (make_cantor(), 10),
             (make_rotated(12), 4),
             (make_mixed(27), 4),
         ):
             seed = random_seed(system)
-            out = si.word_expansion(system, seed, depth)
-            assert np.array_equal(out.density, per_word_expansion(system, seed, depth))
+            out, calls = path_counts(monkeypatch, system, seed, depth)
+            assert np.array_equal(out, per_word_expansion(system, seed, depth))
+            if oracle._all_affine(system):
+                assert calls["corners"] > 0 and calls["points"] > 0
 
     def test_attractor_shares_word_maps(self, monkeypatch):
         # all weights 1 and the minimum t-norm: the support of the Dirac
