@@ -42,6 +42,8 @@ WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_LEVEL_RESOLUTION = 256
+# pairs per block of a tabulated map's contraction ratio
+_PAIR_BLOCK = 2**18
 
 
 def _readonly(arr):
@@ -57,7 +59,8 @@ class ContractionMap:
     are snapped onto the grid; their contraction constant is the
     operator 2-norm of the matrix.  Tabulated maps are explicit
     point-to-point assignments; their constant is estimated by the
-    exhaustive pairwise ratio max d(f(x), f(y)) / d(x, y).
+    exhaustive pairwise ratio max d(f(x), f(y)) / d(x, y), in row blocks
+    of the space's ``distances``, so a grid never builds its dense matrix.
     """
 
     kind: str
@@ -100,10 +103,17 @@ class ContractionMap:
         if self.kind == "affine":
             return float(np.linalg.norm(self.matrix, 2))
         tbl = self.snapped_table(space)
-        d = space.dist
-        mask = ~np.eye(space.n, dtype=bool)
-        ratios = d[np.ix_(tbl, tbl)][mask] / d[mask]
-        return float(ratios.max())
+        points = np.arange(space.n)
+        step = max(1, _PAIR_BLOCK // space.n)
+        worst = 0.0
+        for start in range(0, space.n, step):
+            rows = points[start : start + step]
+            num = space.distances(tbl[rows], tbl)
+            den = space.distances(rows, points)
+            # distinct points are at positive distance: only x == y is left out
+            np.divide(num, den, out=num, where=den > 0.0)
+            worst = max(worst, float(num.max()))
+        return worst
 
 
 @dataclass(frozen=True)

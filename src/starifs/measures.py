@@ -198,10 +198,18 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
     the space's ``distance_to``: matrix-free on generated grids, and a
     masked row-min in fixed row blocks on dense spaces.  The gap
     term does not grow with j, so the sweep equals the min over all y
-    exactly; level arithmetic is done on integer indices.  Matches the
-    member-level brute force bit for bit on power-of-two resolutions,
-    where k/m is itself exact.  Each density must give one value in
-    [0, 1] per point of ``space``.
+    exactly; level arithmetic is done on integer indices.
+
+    Level j can lower a point's running value b(x) only if its gap
+    (ka(x) - j)+ / m is below b(x), and then only through a distance
+    below b(x).  So each call passes ``within`` = b(x) at those live
+    points and 0 elsewhere, and a level with no live point is skipped:
+    ``distance_to`` is exact below the cap and >= it above, so
+    min(b, max(D_j, gap)) takes the same value as with the exact D_j.
+
+    Matches the member-level brute force bit for bit on power-of-two
+    resolutions, where k/m is itself exact.  Each density must give one
+    value in [0, 1] per point of ``space``.
     """
     ka = levels.floor_index(_unit_values(dens_a, "density A", space))
     kb = levels.floor_index(_unit_values(dens_b, "density B", space))
@@ -212,8 +220,13 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
         # every point reaches the lowest level, so D is 0 there
         best = np.maximum(k_from - js[0], 0) / m
         for j in js[1:]:
-            reach = space.distance_to(k_to >= j)
-            np.minimum(best, np.maximum(reach, np.maximum(k_from - j, 0) / m), out=best)
+            gap = np.maximum(k_from - j, 0) / m
+            # level j can lower only the points whose gap is below their best
+            live = gap < best
+            if not live.any():
+                continue
+            reach = space.distance_to(k_to >= j, within=np.where(live, best, 0.0))
+            np.minimum(best, np.maximum(reach, gap), out=best)
         return float(best.max())
 
     return max(directed(ka, kb), directed(kb, ka))

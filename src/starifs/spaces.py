@@ -7,8 +7,9 @@ matrix.  Generated grids (``grid_1d``, ``grid_2d``) are matrix-free:
 they hold their axes and coordinates, O(n) memory, and build the dense
 ``dist`` only when something reads it.
 
-Each kind of space answers ``distance_to(mask)``, the distance from
-every point to a point set, which is all the level sweep of
+Each kind of space answers ``distance_to(mask, within)``, the distance
+from every point to a point set, exact wherever it is below an optional
+per-point cap, which is all the level sweep of
 ``measures.hypograph_hausdorff`` needs: nearest-index scans on a 1-D
 grid; on a 2-D grid a row pass, then an exact column pass over squared
 distances (the separable distance transform of Felzenszwalb &
@@ -166,16 +167,26 @@ class FiniteMetricSpace:
             if np.any(d[i, j] > d[i, k] + d[k, j] + tol):
                 raise DomainError("triangle inequality violated (sampled)")
 
-    def distance_to(self, mask):
+    def distance_to(self, mask, within=None):
         """Distance from every point to the nonempty set {y : mask[y]}.
 
-        A masked row-min over the matrix, ``_DENSE_ROW_BLOCK`` rows at a time.
+        ``within`` is an optional cap, one value >= 0 per point: the
+        distance is exact wherever it is below ``within[x]``, and any
+        value >= ``within[x]`` elsewhere; None asks for it everywhere.
+        A masked row-min over the matrix, ``_DENSE_ROW_BLOCK`` rows at a
+        time, over only the rows with ``within > 0``; the others get 0.
         """
-        out = np.empty(self.n)
-        for start in range(0, self.n, _DENSE_ROW_BLOCK):
-            block = self.dist[start : start + _DENSE_ROW_BLOCK, mask]
-            out[start : start + _DENSE_ROW_BLOCK] = block.min(axis=1)
+        out = np.zeros(self.n)
+        rows = np.arange(self.n) if within is None else np.flatnonzero(within > 0)
+        cols = np.flatnonzero(mask)
+        for start in range(0, rows.size, _DENSE_ROW_BLOCK):
+            block = rows[start : start + _DENSE_ROW_BLOCK]
+            out[block] = self.dist[np.ix_(block, cols)].min(axis=1)
         return out
+
+    def distances(self, rows, cols):
+        """The block of the distance matrix at point indices ``rows`` x ``cols``."""
+        return self.dist[np.ix_(rows, cols)]
 
     def snap(self, pts):
         """Indices of the nearest points by coordinates; ties go to the lowest index.
@@ -261,16 +272,25 @@ class GridSpace(FiniteMetricSpace):
         d.flags.writeable = False
         return d
 
-    def distance_to(self, mask):
+    def distance_to(self, mask, within=None):
         """Distance from every point to the nonempty set {y : mask[y]}.
 
-        1-D: nearest member to the left and to the right by index scans.
+        ``within`` is an optional cap, one value >= 0 per point: the
+        distance is exact wherever it is below ``within[x]``, and any
+        value >= ``within[x]`` elsewhere; None asks for it everywhere.
+        1-D: nearest member to the left and to the right by index scans,
+        exact everywhere.
         2-D: per row, the squared x-distance to the nearest member of
         that row; then, for row offsets d = 1, 2, ..., the squared
         y-distance to the rows d above and below plus their row value,
-        until no farther row can beat the current worst point.  The
-        square root comes last, so every value is the one the dense
-        matrix holds for the nearest member.  Memory is O(n).
+        until no farther row can beat min(current, within**2) at any
+        point.  The square root comes last, so every exact value is the
+        one the dense matrix holds for the nearest member.  A point cut
+        off by its cap holds a squared value above fl(w * w), and
+        sqrt(fl(w * w)) == w in binary64 unless w * w over- or
+        underflows (then the cap is inf, or w is below the smallest
+        nonzero distance), so its value is >= w.  The capped loop never
+        takes more row steps than the uncapped one.  Memory is O(n).
         """
         if len(self.axes) == 1:
             return _nearest_gap(self.axes[0], mask)
@@ -278,14 +298,23 @@ class GridSpace(FiniteMetricSpace):
         grid = np.asarray(mask, dtype=bool).reshape(len(ys), len(xs))
         gx2 = _nearest_gap(xs, grid) ** 2
         best = gx2.copy()
+        cap2 = np.inf if within is None else np.square(within).reshape(grid.shape)
         for d in range(1, len(ys)):
             gy2 = ((ys[d:] - ys[:-d]) ** 2)[:, None]
             # farther rows are at least this far from every point
-            if gy2.min() >= best.max():
+            if gy2.min() >= np.minimum(best, cap2).max():
                 break
             np.minimum(best[d:], gy2 + gx2[:-d], out=best[d:])
             np.minimum(best[:-d], gy2 + gx2[d:], out=best[:-d])
         return np.sqrt(best).ravel()
+
+    def distances(self, rows, cols):
+        """The block of the distance matrix at point indices ``rows`` x ``cols``.
+
+        Computed from the coordinates, bit for bit the entries of ``dist``,
+        which is not built.
+        """
+        return _euclidean(self.coords[rows], self.coords[cols])
 
     def snap(self, pts):
         """Indices of the nearest grid points; ties go to the lowest index.
@@ -326,15 +355,25 @@ def _nearest_gap(x, mask):
     return np.minimum(x - padded[left + 1], padded[right + 1] - x)
 
 
+def _euclidean(a, b):
+    """Distances between the coordinate rows of ``a`` and of ``b``.
+
+    1-D: the absolute gap.  2-D: the squared gaps summed, the square
+    root last.
+    """
+    if a.shape[1] == 1:
+        return np.abs(a[:, 0, None] - b[None, :, 0])
+    d = (a[:, 0, None] - b[None, :, 0]) ** 2
+    d += (a[:, 1, None] - b[None, :, 1]) ** 2
+    return np.sqrt(d, out=d)
+
+
 def _pairwise_euclidean(coords):
     n = len(coords)
-    if coords.shape[1] == 1:
-        x = coords[:, 0]
-        return np.abs(x[:, None] - x[None, :])
     d = np.empty((n, n), dtype=float)
     for start in range(0, n, _DENSE_ROW_BLOCK):
-        diff = coords[start : start + _DENSE_ROW_BLOCK, None, :] - coords[None, :, :]
-        d[start : start + _DENSE_ROW_BLOCK] = np.sqrt((diff**2).sum(axis=-1))
+        rows = slice(start, start + _DENSE_ROW_BLOCK)
+        d[rows] = _euclidean(coords[rows], coords)
     return d
 
 

@@ -23,7 +23,7 @@ def make_cantor(n=729, weights=(1.0, 0.5), family="product", parameter=1.0):
     return si.validate(si.IFSSystem(space, maps, list(weights), tnorm))
 
 
-def make_sierpinski(n=64, family="minimum"):
+def make_sierpinski(n=64, family="minimum", weights=(1.0, 1.0, 1.0)):
     """Three half-scale corner maps on an n x n grid of the unit square."""
     space = si.grid_2d(n, n, ((0.0, 1.0), (0.0, 1.0)))
     tnorm = si.TNorm(family)
@@ -33,7 +33,7 @@ def make_sierpinski(n=64, family="minimum"):
         si.ContractionMap.affine(half, [0.5, 0.0]),
         si.ContractionMap.affine(half, [0.0, 0.5]),
     ]
-    return si.validate(si.IFSSystem(space, maps, [1.0, 1.0, 1.0], tnorm))
+    return si.validate(si.IFSSystem(space, maps, weights, tnorm))
 
 
 def random_measure(space, tnorm, rng):

@@ -32,6 +32,42 @@ class TestContractionMap:
         assert shift.contraction_constant(X) == 1.0
 
     @pytest.mark.parametrize(
+        "space",
+        [
+            si.grid_1d(37, -0.4, 1.3),
+            si.grid_2d(9, 7, ((0, 1), (0.2, 3.3))),
+            si.FiniteMetricSpace(si.grid_2d(6, 5, ((0, 1), (0, 1))).dist),
+        ],
+        ids=["1d", "2d", "dense"],
+    )
+    @pytest.mark.parametrize("pair_block", [1, 100, 2**18])
+    def test_tabulated_constant_is_the_dense_ratio(self, space, pair_block, monkeypatch):
+        # row blocks of one row, of a few rows and of the whole space
+        monkeypatch.setattr(si.ifs, "_PAIR_BLOCK", pair_block)
+        rng = np.random.default_rng(space.n)
+        d = space.dist
+        off = ~np.eye(space.n, dtype=bool)
+        tables = [rng.integers(0, space.n, space.n), np.arange(space.n)[::-1], np.zeros(space.n)]
+        for table in tables:
+            t = table.astype(int)
+            dense = float((d[np.ix_(t, t)][off] / d[off]).max())
+            assert si.ContractionMap.tabulated(table).contraction_constant(space) == dense
+
+    def test_tabulated_constant_never_builds_a_grid_matrix(self):
+        X = si.grid_2d(48, 48, ((0, 1), (0, 1)))
+        half = [[0.5, 0.0], [0.0, 0.5]]
+        maps = [si.ContractionMap.tabulated(np.zeros(X.n)), si.ContractionMap.affine(half, [0, 0])]
+        tracemalloc.start()
+        try:
+            si.validate(si.IFSSystem(X, maps, [1.0, 1.0], si.TNorm("min")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense matrix alone is 8 * 2304**2 bytes = 42 MB
+        assert "dist" not in vars(X)
+        assert peak < 16e6
+
+    @pytest.mark.parametrize(
         "table",
         [
             [0.5, 1.7],

@@ -3,7 +3,13 @@ import pytest
 
 import starifs as si
 
-from conftest import ALL_TNORMS, hypograph_hausdorff_bruteforce, level_floor, random_measure
+from conftest import (
+    ALL_TNORMS,
+    hypograph_hausdorff_bruteforce,
+    level_floor,
+    make_sierpinski,
+    random_measure,
+)
 
 TOL = 1e-12
 
@@ -370,22 +376,51 @@ def _special_pairs(n, rng):
 _RECT = si.grid_2d(7, 5, ((0.0, 1.0), (0.0, 3.0)))
 
 
+def _dirac_orbit(n, family, weights, steps=12):
+    """Sierpinski on n x n from the centre Dirac: the space and its first iterates.
+
+    Their sparse supports are where the cap of ``distance_to`` engages.
+    """
+    system = make_sierpinski(n, family, weights)
+    mu = si.StarMeasure.dirac(system.space, (n // 2) * n + n // 2, system.tnorm)
+    orbit = [mu.density]
+    for _ in range(steps):
+        mu = si.psi(system, mu)
+        orbit.append(mu.density)
+    return system.space, orbit
+
+
+_ORBITS = [
+    _dirac_orbit(n, family, weights)
+    for n in (16, 32)
+    for family, weights in (("minimum", (1.0, 1.0, 1.0)), ("product", (1.0, 0.6, 0.8)))
+]
+
+
 class TestHypographHausdorff:
     def test_matches_bruteforce_exactly(self):
-        cases = [
+        rng = np.random.default_rng(16)
+        cases = []
+        for space, m in [
             (si.grid_1d(9, 0, 1), 8),
             (si.grid_1d(23, -0.4, 1.3), 10),
             (_RECT, 16),
             (_RECT, 12),
             (si.FiniteMetricSpace(_RECT.dist, coords=_RECT.coords), 8),
-        ]
-        rng = np.random.default_rng(16)
-        for space, m in cases:
-            lv = si.LevelGrid(m)
+        ]:
             pairs = [tuple(rng.uniform(0, 1, (2, space.n))) for _ in range(25)]
-            for da, db in pairs + _special_pairs(space.n, rng):
+            cases.append((space, m, pairs + _special_pairs(space.n, rng)))
+        # consecutive iterates: sparse supports, where the cap engages
+        for space, orbit in _ORBITS:
+            cases += [(space, m, list(zip(orbit, orbit[1:]))) for m in (16, 256)]
+        for space, m, pairs in cases:
+            lv = si.LevelGrid(m)
+            for da, db in pairs:
                 fast = si.hypograph_hausdorff(space, da, db, lv)
                 assert fast == dense_closed_form(space, da, db, lv)
+                members = [(lv.floor_index(d) + 1).sum() for d in (da, db)]
+                if members[0] * members[1] > 2**22:
+                    continue  # the brute force would hold that many pairs
                 brute = hypograph_hausdorff_bruteforce(space, da, db, lv)
                 if m & (m - 1) == 0:
                     assert fast == brute
@@ -393,6 +428,41 @@ class TestHypographHausdorff:
                     # brute force subtracts two rounded k/m values, the closed
                     # form divides the exact integer gap: they differ by ulps
                     assert fast == pytest.approx(brute, rel=0.0, abs=4 * np.finfo(float).eps)
+
+    def test_cap_stops_the_transform_early_and_skips_dead_levels(self):
+        space, orbit = _ORBITS[-1]
+        lv = si.LevelGrid(256)
+        exact = space.distance_to
+        # per call: whether the capped answer differs from the exact one,
+        # which only a row loop stopped before the uncapped one can give
+        early = []
+
+        def spy(mask, within=None):
+            got = exact(mask, within=within)
+            want = exact(mask)
+            below = want < within
+            assert np.array_equal(got[below], want[below])
+            assert np.all(got[~below] >= within[~below])
+            early.append(not np.array_equal(got, want))
+            return got
+
+        space.distance_to = spy
+        try:
+            for da, db in zip(orbit, orbit[1:]):
+                si.hypograph_hausdorff(space, da, db, lv)
+            assert any(early)
+            # from the halved density every point is matched at its own
+            # level by the time the sweep passes 1/2: the levels above are
+            # skipped
+            early.clear()
+            da, db = orbit[-1], orbit[-1] / 2
+            assert si.hypograph_hausdorff(space, da, db, lv) == dense_closed_form(
+                space, da, db, lv
+            )
+        finally:
+            del space.distance_to
+        levels = sum(np.unique(lv.floor_index(d)).size - 1 for d in (da, db))
+        assert 0 < len(early) < levels
 
     def test_zero_iff_equal_quantized(self):
         X = si.grid_1d(6, 0, 1)

@@ -135,10 +135,26 @@ class TestGridMatrixFree:
         rng = np.random.default_rng(space.n)
         masks = [rng.uniform(size=space.n) < p for p in (0.05, 0.3, 0.9)]
         masks += [np.eye(1, space.n, k, dtype=bool)[0] for k in (0, space.n - 1)]
+        dense = si.FiniteMetricSpace(space.dist, coords=space.coords)
         for mask in masks:
-            if mask.any():
-                expected = space.dist[:, mask].min(axis=1)
-                assert np.array_equal(space.distance_to(mask), expected)
+            if not mask.any():
+                continue
+            expected = space.dist[:, mask].min(axis=1)
+            caps = [
+                np.zeros(space.n),
+                np.full(space.n, np.inf),
+                rng.uniform(0, space.diameter, space.n),
+                # ties: the cap is the distance itself
+                expected,
+                np.where(rng.uniform(size=space.n) < 0.5, expected, 0.0),
+            ]
+            for X in (space, dense):
+                assert np.array_equal(X.distance_to(mask), expected)
+                for within in caps:
+                    got = X.distance_to(mask, within=within)
+                    below = expected < within
+                    assert np.array_equal(got[below], expected[below])
+                    assert np.all(got[~below] >= within[~below])
 
 
 class TestMetricValidation:
