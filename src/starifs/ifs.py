@@ -15,7 +15,10 @@ the grid neither is a certified distance to a grid fixed point, and the
 second is a heuristic.
 
 Affine map images are snapped to the nearest grid point (ties to the
-lowest index).  Snapping contributes at most spacing/2 per application,
+lowest index).  Every affine image and composition, in the tables, the
+hull check and the oracle, goes through ``_affine_images``, so a table
+does not depend on the BLAS build or the batch; the tie rule applies to
+that floating-point image.  Snapping contributes at most spacing/2 per application,
 h/(2(1-c)) accumulated; the level grid contributes 1/m per side.  These
 are the only systematic discretization errors.
 """
@@ -51,14 +54,36 @@ def _readonly(arr):
     return arr
 
 
+def _affine_images(coords, mats, trans):
+    """Images of the points ``coords`` (n, d) under the maps x -> A x + t
+    given by ``mats`` (w, d, d) and ``trans`` (w, d); returns (w, n, d).
+
+    Image coordinate i is ``x_0 a_i0 + x_1 a_i1 + t_i``, one ufunc at a
+    time in that order, so every point under every map gets the same
+    formula whatever batch it is in, monotone in each coordinate.  This
+    is the package's one affine arithmetic: a matrix product may fuse a
+    product into an fma, and whether it does can vary by row with the
+    BLAS build.
+    """
+    dim = coords.shape[1]
+    out = np.empty((len(mats), len(coords), dim))
+    for i in range(dim):
+        axis = out[..., i]
+        np.multiply(mats[:, i, 0, None], coords[:, 0], out=axis)
+        for j in range(1, dim):
+            axis += mats[:, i, j, None] * coords[:, j]
+        axis += trans[:, i, None]
+    return out
+
+
 @dataclass(frozen=True)
 class ContractionMap:
     """A contraction of the space, affine on coordinates or tabulated.
 
-    Affine maps act on coordinates as x -> matrix @ x + translation and
-    are snapped onto the grid; their contraction constant is the
-    operator 2-norm of the matrix.  Tabulated maps are explicit
-    point-to-point assignments; their constant is estimated by the
+    Affine maps act on coordinates as x -> matrix x + translation,
+    evaluated by ``_affine_images``, and are snapped onto the grid;
+    their contraction constant is the operator 2-norm of the matrix.
+    Tabulated maps are explicit point-to-point assignments; their constant is estimated by the
     exhaustive pairwise ratio max d(f(x), f(y)) / d(x, y), in row blocks
     of the space's ``distances``, so a grid never builds its dense matrix.
     """
@@ -89,7 +114,7 @@ class ContractionMap:
             raise DomainError("affine maps need a space with coordinates")
         if space.coords.shape[1] != self.matrix.shape[0]:
             raise DomainError("affine map dimension does not match the space")
-        return space.coords @ self.matrix.T + self.translation
+        return _affine_images(space.coords, self.matrix[None], self.translation[None])[0]
 
     def snapped_table(self, space):
         """The map as a grid-point assignment."""
@@ -170,9 +195,12 @@ def validate(system):
         )
 
     space = system.space
+    tables = []
     for i, m in enumerate(system.maps):
         if m.kind != "affine":
+            tables.append(m.snapped_table(space))
             continue
+        # one image per map: the hull check and the snap read the same array
         img = m.image_coords(space)
         lo = space.coords.min(axis=0)
         hi = space.coords.max(axis=0)
@@ -181,9 +209,10 @@ def validate(system):
             raise CoverageError(
                 f"map {i} leaves the grid hull by {excess:g} (> spacing {space.spacing:g})"
             )
+        tables.append(space.snap(img))
 
     validated = replace(system)
-    tables = _readonly(np.stack([m.snapped_table(space) for m in system.maps]))
+    tables = _readonly(np.stack(tables))
     # the class is frozen: set the derived fields on the fresh copy only
     vars(validated).update(c=float(worst), tables=tables)
     return validated

@@ -2,11 +2,12 @@
 
 The n-th operator power expands into k^n terms indexed by words
 (i_1, ..., i_n), each contributing the word-composed map weighted by the
-fold of its letter weights.  The oracle evaluates this expansion with
-exact affine composition and a single snap at the end — deliberately a
-different error mode from the solver's snap-each-step.  The two agree
-within h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps
-send the grid hull into itself.
+fold of its letter weights.  The oracle composes each word's affine map
+through the solver's own ``ifs._affine_images`` and snaps it once at the
+end — deliberately a different error mode from the solver's
+snap-each-step, equal to ``psi`` at depth 1.  The two agree within
+h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps send the
+grid hull into itself.
 
 On a grid a word needs only its 2^d corner images: every image
 coordinate is monotone in each grid coordinate and the snap is monotone
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .ifs import _check_measure, _require_validated, _set_image, _stationary_set
+from .ifs import _affine_images, _check_measure, _require_validated, _set_image, _stationary_set
 from .measures import StarMeasure
 from .spaces import GridSpace, _distinct, _integer, _pairs_hausdorff
 
@@ -59,7 +60,9 @@ def _word_blocks(system, depth, per_word):
     Affine systems yield (weights, matrices, translations), tabulated
     ones (weights, tables).  Word (i_1, ..., i_n) composes left-to-right:
     each letter's map is applied before the prefix, matching the
-    operator's nesting.  A block is every word with a given prefix; it
+    operator's nesting: word w then letter a has matrix M_w A_a, the
+    images of A_a's columns under x -> M_w x, and translation
+    M_w t_a + t_w.  A block is every word with a given prefix; it
     grows by appending all k letters to all its words at once, so each
     word gets the same arithmetic whichever block it lands in.  A block
     that would grow past ``_BLOCK // per_word`` words (at least one;
@@ -72,9 +75,11 @@ def _word_blocks(system, depth, per_word):
     affine = _all_affine(system)
     if affine:
         dim = space.coords.shape[1]
-        letter_mats = np.stack([f.matrix for f in system.maps])
-        letter_trans = np.stack([f.translation for f in system.maps])[..., None]
-        root = (np.eye(dim)[None], np.zeros((1, dim)))
+        # column j of letter a's matrix is point a * dim + j
+        letter_cols = np.concatenate([f.matrix.T for f in system.maps])
+        letter_trans = np.stack([f.translation for f in system.maps])
+        no_shift = np.zeros((1, dim))
+        root = (np.eye(dim)[None], no_shift)
     else:
         root = (np.arange(space.n, dtype=np.int64)[None],)
     cap = max(1, _BLOCK // per_word)
@@ -84,10 +89,11 @@ def _word_blocks(system, depth, per_word):
         weights, *arrays = block
         weights = system.tnorm._apply(weights[:, None], system.weights).ravel()
         if affine:
-            mats = arrays[0][:, None]
+            mats, trans = arrays
+            cols = _affine_images(letter_cols, mats, no_shift)
             arrays = (
-                (mats @ letter_mats).reshape(-1, dim, dim),
-                ((mats @ letter_trans)[..., 0] + arrays[1][:, None]).reshape(-1, dim),
+                cols.reshape(-1, k, dim, dim).swapaxes(2, 3).reshape(-1, dim, dim),
+                _affine_images(letter_trans, mats, trans).reshape(-1, dim),
             )
         else:
             arrays = (arrays[0][:, system.tables].reshape(len(weights), -1),)
@@ -111,22 +117,8 @@ def _word_blocks(system, depth, per_word):
 
 
 def _snap_images(space, coords, mats, trans):
-    """Snapped images of ``coords`` under every word map of a block, word-major.
-
-    Image coordinate i is ``x_0 a_i0 + x_1 a_i1 + t_i``, one ufunc at a
-    time in that order, so every point of every word gets the same
-    formula, monotone in each coordinate (``@`` may fuse a product into
-    an fma, and whether it does can vary by row with the BLAS build).
-    """
-    dim = coords.shape[1]
-    pts = np.empty((len(mats), len(coords), dim))
-    for i in range(dim):
-        axis = pts[..., i]
-        np.multiply(mats[:, i, 0, None], coords[:, 0], out=axis)
-        for j in range(1, dim):
-            axis += mats[:, i, j, None] * coords[:, j]
-        axis += trans[:, i, None]
-    return space.snap(pts.reshape(-1, dim))
+    """Snapped images of ``coords`` under every word map of a block, word-major."""
+    return space.snap(_affine_images(coords, mats, trans).reshape(-1, coords.shape[1]))
 
 
 def _grid_corners(space):
@@ -154,8 +146,9 @@ def word_expansion(system, seed, depth):
     """Depth-n word expansion of the operator applied to the seed.
 
     density(y) = max over words w and points x snapped into y of
-    weight(w) * seed(x).  Affine compositions are exact and snapped
-    once; tabulated systems chain their tables.  Depth 0 is the seed.
+    weight(w) * seed(x).  Affine compositions are snapped once;
+    tabulated systems chain their tables.  Depth 0 is the seed, and
+    depth 1 is ``psi`` of it bit for bit.
 
     On a grid a word whose 2^d corner images snap to one cell sends
     every point there (see the module docstring) and adds
@@ -207,8 +200,8 @@ def attractor_support(system, depth, reference_index=0):
     """Depth-n attractor approximation: word images of one reference point.
 
     Returns the sorted indices {snap(f_w(x0)) : |w| = depth}.  Affine
-    systems compose the same word maps as ``word_expansion``, exactly
-    and in lexicographic blocks, and snap each image once; a system with
+    systems compose the same word maps as ``word_expansion``, in
+    lexicographic blocks, and snap each image once; a system with
     a tabulated map takes ``depth`` set images of {x0} under its tables,
     in O(n) memory whatever the word count.  With all weights 1 and the
     minimum t-norm this equals the support of the word expansion from

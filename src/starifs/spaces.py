@@ -168,7 +168,7 @@ class FiniteMetricSpace:
                 raise DomainError("triangle inequality violated (sampled)")
 
     def distance_to(self, mask, within=None):
-        """Distance from every point to the nonempty set {y : mask[y]}.
+        """Distance from every point to the set {y : mask[y]}, inf if it is empty.
 
         ``within`` is an optional cap, one value >= 0 per point: the
         distance is exact wherever it is below ``within[x]``, and any
@@ -181,7 +181,7 @@ class FiniteMetricSpace:
         cols = np.flatnonzero(mask)
         for start in range(0, rows.size, _DENSE_ROW_BLOCK):
             block = rows[start : start + _DENSE_ROW_BLOCK]
-            out[block] = self.dist[np.ix_(block, cols)].min(axis=1)
+            out[block] = self.dist[np.ix_(block, cols)].min(axis=1, initial=np.inf)
         return out
 
     def distances(self, rows, cols):
@@ -217,9 +217,11 @@ class GridSpace(FiniteMetricSpace):
     so only these O(n) facts are checked, and in 2-D that each squared
     step is a normal float and the squared extent is finite.  ``spacing`` is
     the step in 1-D and the cell diagonal in 2-D.  ``dist`` is built on
-    first use and cached; distances, the diameter and snapping are
-    otherwise computed from the axes and equal the dense matrix's, bit
-    for bit.
+    first use and cached; distances and the diameter are otherwise
+    computed from the axes and equal the dense matrix's, bit for bit.
+    Snapping is a closed form per axis, which can differ from the dense
+    scan at a floating half-way point: ``grid_1d(4, 0, 1).snap([[0.5]])``
+    gives 1, the dense scan 2, as |0.5 - 2/3| < |0.5 - 1/3| in floats.
     """
 
     def __init__(self, axes):
@@ -273,7 +275,7 @@ class GridSpace(FiniteMetricSpace):
         return d
 
     def distance_to(self, mask, within=None):
-        """Distance from every point to the nonempty set {y : mask[y]}.
+        """Distance from every point to the set {y : mask[y]}, inf if it is empty.
 
         ``within`` is an optional cap, one value >= 0 per point: the
         distance is exact wherever it is below ``within[x]``, and any

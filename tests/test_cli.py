@@ -412,6 +412,13 @@ class TestOracleCommand:
         assert report["maxDensityDiscrepancy"] == 1.0
         assert report["maxDensityDiscrepancy"] > report["analyticTolerance"]
 
+    def test_sheared_depth_one_is_exact(self, capsys):
+        # point 12's image is a half-way tie: the expansion and psi snap
+        # it through the same arithmetic, so depth 1 agrees exactly
+        report = self._report([str(CONFIGS / "sheared_dirac.json"), "--depth", "1"], capsys)
+        assert report["hypographDistance"] == 0.0
+        assert report["maxDensityDiscrepancy"] == 0.0
+
     def test_random_system_fails_only_the_density_gap(self, tmp_path, capsys):
         raw = {
             "space": {"kind": "grid1d", "counts": [25], "bounds": [0, 1]},

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import starifs as si
 from starifs import oracle
+from starifs.ifs import _affine_images
 
 from conftest import ALL_TNORMS, make_cantor, make_sierpinski, product_metric
 
@@ -81,6 +82,21 @@ def make_rotated(n=24, family="hamacher", parameter=0.5, weights=(1.0, 0.8, 0.6)
     return si.validate(
         si.IFSSystem(space, maps, list(weights), si.TNorm(family, parameter))
     )
+
+
+def make_sheared():
+    """A sheared map and a halving map on a 7 x 7 grid, product (1, .5).
+
+    Point 12 = (5/6, 1/3) has the exact image (3/4, 1/4) under the
+    first map: a true half-way tie in y, which floating point decides.
+    ``tests/configs/sheared_dirac.json`` is this system.
+    """
+    space = si.grid_2d(7, 7, ((0.0, 1.0), (0.0, 1.0)))
+    maps = [
+        si.ContractionMap.affine([[1 / 6, 1 / 2], [-1 / 3, 1 / 6]], [0.25, 0.5]),
+        si.ContractionMap.affine([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+    ]
+    return si.validate(si.IFSSystem(space, maps, [1.0, 0.5], si.TNorm("product")))
 
 
 def make_dense():
@@ -342,11 +358,37 @@ class TestWordExpansion:
         out = si.word_expansion(cantor, seed, 0)
         assert np.array_equal(out.density, seed.density)
 
-    def test_depth_one_equals_psi(self, cantor):
-        seed = si.StarMeasure.full(cantor.space, cantor.tnorm)
+    @pytest.mark.parametrize(
+        "make, seed_of",
+        [
+            (make_cantor, full),
+            (make_cantor, random_seed),
+            # the parent's oracle snapped point 12 elsewhere than psi did
+            (make_sheared, lambda s: random_seed(s, 0)),
+            (make_sheared, lambda s: si.StarMeasure.dirac(s.space, 12, s.tnorm)),
+        ],
+        ids=["cantor-full", "cantor-random", "sheared-random", "sheared-dirac"],
+    )
+    def test_depth_one_equals_psi(self, make, seed_of):
+        # one affine arithmetic: a one-letter word is the solver's table
+        system = make()
+        seed = seed_of(system)
         assert np.array_equal(
-            si.word_expansion(cantor, seed, 1).density, si.psi(cantor, seed).density
+            si.word_expansion(system, seed, 1).density, si.psi(system, seed).density
         )
+
+    def test_image_does_not_depend_on_its_batch(self):
+        system = make_rotated()
+        coords = system.space.coords
+        mats = np.stack([f.matrix for f in system.maps])
+        trans = np.stack([f.translation for f in system.maps])
+        batch = _affine_images(coords, mats, trans)
+        for a, f in enumerate(system.maps):
+            img = f.image_coords(system.space)
+            assert np.array_equal(batch[a], img)
+            for i in range(len(coords)):
+                one = _affine_images(coords[i : i + 1], f.matrix[None], f.translation[None])
+                assert np.array_equal(one[0, 0], img[i])
 
     def test_deep_agreement_with_iteration(self):
         sys_ = make_cantor(n=244)

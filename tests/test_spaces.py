@@ -135,11 +135,11 @@ class TestGridMatrixFree:
         rng = np.random.default_rng(space.n)
         masks = [rng.uniform(size=space.n) < p for p in (0.05, 0.3, 0.9)]
         masks += [np.eye(1, space.n, k, dtype=bool)[0] for k in (0, space.n - 1)]
+        # the empty set: inf everywhere, on every kind of space
+        masks.append(np.zeros(space.n, dtype=bool))
         dense = si.FiniteMetricSpace(space.dist, coords=space.coords)
         for mask in masks:
-            if not mask.any():
-                continue
-            expected = space.dist[:, mask].min(axis=1)
+            expected = space.dist[:, mask].min(axis=1, initial=np.inf)
             caps = [
                 np.zeros(space.n),
                 np.full(space.n, np.inf),
@@ -346,6 +346,12 @@ class TestSnap:
         for count in (50, 600):
             pts = rng.uniform(-0.2, 1.2, (count, 1))
             assert np.array_equal(X.snap(pts), cloud.snap(pts))
+        # a floating half-way point: the grid's tie rule picks the lower
+        # point, while the dense scan sees |0.5 - 2/3| < |0.5 - 1/3|
+        X = si.grid_1d(4, 0, 1)
+        cloud = si.FiniteMetricSpace(X.dist, coords=X.coords)
+        assert X.snap([[0.5]])[0] == 1
+        assert cloud.snap([[0.5]])[0] == 2
 
 
 class TestLevelGrid:
