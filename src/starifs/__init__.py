@@ -5,10 +5,10 @@ Build a finite grid, a t-norm, and a weighted system of contractions.
 From the full seed, ``solve`` computes the grid fixed point exactly by a
 (max, T) path sweep and checks it against the operator bit for bit.
 From any other seed it iterates the system operator on density fields
-until the hypograph residual between consecutive iterates (a heuristic)
-or the paper's bound c^n diam(X) between two continuum orbits falls
-below a tolerance; neither number bounds the distance from that iterate
-to a grid fixed point.
+until a step returns its input bit for bit (an exact grid fixed point),
+the paper's bound c^n diam(X) between two continuum orbits falls to a
+tolerance, or a step budget is spent; that bound says nothing about the
+distance from the last iterate to a grid fixed point.
 """
 
 from .errors import (

@@ -97,6 +97,8 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
+    if args.depth < 0:
+        raise ConfigError("--depth: must be >= 0")
     config, system, seed = _check(args)
     depth = args.depth
 

@@ -7,12 +7,10 @@ invariant measure.  On a grid the operator is linear over the semiring
 identically 1, which the chain descends from monotonically) is the
 solution of an algebraic path problem: ``solve`` computes it exactly by
 a path sweep and checks it against ``psi`` bit for bit.  Other seeds are
-iterated.  For the continuum operator, any two orbits are within
-c^n * diam(X) of each other after n steps in the hypograph Hausdorff
-metric (the paper's equal-projection argument); the iteration stops on
-that number or on a small distance between consecutive iterates.  On
-the grid neither is a certified distance to a grid fixed point, and the
-second is a heuristic.
+iterated until a step returns its input bit for bit, until c^n * diam(X)
+falls to the tolerance, or until the step budget is spent.  That number
+is the paper's bound between two continuum orbits in the hypograph
+Hausdorff metric, not a certified distance to a grid fixed point.
 
 Affine map images are snapped to the nearest grid point (ties to the
 lowest index).  Every affine image and composition, in the tables, the
@@ -323,17 +321,16 @@ def residual(system, mu, levels=None):
 
 @dataclass
 class SolveReport:
-    """Solver record: the step count, the last consecutive-iterate
-    residual (None before the first step), ``apriori_bound`` = c^n diam(X)
-    and the stop cause.
+    """Solver record: the step count, the hypograph distance between the
+    last two iterates (None before the first step), ``apriori_bound`` =
+    c^n diam(X) and the stop cause.
 
-    From the full seed the stop cause is ``fixedPoint``: the output is
-    the grid fixed point, checked to satisfy psi(mu) == mu bit for bit,
-    ``iterations`` counts the rounds of the path sweep and the residual
-    is 0.0.  From any other seed the output is an iterate: c^n diam(X)
-    is the paper's bound between two continuum orbits, neither it nor
-    the residual bounds the distance from that iterate to a grid fixed
-    point, and stopping on the residual is a heuristic.
+    ``fixedPoint`` means psi(mu) == mu bit for bit for the output, and a
+    residual of 0.0; from the full seed the output is the greatest grid
+    fixed point and ``iterations`` counts the path sweep's rounds.  After
+    ``bound`` or ``maxIterations``, neither c^n diam(X) (the paper's bound
+    between two continuum orbits) nor the residual bounds the distance
+    from the output to a grid fixed point.
     """
 
     iterations: int
@@ -369,10 +366,11 @@ def solve(
     ValidationError instead of being returned.
 
     Any other seed is iterated, because on a grid its orbit can cycle.
-    Before each step the iteration stops on the first of:
-    consecutive-iterate hypograph residual <= tol, a priori bound
-    c^n diam(X) <= tol, or max_iter steps taken.  Hitting max_iter is a
-    reported stop, not an error.  ``tol``, ``max_iter`` and
+    Before each step it stops on the first of: the last step returned
+    its input bit for bit (``fixedPoint``), c^n diam(X) <= tol
+    (``bound``), or max_iter steps taken (``maxIterations``, not an
+    error).  The residual is computed once, after the loop, and only
+    when the last two iterates differ.  ``tol``, ``max_iter`` and
     ``level_resolution`` are checked for every seed.
     """
     _require_validated(system)
@@ -390,14 +388,13 @@ def solve(
         mu = StarMeasure(system.space, density, system.tnorm)
         if not np.array_equal(psi(system, mu).density, mu.density):
             raise ValidationError("the path sweep did not end on a fixed point of psi")
-        res, bound, stopped_by = 0.0, error_bound(n, system.c, diam), "fixedPoint"
+        bound, stopped_by = error_bound(n, system.c, diam), "fixedPoint"
     else:
-        res = None
-        n = 0
+        prev, n = None, 0
         while True:
             bound = error_bound(n, system.c, diam)
-            if res is not None and res <= tol:
-                stopped_by = "residual"
+            if prev is not None and np.array_equal(prev.density, mu.density):
+                stopped_by = "fixedPoint"
                 break
             if bound <= tol:
                 stopped_by = "bound"
@@ -405,14 +402,15 @@ def solve(
             if n == max_iter:
                 stopped_by = "maxIterations"
                 break
-            nxt = psi(system, mu)
-            if np.array_equal(nxt.density, mu.density):
-                res = 0.0
-            else:
-                res = hypograph_hausdorff(system.space, mu.density, nxt.density, levels)
-            mu = nxt
+            prev, mu = mu, psi(system, mu)
             n += 1
 
+    if stopped_by == "fixedPoint":
+        res = 0.0
+    elif prev is None:
+        res = None
+    else:
+        res = hypograph_hausdorff(system.space, prev.density, mu.density, levels)
     report = SolveReport(
         iterations=n,
         final_residual=res,

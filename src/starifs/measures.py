@@ -203,8 +203,8 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
     Level j can lower a point's running value b(x) only if its gap
     (ka(x) - j)+ / m is below b(x), and then only through a distance
     below b(x).  So each call passes ``within`` = b(x) at those live
-    points and 0 elsewhere, and a level with no live point is skipped:
-    ``distance_to`` is exact below the cap and >= it above, so
+    points and 0 elsewhere, and a level with no live point is skipped;
+    under the cap contract of ``distance_to`` (see ``spaces``),
     min(b, max(D_j, gap)) takes the same value as with the exact D_j.
 
     Matches the member-level brute force bit for bit on power-of-two

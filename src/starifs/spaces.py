@@ -8,13 +8,15 @@ they hold their axes and coordinates, O(n) memory, and build the dense
 ``dist`` only when something reads it.
 
 Each kind of space answers ``distance_to(mask, within)``, the distance
-from every point to a point set, exact wherever it is below an optional
-per-point cap, which is all the level sweep of
-``measures.hypograph_hausdorff`` needs: nearest-index scans on a 1-D
-grid; on a 2-D grid a row pass, then an exact column pass over squared
-distances (the separable distance transform of Felzenszwalb &
-Huttenlocher, "Distance Transforms of Sampled Functions", 2012); and a
-chunked masked row-min on a dense space.
+from every point x to the set {y : mask[y]}, inf if the set is empty.
+``within`` is an optional cap, one value >= 0 per point: the result is
+exact wherever the distance is below ``within[x]`` and any value >=
+``within[x]`` elsewhere; None asks for it everywhere.  That is all the
+level sweep of ``measures.hypograph_hausdorff`` needs.  A 1-D grid scans
+for the nearest member on each side.  A 2-D grid takes, per row, the
+squared x-distance to the row's nearest member, then a min over row
+offsets d = 1, 2, ... that stops once no farther row can beat the
+current value or the cap.  A dense space takes a chunked masked row-min.
 """
 
 from __future__ import annotations
@@ -168,11 +170,9 @@ class FiniteMetricSpace:
                 raise DomainError("triangle inequality violated (sampled)")
 
     def distance_to(self, mask, within=None):
-        """Distance from every point to the set {y : mask[y]}, inf if it is empty.
+        """Distance from every point to the set {y : mask[y]}, under the
+        ``within`` cap of the module docstring.
 
-        ``within`` is an optional cap, one value >= 0 per point: the
-        distance is exact wherever it is below ``within[x]``, and any
-        value >= ``within[x]`` elsewhere; None asks for it everywhere.
         A masked row-min over the matrix, ``_DENSE_ROW_BLOCK`` rows at a
         time, over only the rows with ``within > 0``; the others get 0.
         """
@@ -275,11 +275,9 @@ class GridSpace(FiniteMetricSpace):
         return d
 
     def distance_to(self, mask, within=None):
-        """Distance from every point to the set {y : mask[y]}, inf if it is empty.
+        """Distance from every point to the set {y : mask[y]}, under the
+        ``within`` cap of the module docstring.
 
-        ``within`` is an optional cap, one value >= 0 per point: the
-        distance is exact wherever it is below ``within[x]``, and any
-        value >= ``within[x]`` elsewhere; None asks for it everywhere.
         1-D: nearest member to the left and to the right by index scans,
         exact everywhere.
         2-D: per row, the squared x-distance to the nearest member of

@@ -396,6 +396,11 @@ class TestOracleCommand:
     def test_budget_exceeded(self, cantor_cfg):
         assert main(["oracle", str(cantor_cfg), "--depth", "21"]) == 4
 
+    def test_negative_depth_is_a_parse_error(self, cantor_cfg, capsys):
+        # a bad flag is a parse error, as --max-iter 0 is
+        assert main(["oracle", str(cantor_cfg), "--depth", "-1"]) == 2
+        assert "error: --depth: must be >= 0" in capsys.readouterr().err
+
     @staticmethod
     def _report(argv, capsys, code=0):
         assert main(["oracle", *argv]) == code

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -410,12 +411,11 @@ class TestSolve:
         assert report.stopped_by == "maxIterations"
 
     def test_bound_stop_records_bound(self, cantor):
-        # tolerance reachable by the a priori bound before the residual
+        # c^n diam(X) <= 0.3 before the orbit repeats an iterate
         seed = si.StarMeasure.dirac(cantor.space, 5, cantor.tnorm)
         out, report = si.solve(cantor, seed=seed, tol=0.3, max_iter=50)
-        assert report.stopped_by in ("residual", "bound")
-        if report.stopped_by == "bound":
-            assert report.apriori_bound <= 0.3
+        assert report.stopped_by == "bound"
+        assert report.apriori_bound <= 0.3
 
     def test_report_invariants(self, cantor):
         out, report = si.solve(cantor, tol=1e-6)
@@ -458,14 +458,16 @@ class TestSolve:
         try:
             system = make_sierpinski(96)
             _, report = si.solve(system, tol=1e-9, max_iter=200)
-            # a Dirac seed is iterated, so its solve computes residuals
             centre = si.StarMeasure.dirac(system.space, 48 * 96 + 48, system.tnorm)
             _, iterated = si.solve(system, seed=centre, tol=1e-9, max_iter=200)
+            # a fixed-point stop computes no residual: take one on a 2-D grid
+            gap = si.residual(system, centre)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.stopped_by == "fixedPoint"
-        assert iterated.stopped_by == "residual"
+        assert iterated.stopped_by == "fixedPoint"
+        assert gap > 0.0
         assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
@@ -582,6 +584,50 @@ class TestPathSweep:
                 assert np.all(np.maximum(g.density, mu.density)[residue] <= 1e-300)
                 break
             mu = nxt
+
+
+class TestIteratedStop:
+    def test_halves_dirac_repro_stops_on_bound(self):
+        # from step 13 on the last two iterates have equal level indices,
+        # so a residual of 0.0 there is no fixed point
+        system = halves((1.0, 0.999))
+        seed = si.StarMeasure.dirac(system.space, 100, system.tnorm)
+        out, report = si.solve(system, seed=seed, tol=1e-9)
+        assert (report.stopped_by, report.iterations) == ("bound", 30)
+        assert report.apriori_bound <= 1e-9
+        assert not np.array_equal(si.psi(system, out).density, out.density)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        system=small_systems(),
+        point=st.integers(0),
+        tol=st.sampled_from([1e-12, 1e-3, 0.5]),
+        max_iter=st.integers(0, 60),
+    )
+    def test_stop_rule(self, system, point, tol, max_iter):
+        seed = si.StarMeasure.dirac(system.space, point % system.space.n, system.tnorm)
+        spy = mock.patch.object(si.ifs, "hypograph_hausdorff", wraps=si.hypograph_hausdorff)
+        with spy as distance:
+            out, report = si.solve(system, seed=seed, tol=tol, max_iter=max_iter)
+        n = report.iterations
+        orbit = [seed]
+        for _ in range(n):
+            orbit.append(si.psi(system, orbit[-1]))
+        assert np.array_equal(orbit[-1].density, out.density)
+        # no step before the last returned its input
+        for a, b in zip(orbit[:-2], orbit[1:-1]):
+            assert not np.array_equal(a.density, b.density)
+        if report.stopped_by == "fixedPoint":
+            assert np.array_equal(si.psi(system, out).density, out.density)
+            assert report.final_residual == 0.0
+            assert distance.call_count == 0
+        else:
+            assert report.stopped_by in ("bound", "maxIterations")
+            assert (report.apriori_bound <= tol) == (report.stopped_by == "bound")
+            assert distance.call_count == min(n, 1)
+            assert (report.final_residual is None) == (n == 0)
+        if report.stopped_by == "maxIterations":
+            assert n == max_iter
 
 
 class TestResidual:

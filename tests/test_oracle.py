@@ -40,10 +40,12 @@ def reference_words(system, depth):
         f = system.maps[letter]
         weight = system.tnorm.apply(word.weight, float(system.weights[letter]))
         if word.table is None:
+            m, t = word.matrix[None], word.translation[None]
+            # M_w A_a: the images of A_a's columns; M_w t_a + t_w: the image of t_a
             return Word(
                 weight,
-                word.matrix @ f.matrix,
-                word.matrix @ f.translation + word.translation,
+                _affine_images(f.matrix.T, m, np.zeros_like(t))[0].T,
+                _affine_images(f.translation[None], m, t)[0, 0],
             )
         return Word(weight, table=word.table[system.tables[letter]])
 
@@ -65,7 +67,9 @@ def per_word_expansion(system, seed, depth):
         if word.table is not None:
             targets = word.table
         else:
-            targets = space.snap(space.coords @ word.matrix.T + word.translation)
+            targets = space.snap(
+                _affine_images(space.coords, word.matrix[None], word.translation[None])[0]
+            )
         np.maximum.at(out, targets, system.tnorm.apply(word.weight, seed.density))
     return out
 
