@@ -45,13 +45,7 @@ from .measures import (
     to_saturated,
     weakstar_distance,
 )
-from .oracle import (
-    LemmaFuzzReport,
-    attractor_support,
-    hutchinson_fixed_set,
-    lemma_prod_fuzzer,
-    word_expansion,
-)
+from .oracle import attractor_support, hutchinson_fixed_set, word_expansion
 from .spaces import (
     FiniteMetricSpace,
     LevelGrid,
@@ -71,7 +65,6 @@ __all__ = [
     "FAMILIES",
     "FiniteMetricSpace",
     "IFSSystem",
-    "LemmaFuzzReport",
     "LevelGrid",
     "NotAContractionError",
     "PreconditionError",
@@ -94,7 +87,6 @@ __all__ = [
     "hausdorff",
     "hutchinson_fixed_set",
     "hypograph_hausdorff",
-    "lemma_prod_fuzzer",
     "max_union",
     "psi",
     "pushforward",

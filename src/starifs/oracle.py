@@ -9,31 +9,57 @@ snap-each-step, equal to ``psi`` at depth 1.  The two agree within
 h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps send the
 grid hull into itself.
 
-On a grid a word needs only its 2^d corner images: every image
-coordinate is monotone in each grid coordinate and the snap is monotone
-along each axis, so a word whose corners snap to one cell sends the
-whole grid there.  The expansion costs O(k^n 2^d) corner snaps plus n
-snaps per word whose image straddles a cell boundary, in blocks of at
-most ``_BLOCK`` values whatever the word count.
+On a grid a word stops growing once every extension of it must snap
+to one cell.  With L letters left, widen the grid box by
+r_L = (h + 1e-12)(1 - c^L)/(1 - c) on every axis.  ``validate`` lets a
+map send each grid point, hence each point of the box (the hull of its
+corners), at most h + 1e-12 out of the box, and a point at distance r
+at most c r + h + 1e-12: every extension by L letters sends every grid
+point into the widened box.  Image coordinates ``x_0 a_i0 + x_1 a_i1 +
+t_i`` are monotone in each coordinate and the snap is monotone along
+each axis, so if the per-axis extremes of the word's image of that box,
+moved out by a margin delta, snap to one index on every axis, every
+extension sends every point to that cell.  The word is then a (cell,
+weight) pair whose weight is folded through the remaining letters by
+the same ``tnorm._apply`` calls, dropping duplicate pairs at each
+level; at full depth it adds max_s T(weight, s) over the distinct seed
+values.  At L = 0 the box is the grid's and delta is 0: the corner
+images are the very floats that bound every point's image.
 
-All randomness is seeded and the seed is part of every report.
+delta covers the float error.  Let S be the largest coordinate of the
+box widened by r_depth and u = 2^-53.  Both the test and the per-word
+loop extend the same float prefix.  With d <= 2, matrix entries at
+most 1 and translations and images at most 2.5 S, composing one letter
+moves a point's image by at most about 30 u S, validate's float c and
+hull excess widen r_L by a few ulps per letter, and each evaluation
+costs about 14 u S: (50 L + 30) u S in all.  The word budget caps L at
+19 for k >= 2 and at 10^6 for one map, where that is 5.6e-9 S, below
+delta = 2^-26 S.  A margin too wide only keeps words live longer.
+
+The cost is the words composed before they collapse, each tested once
+through 2^d corner images, plus the weight-only fold; only a word still
+straddling a cell boundary at full depth snaps all n points.  Where
+k c < 1 the live words die out (``cantor-729-oracle`` composes 378 of
+65,536); where k c > 1, as on Sierpinski (3/2), they keep multiplying.
+Dense spaces, whose snap is not monotone along each axis, and tabulated
+systems walk every word.  Blocks hold at most ``_BLOCK`` values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceBudgetError
 from .ifs import _affine_images, _check_measure, _require_validated, _set_image, _stationary_set
 from .measures import StarMeasure
-from .spaces import GridSpace, _distinct, _integer, _pairs_hausdorff
+from .spaces import GridSpace, _distinct, _integer
 
 WORD_BUDGET = 1_000_000
-# values (point images, table entries, or a word's map and corner images)
-# held by one block of words
+# values (point images, table entries, or a word's map, box images and
+# cells) held by one block of words
 _BLOCK = 1 << 14
+# the collapse test's margin delta, relative to the largest padded coordinate
+_MARGIN = 2.0**-26
 
 
 def _check_budget(k, depth):
@@ -54,25 +80,47 @@ def _all_affine(system):
     return all(m.kind == "affine" for m in system.maps)
 
 
-def _word_blocks(system, depth, per_word):
-    """Yield every word of the given length in lexicographic blocks.
+def _word_cells(space, box, margin, mats, trans):
+    """The cell each word map sends all of ``box`` to, its image moved
+    out by ``margin`` on every axis; -1 where that straddles a cell
+    boundary."""
+    # corner-major, so the extremes reduce over whole rows
+    images = _affine_images(box, mats, trans).swapaxes(0, 1).copy()
+    lo, hi = np.split(space.snap(np.concatenate([images.min(0) - margin, images.max(0) + margin])), 2)
+    return np.where(lo == hi, lo, -1)
 
-    Affine systems yield (weights, matrices, translations), tabulated
-    ones (weights, tables).  Word (i_1, ..., i_n) composes left-to-right:
-    each letter's map is applied before the prefix, matching the
-    operator's nesting: word w then letter a has matrix M_w A_a, the
-    images of A_a's columns under x -> M_w x, and translation
-    M_w t_a + t_w.  A block is every word with a given prefix; it
-    grows by appending all k letters to all its words at once, so each
-    word gets the same arithmetic whichever block it lands in.  A block
-    that would grow past ``_BLOCK // per_word`` words (at least one;
-    ``per_word`` is the values one word holds) is split by the
-    letter after its prefix into k blocks that are walked depth first,
-    so blocks come out in lexicographic order.
+
+def _drop_duplicates(weights, cells):
+    """The distinct (weight, cell) pairs."""
+    order = np.lexsort((weights, cells))
+    weights, cells = weights[order], cells[order]
+    new = np.ones(len(cells), dtype=bool)
+    new[1:] = (cells[1:] != cells[:-1]) | (weights[1:] != weights[:-1])
+    return weights[new], cells[new]
+
+
+def _word_blocks(system, depth):
+    """Yield every word of the given length in blocks, or what it collapsed to.
+
+    Affine systems yield live words as (weights, matrices, translations),
+    tabulated ones (weights, tables).  Word (i_1, ..., i_n) composes
+    left-to-right: each letter's map is applied before the prefix,
+    matching the operator's nesting: word w then letter a has matrix
+    M_w A_a, the images of A_a's columns under x -> M_w x, and
+    translation M_w t_a + t_w.  A block grows by appending all k letters
+    to all its words at once, so each word gets the same arithmetic
+    whichever block it lands in.  On a grid every new affine word is
+    tested once (see the module docstring); the words that collapse
+    leave as (weights, cells) pair blocks, folded through the remaining
+    letters and yielded at full depth.  A block that would grow past
+    ``_BLOCK // per_word`` words (at least one; ``per_word`` is the
+    values one word holds) is split into parts that fit, walked depth
+    first, so at most k + 1 parts wait per word level.
     """
     space = system.space
     k = system.k
     affine = _all_affine(system)
+    grid = affine and isinstance(space, GridSpace)
     if affine:
         dim = space.coords.shape[1]
         # column j of letter a's matrix is point a * dim + j
@@ -80,14 +128,33 @@ def _word_blocks(system, depth, per_word):
         letter_trans = np.stack([f.translation for f in system.maps])
         no_shift = np.zeros((1, dim))
         root = (np.eye(dim)[None], no_shift)
+        # a word's matrix, translation and weight; on a grid also its box
+        # images, their two ends and the two cells
+        per_word = dim * dim + dim + 1 + ((2**dim + 2) * dim + 2 if grid else 0)
     else:
         root = (np.arange(space.n, dtype=np.int64)[None],)
+        per_word = space.n
     cap = max(1, _BLOCK // per_word)
+    if grid:
+        # the grid box's 2^d corners and the way each moves out
+        mesh = np.meshgrid(*[axis[[0, -1]] for axis in space.axes])
+        corners = np.column_stack([g.ravel() for g in mesh])
+        outward = np.where(corners == corners.max(axis=0), 1.0, -1.0)
+        reach = space.spacing + 1e-12
+        c = system.c
+
+        def box(left):
+            """The grid box widened by r_left on every axis."""
+            return corners + reach * (1.0 - c**left) / (1.0 - c) * outward
+
+        margin = _MARGIN * np.abs(box(depth)).max()
 
     def children(block):
-        """Every word of the block followed by every letter, in order."""
+        """Every word or pair of the block followed by every letter."""
         weights, *arrays = block
         weights = system.tnorm._apply(weights[:, None], system.weights).ravel()
+        if len(arrays) == 1 and grid:
+            return _drop_duplicates(weights, np.repeat(arrays[0], k))
         if affine:
             mats, trans = arrays
             cols = _affine_images(letter_cols, mats, no_shift)
@@ -99,6 +166,17 @@ def _word_blocks(system, depth, per_word):
             arrays = (arrays[0][:, system.tables].reshape(len(weights), -1),)
         return (weights, *arrays)
 
+    def collapse(block, left):
+        """The block's live words and its collapsed pairs, each if any."""
+        weights, mats, trans = block
+        cells = _word_cells(space, box(left), left and margin, mats, trans)
+        one = cells >= 0
+        if not one.any():
+            return [block]
+        live = ~one
+        parts = [(weights[live], mats[live], trans[live]), _drop_duplicates(weights[one], cells[one])]
+        return [part for part in parts if len(part[0])]
+
     stack = [(0, (np.ones(1), *root))]
     while stack:
         length, block = stack.pop()
@@ -106,28 +184,22 @@ def _word_blocks(system, depth, per_word):
         if length == depth:
             yield block
         elif size == 1 or size * k <= cap:
-            stack.append((length + 1, children(block)))
+            block = children(block)
+            if grid and len(block) == 3:
+                stack.extend((length + 1, part) for part in collapse(block, depth - length - 1))
+            else:
+                stack.append((length + 1, block))
         else:
-            # split by the letter after the shared prefix: k contiguous runs
-            step = size // k
+            step = max(1, cap // k)
             stack.extend(
-                (length, tuple(part[a * step : (a + 1) * step] for part in block))
-                for a in reversed(range(k))
+                (length, tuple(part[start : start + step] for part in block))
+                for start in reversed(range(0, size, step))
             )
 
 
 def _snap_images(space, coords, mats, trans):
     """Snapped images of ``coords`` under every word map of a block, word-major."""
     return space.snap(_affine_images(coords, mats, trans).reshape(-1, coords.shape[1]))
-
-
-def _grid_corners(space):
-    """The 2^d corner points of a grid, or None for a dense space, whose
-    nearest-point snap is not monotone along each axis."""
-    if not isinstance(space, GridSpace):
-        return None
-    mesh = np.meshgrid(*[axis[[0, -1]] for axis in space.axes])
-    return np.column_stack([g.ravel() for g in mesh])
 
 
 def _best_values(apply, weights, levels):
@@ -150,11 +222,15 @@ def word_expansion(system, seed, depth):
     tabulated systems chain their tables.  Depth 0 is the seed, and
     depth 1 is ``psi`` of it bit for bit.
 
-    On a grid a word whose 2^d corner images snap to one cell sends
-    every point there (see the module docstring) and adds
-    max_s weight(w) * s over the distinct seed values s.  Only a word
-    whose image straddles a cell boundary, and every word on a dense
-    space, snaps all n points, ``_BLOCK // (n d)`` words at a time.
+    On a grid a word stops growing once every extension of it sends
+    the box widened by r_L = (h + 1e-12)(1 - c^L)/(1 - c), L letters
+    before the end, into one cell (see the module docstring); its
+    weight alone is folded on, and at full depth it adds
+    max_s weight * s over the distinct seed values s.  The cost is the
+    words composed before they collapse plus that fold: on Cantor 729
+    at depth 16, 378 of 65,536 words.  Only a word still straddling a
+    cell boundary at full depth, and every word on a dense space, snaps
+    all n points, ``_BLOCK // (n d)`` words at a time.
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -165,26 +241,16 @@ def word_expansion(system, seed, depth):
     out = np.zeros(space.n)
     apply = system.tnorm._apply
     if not _all_affine(system):
-        for weights, tables in _word_blocks(system, depth, space.n):
+        for weights, tables in _word_blocks(system, depth):
             np.maximum.at(out, tables.ravel(), apply(weights[:, None], seed.density).ravel())
         return StarMeasure(space, out, system.tnorm)
-    dim = space.coords.shape[1]
-    corners = _grid_corners(space)
     levels = _distinct(seed.density)
-    per_point = max(1, _BLOCK // (space.n * dim))
-    # values one word holds: its n images on a dense space; on a grid its
-    # matrix, translation and weight, and each corner's image and target
-    if corners is None:
-        per_word = space.n * dim
-    else:
-        per_word = dim * dim + dim + 1 + len(corners) * (dim + 1)
-    for weights, mats, trans in _word_blocks(system, depth, per_word):
-        if corners is not None:
-            ends = _snap_images(space, corners, mats, trans).reshape(len(weights), -1)
-            one = np.all(ends == ends[:, :1], axis=1)
-            np.maximum.at(out, ends[one, 0], _best_values(apply, weights[one], levels))
-            straddle = ~one
-            weights, mats, trans = weights[straddle], mats[straddle], trans[straddle]
+    per_point = max(1, _BLOCK // (space.n * space.coords.shape[1]))
+    for weights, *arrays in _word_blocks(system, depth):
+        if len(arrays) == 1:
+            np.maximum.at(out, arrays[0], _best_values(apply, weights, levels))
+            continue
+        mats, trans = arrays
         for start in range(0, len(weights), per_point):
             part = slice(start, start + per_point)
             # one statement, so a block's targets and values die before the next
@@ -200,9 +266,11 @@ def attractor_support(system, depth, reference_index=0):
     """Depth-n attractor approximation: word images of one reference point.
 
     Returns the sorted indices {snap(f_w(x0)) : |w| = depth}.  Affine
-    systems compose the same word maps as ``word_expansion``, in
-    lexicographic blocks, and snap each image once; a system with
-    a tabulated map takes ``depth`` set images of {x0} under its tables,
+    systems walk the same words as ``word_expansion``: on a grid a word
+    whose every extension sends the whole grid into one cell marks that
+    cell, and the rest snap the image of x0 once, so the cost is the
+    words composed before they collapse, not k^depth.  A system with a
+    tabulated map takes ``depth`` set images of {x0} under its tables,
     in O(n) memory whatever the word count.  With all weights 1 and the
     minimum t-norm this equals the support of the word expansion from
     the Dirac seed at the reference point.
@@ -218,8 +286,8 @@ def attractor_support(system, depth, reference_index=0):
         return points
     x0 = space.coords[reference_index : reference_index + 1]
     hit = np.zeros(space.n, dtype=bool)
-    for _, mats, trans in _word_blocks(system, depth, 1):
-        hit[_snap_images(space, x0, mats, trans)] = True
+    for _, *arrays in _word_blocks(system, depth):
+        hit[arrays[0] if len(arrays) == 1 else _snap_images(space, x0, *arrays)] = True
     return np.flatnonzero(hit)
 
 
@@ -236,62 +304,3 @@ def hutchinson_fixed_set(system):
     """
     _require_validated(system)
     return _stationary_set(system.tables)
-
-
-@dataclass
-class LemmaFuzzReport:
-    """Outcome of the equal-projection Hausdorff bound fuzzer."""
-
-    trials: int
-    rng_seed: int
-    max_ratio: float
-    tight_ratio: float
-    violations: int
-    passed: bool
-
-
-def lemma_prod_fuzzer(space_x, space_y, trials, rng_seed):
-    """Randomized check that equal-Y-projection pairs satisfy
-    d_H(A, B) <= diam(X) under the sup product metric.
-
-    Trial 0 is a constructed tight case (two singleton fibers realizing
-    the diameter over one y), so the bound is attained exactly.  The
-    remaining trials attach independent nonempty random X-fibers to a
-    random nonempty Y-subset.
-    """
-    trials = _integer(trials, "trials", 1)
-    rng = np.random.default_rng(rng_seed)
-    diam = space_x.diameter
-
-    xa, xb = np.unravel_index(np.argmax(space_x.dist), space_x.dist.shape)
-    tight_a = np.array([[xa, 0]])
-    tight_b = np.array([[xb, 0]])
-    tight = _pairs_hausdorff(space_x, space_y, tight_a, tight_b) / diam
-
-    max_ratio = tight
-    violations = 0 if tight <= 1.0 else 1
-    for _ in range(trials - 1):
-        ys = rng.choice(space_y.n, size=rng.integers(1, space_y.n + 1), replace=False)
-        a_pairs, b_pairs = [], []
-        for y in ys:
-            for bucket in (a_pairs, b_pairs):
-                fiber = rng.choice(
-                    space_x.n, size=rng.integers(1, space_x.n + 1), replace=False
-                )
-                bucket.extend((x, y) for x in fiber)
-        ratio = (
-            _pairs_hausdorff(space_x, space_y, np.array(a_pairs), np.array(b_pairs))
-            / diam
-        )
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0:
-            violations += 1
-
-    return LemmaFuzzReport(
-        trials=trials,
-        rng_seed=rng_seed,
-        max_ratio=max_ratio,
-        tight_ratio=tight,
-        violations=violations,
-        passed=violations == 0,
-    )

@@ -412,14 +412,6 @@ def hausdorff(space, a_points, b_points):
     return float(max(directed(a, b), directed(b, a)))
 
 
-def _pairs_hausdorff(space_x, space_y, a_pairs, b_pairs):
-    """Hausdorff distance of two (x, y) index-pair sets under the sup metric."""
-    ax, ay = a_pairs[:, 0], a_pairs[:, 1]
-    bx, by = b_pairs[:, 0], b_pairs[:, 1]
-    d = np.maximum(space_x.dist[np.ix_(ax, bx)], space_y.dist[np.ix_(ay, by)])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 @dataclass(frozen=True)
 class LevelGrid:
     """The quantized unit segment {0, 1/m, ..., 1}, for 1 <= m <= 2**53."""

@@ -1,10 +1,11 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import starifs as si
-from starifs.spaces import _pairs_hausdorff
+from starifs.spaces import _integer
 
 
 @pytest.fixture
@@ -70,6 +71,73 @@ def product_metric(space_x, space_y):
     return si.FiniteMetricSpace(d)
 
 
+def pairs_hausdorff(space_x, space_y, a_pairs, b_pairs):
+    """Hausdorff distance of two (x, y) index-pair sets under the sup metric."""
+    ax, ay = a_pairs[:, 0], a_pairs[:, 1]
+    bx, by = b_pairs[:, 0], b_pairs[:, 1]
+    d = np.maximum(space_x.dist[np.ix_(ax, bx)], space_y.dist[np.ix_(ay, by)])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+@dataclass
+class LemmaFuzzReport:
+    """Outcome of the equal-projection Hausdorff bound fuzzer."""
+
+    trials: int
+    rng_seed: int
+    max_ratio: float
+    tight_ratio: float
+    violations: int
+    passed: bool
+
+
+def lemma_prod_fuzzer(space_x, space_y, trials, rng_seed):
+    """Randomized check that equal-Y-projection pairs satisfy
+    d_H(A, B) <= diam(X) under the sup product metric.
+
+    Trial 0 is a constructed tight case (two singleton fibers realizing
+    the diameter over one y), so the bound is attained exactly.  The
+    remaining trials attach independent nonempty random X-fibers to a
+    random nonempty Y-subset.
+    """
+    trials = _integer(trials, "trials", 1)
+    rng = np.random.default_rng(rng_seed)
+    diam = space_x.diameter
+
+    xa, xb = np.unravel_index(np.argmax(space_x.dist), space_x.dist.shape)
+    tight_a = np.array([[xa, 0]])
+    tight_b = np.array([[xb, 0]])
+    tight = pairs_hausdorff(space_x, space_y, tight_a, tight_b) / diam
+
+    max_ratio = tight
+    violations = 0 if tight <= 1.0 else 1
+    for _ in range(trials - 1):
+        ys = rng.choice(space_y.n, size=rng.integers(1, space_y.n + 1), replace=False)
+        a_pairs, b_pairs = [], []
+        for y in ys:
+            for bucket in (a_pairs, b_pairs):
+                fiber = rng.choice(
+                    space_x.n, size=rng.integers(1, space_x.n + 1), replace=False
+                )
+                bucket.extend((x, y) for x in fiber)
+        ratio = (
+            pairs_hausdorff(space_x, space_y, np.array(a_pairs), np.array(b_pairs))
+            / diam
+        )
+        max_ratio = max(max_ratio, ratio)
+        if ratio > 1.0:
+            violations += 1
+
+    return LemmaFuzzReport(
+        trials=trials,
+        rng_seed=rng_seed,
+        max_ratio=max_ratio,
+        tight_ratio=tight,
+        violations=violations,
+        passed=violations == 0,
+    )
+
+
 def projection_bound_check(space_x, space_y, a_pairs, b_pairs):
     """d_H(A, B) <= diam(X) for A, B in X x Y with equal Y-projections.
 
@@ -81,7 +149,7 @@ def projection_bound_check(space_x, space_y, a_pairs, b_pairs):
         raise si.DomainError("A and B must be nonempty")
     if set(a[:, 1]) != set(b[:, 1]):
         raise si.PreconditionError("A and B must have equal Y-projections")
-    return _pairs_hausdorff(space_x, space_y, a, b) <= space_x.diameter
+    return pairs_hausdorff(space_x, space_y, a, b) <= space_x.diameter
 
 
 def level_floor(levels, values):
@@ -102,7 +170,7 @@ def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
 
     lv = levels.levels
     line = si.FiniteMetricSpace(np.abs(lv[:, None] - lv[None, :]))
-    return _pairs_hausdorff(space, line, members(dens_a), members(dens_b))
+    return pairs_hausdorff(space, line, members(dens_a), members(dens_b))
 
 
 def reference_csv(path, table):

@@ -14,7 +14,7 @@ import numpy as np
 import starifs as si
 from starifs.cli import main as cli_main
 
-from conftest import make_cantor, make_sierpinski
+from conftest import lemma_prod_fuzzer, make_cantor, make_sierpinski
 
 CONFIGS = Path(__file__).parent / "configs"
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,7 +94,7 @@ def test_criterion_03_projection_lemma_fuzzer():
     with _Clock(3, "equal-projection Hausdorff bound fuzzer", 1.0):
         X = si.grid_1d(8, 0, 1)
         Y = si.grid_1d(8, 0, 1)
-        report = si.lemma_prod_fuzzer(X, Y, trials=100, rng_seed=303)
+        report = lemma_prod_fuzzer(X, Y, trials=100, rng_seed=303)
         assert report.passed
         assert report.violations == 0
         assert report.max_ratio <= 1.0

@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -9,7 +11,14 @@ import starifs as si
 from starifs import oracle
 from starifs.ifs import _affine_images
 
-from conftest import ALL_TNORMS, make_cantor, make_sierpinski, product_metric
+from conftest import (
+    ALL_TNORMS,
+    lemma_prod_fuzzer,
+    make_cantor,
+    make_sierpinski,
+    pairs_hausdorff,
+    product_metric,
+)
 
 
 class Word(NamedTuple):
@@ -103,6 +112,20 @@ def make_sheared():
     return si.validate(si.IFSSystem(space, maps, [1.0, 0.5], si.TNorm("product")))
 
 
+def make_leaving(n=41):
+    """Two maps on an n-point grid whose images leave [0, 1] by exactly
+    one spacing, the most ``validate`` allows: [.6 + h, 1 + h] and
+    [-h, .6 - h].  A word's extensions then send points outside the
+    box, where a collapse test that widens it too little misses them."""
+    h = 1.0 / (n - 1)
+    maps = [
+        si.ContractionMap.affine([[-0.4]], [1.0 + h]),
+        si.ContractionMap.affine([[0.6]], [-h]),
+    ]
+    space = si.grid_1d(n, 0.0, 1.0)
+    return si.validate(si.IFSSystem(space, maps, [1.0, 0.6], si.TNorm("product")))
+
+
 def make_dense():
     """Two halving maps on a user-supplied dense space of random points."""
     pts = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 60))
@@ -165,6 +188,7 @@ EXPANSION_CASES = {
     # A top just below 1 tells T(w, top) from w.
     "cantor-729": (make_cantor, lambda s: random_seed(s, top=1.0 - 2**-42), 10),
     "tabulated": (make_mixed, random_seed, 5),
+    "hull-leaving": (make_leaving, random_seed, 9),
 }
 
 
@@ -219,14 +243,16 @@ class TestWords:
 def grid_systems(draw):
     """A validated system of 2 or 3 affine maps on a 1-D grid or a 2-D
     grid of at most 16 x 16 on the unit box, each map fitted into the
-    box, with rotated and sheared matrices in 2-D; a seed (full, Dirac,
-    or random with a top just below 1); and a depth with at most 729
-    words."""
+    box widened by 0, half or one grid step per axis (``validate``
+    allows one spacing out), with rotated and sheared matrices in 2-D;
+    a seed (full, Dirac, or random with a top just below 1); and a depth
+    with at most 729 words."""
     dim = draw(st.integers(1, 2))
     if dim == 1:
         space = si.grid_1d(draw(st.integers(2, 60)), 0.0, 1.0)
     else:
         space = si.grid_2d(draw(st.integers(2, 16)), draw(st.integers(2, 16)), ((0, 1), (0, 1)))
+    steps = np.array([axis[1] - axis[0] for axis in space.axes])
     k = draw(st.integers(2, 3))
     unit = st.floats(0.0, 1.0)
     corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])[: 2**dim, :dim]
@@ -245,8 +271,10 @@ def grid_systems(draw):
             matrix /= max(1.0, np.ptp(corners @ matrix.T, axis=0).max())
         images = corners @ matrix.T
         lo, hi = images.min(axis=0), images.max(axis=0)
-        # a translation that keeps the image of the unit box inside it
-        shift = [-a + draw(unit) * (1.0 - (b - a)) for a, b in zip(lo, hi)]
+        # a translation that keeps the image of the unit box inside the
+        # box widened by ``out`` steps; at 1 a corner lands one spacing out
+        out = draw(st.sampled_from([0.0, 0.5, 1.0])) * steps
+        shift = [-a - o + draw(unit) * (1.0 - (b - a) + 2 * o) for a, b, o in zip(lo, hi, out)]
         maps.append(si.ContractionMap.affine(matrix, shift))
     weights = [draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9]), unit)) for _ in range(k)]
     weights[draw(st.integers(0, k - 1))] = 1.0
@@ -265,19 +293,25 @@ def grid_systems(draw):
     return system, seed, depth
 
 
-def path_counts(monkeypatch, system, seed, depth):
-    """The word expansion's density and its ``_snap_images`` calls, split
-    into corner snaps and full per-point snaps."""
+def path_counts(monkeypatch, run):
+    """``run()`` and the words it snapped: ``corners`` counts the words
+    put to the collapse test (``_word_cells``), one per composed word,
+    and ``points`` those whose points ``_snap_images`` snapped."""
     calls = {"corners": 0, "points": 0}
-    snap_images = oracle._snap_images
+    word_cells, snap_images = oracle._word_cells, oracle._snap_images
 
-    def spy(space, coords, mats, trans):
-        calls["points" if coords is space.coords else "corners"] += 1
+    def cells_spy(space, box, margin, mats, trans):
+        calls["corners"] += len(mats)
+        return word_cells(space, box, margin, mats, trans)
+
+    def snap_spy(space, coords, mats, trans):
+        calls["points"] += len(mats)
         return snap_images(space, coords, mats, trans)
 
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_snap_images", spy)
-        return si.word_expansion(system, seed, depth).density, calls
+        patch.setattr(oracle, "_word_cells", cells_spy)
+        patch.setattr(oracle, "_snap_images", snap_spy)
+        return run(), calls
 
 
 class TestBlockedExpansion:
@@ -309,10 +343,25 @@ class TestBlockedExpansion:
             (make_mixed(27), 4),
         ):
             seed = random_seed(system)
-            out, calls = path_counts(monkeypatch, system, seed, depth)
+            out, calls = path_counts(
+                monkeypatch, lambda: si.word_expansion(system, seed, depth).density
+            )
             assert np.array_equal(out, per_word_expansion(system, seed, depth))
             if oracle._all_affine(system):
                 assert calls["corners"] > 0 and calls["points"] > 0
+
+    def test_collapsed_words_stop_growing(self, monkeypatch):
+        # no word image after length 7 spans more than one of the 729
+        # cells, so a few hundred of the 65,536 words are ever composed
+        system = make_cantor()
+        seed = full(system)
+        for run in (
+            lambda: si.word_expansion(system, seed, 16),
+            lambda: si.attractor_support(system, 16),
+        ):
+            _, calls = path_counts(monkeypatch, run)
+            assert 0 < calls["corners"] < 2**10
+            assert calls["points"] == 0
 
     def test_attractor_shares_word_maps(self, monkeypatch):
         # all weights 1 and the minimum t-norm: the support of the Dirac
@@ -342,6 +391,91 @@ class TestBlockedExpansion:
         system = make_mixed(2048)
         seed = full(system)
         assert traced_peak(lambda: si.word_expansion(system, seed, 7)) < 4 * 2**20
+
+
+def make_halves(n=4):
+    """Maps x/2 and x/2 + 1/2 on an n-point grid of [0, 1].  On four
+    points both send a grid point to 1/2, half-way between the floats
+    of 1/3 and 2/3 but nearer the second in exact arithmetic."""
+    maps = [
+        si.ContractionMap.affine([[0.5]], [0.0]),
+        si.ContractionMap.affine([[0.5]], [0.5]),
+    ]
+    space = si.grid_1d(n, 0.0, 1.0)
+    return si.validate(si.IFSSystem(space, maps, [1.0, 0.5], si.TNorm("product")))
+
+
+def exact_words(system, depth):
+    """Every word's (matrix, translation) in rationals, composed exactly
+    from the letters' float entries, in ``reference_words`` order."""
+    letters = [
+        ([[Fraction(v) for v in row] for row in f.matrix], [Fraction(v) for v in f.translation])
+        for f in system.maps
+    ]
+    dim = len(letters[0][1])
+    for word in itertools.product(range(system.k), repeat=depth):
+        mat = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        trans = [Fraction(0)] * dim
+        for a in word:
+            am, at = letters[a]
+            trans = [trans[i] + sum(mat[i][j] * at[j] for j in range(dim)) for i in range(dim)]
+            mat = [[sum(mat[i][l] * am[l][j] for l in range(dim)) for j in range(dim)] for i in range(dim)]
+        yield mat, trans
+
+
+def exact_nearest(axis, value):
+    """Index of the grid coordinate nearest to ``value`` in exact
+    arithmetic, over the axis's floats; ties go to the lowest index."""
+    gaps = [abs(value - Fraction(x)) for x in axis]
+    return gaps.index(min(gaps))
+
+
+class TestExactSnap:
+    """Float word images and snaps against exact rational arithmetic."""
+
+    @pytest.mark.parametrize(
+        "make, depth, ties",
+        [(make_halves, 3, 7), (make_sheared, 3, 60), (lambda: make_rotated(6), 3, 0)],
+        ids=["halves-4", "sheared-7x7", "rotated-6x6"],
+    )
+    def test_float_snap_differs_only_near_ties(self, make, depth, ties):
+        # every word of length n <= depth: the float image is within
+        # (50 n + 30) u S of the exact one, the bound the oracle's margin
+        # rests on, and a float snap that is not the exact nearest point
+        # is one step off, at an exact image that close to a half-way
+        # point; ``ties`` counts those coordinates
+        system = make()
+        space = system.space
+        c = system.c
+        reach = (space.spacing + 1e-12) * (1 - c**depth) / (1 - c)
+        scale = max(np.abs(axis[[0, -1]]).max() for axis in space.axes) + reach
+        points = [[Fraction(v) for v in x] for x in space.coords]
+        mismatches = 0
+        for length in range(1, depth + 1):
+            bound = (50 * length + 30) * 2.0**-53 * scale
+            floats = reference_words(system, length)
+            for word, (mat, trans) in zip(floats, exact_words(system, length)):
+                images = _affine_images(space.coords, word.matrix[None], word.translation[None])[0]
+                cells = space.snap(images)
+                for x, image, cell in zip(points, images, cells):
+                    # row-major: the per-axis indices of the flat cell
+                    snapped = np.unravel_index(cell, [len(a) for a in reversed(space.axes)])[::-1]
+                    for i, axis in enumerate(space.axes):
+                        exact = trans[i] + sum(mat[i][j] * x[j] for j in range(len(x)))
+                        assert abs(Fraction(image[i]) - exact) <= bound
+                        nearest = exact_nearest(axis, exact)
+                        if snapped[i] != nearest:
+                            mismatches += 1
+                            assert abs(int(snapped[i]) - nearest) == 1
+                            half = (Fraction(axis[snapped[i]]) + Fraction(axis[nearest])) / 2
+                            assert abs(exact - half) <= bound
+        assert mismatches == ties
+
+    def test_known_tie(self):
+        # snap(1/2) is 1 on four points; exact arithmetic picks 2
+        system = make_halves()
+        assert system.tables[0, 3] == 1 and system.tables[1, 0] == 1
+        assert exact_nearest(system.space.axes[0], Fraction(1, 2)) == 2
 
 
 class TestWordExpansion:
@@ -505,32 +639,28 @@ class TestLemmaFuzzer:
     def test_report_passes_and_is_tight(self):
         X = si.grid_1d(8, 0, 1)
         Y = si.grid_1d(8, 0, 1)
-        report = si.lemma_prod_fuzzer(X, Y, trials=100, rng_seed=77)
+        report = lemma_prod_fuzzer(X, Y, trials=100, rng_seed=77)
         assert report.passed
         assert report.violations == 0
         assert report.tight_ratio == 1.0
         assert report.max_ratio == 1.0
 
     def test_equal_pairs_have_zero_distance(self):
-        from starifs.spaces import _pairs_hausdorff
-
         X = si.grid_1d(5, 0, 1)
         Y = si.grid_1d(4, 0, 1)
         pairs = np.array([[0, 1], [3, 2], [4, 0]])
-        assert _pairs_hausdorff(X, Y, pairs, pairs) == 0.0
+        assert pairs_hausdorff(X, Y, pairs, pairs) == 0.0
 
     def test_deterministic_given_seed(self):
         X = si.grid_1d(6, 0, 1)
         Y = si.grid_1d(5, 0, 1)
-        a = si.lemma_prod_fuzzer(X, Y, trials=20, rng_seed=3)
-        b = si.lemma_prod_fuzzer(X, Y, trials=20, rng_seed=3)
+        a = lemma_prod_fuzzer(X, Y, trials=20, rng_seed=3)
+        b = lemma_prod_fuzzer(X, Y, trials=20, rng_seed=3)
         assert a == b
 
     def test_fuzzer_distance_matches_product_space_hausdorff(self):
         # dual route: the fuzzer's pair distance vs the materialized
         # product space fed to the generic hausdorff
-        from starifs.spaces import _pairs_hausdorff
-
         X = si.grid_1d(5, 0, 1)
         Y = si.grid_1d(4, 0, 2)
         P = product_metric(X, Y)
@@ -542,7 +672,7 @@ class TestLemmaFuzzer:
             b = np.column_stack(
                 [rng.integers(0, X.n, 4), rng.integers(0, Y.n, 4)]
             )
-            direct = _pairs_hausdorff(X, Y, a, b)
+            direct = pairs_hausdorff(X, Y, a, b)
             via_product = si.hausdorff(
                 P, a[:, 0] * Y.n + a[:, 1], b[:, 0] * Y.n + b[:, 1]
             )
@@ -551,11 +681,11 @@ class TestLemmaFuzzer:
     def test_requires_one_trial(self):
         X = si.grid_1d(4, 0, 1)
         with pytest.raises(si.DomainError):
-            si.lemma_prod_fuzzer(X, X, trials=0, rng_seed=0)
+            lemma_prod_fuzzer(X, X, trials=0, rng_seed=0)
 
     @pytest.mark.parametrize("trials", [2.5, True])
     def test_trials_must_be_an_integer(self, trials):
         # 2.5 used to fail with a TypeError from range()
         X = si.grid_1d(4, 0, 1)
         with pytest.raises(si.DomainError, match="integer"):
-            si.lemma_prod_fuzzer(X, X, trials=trials, rng_seed=0)
+            lemma_prod_fuzzer(X, X, trials=trials, rng_seed=0)
