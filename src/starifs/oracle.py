@@ -13,9 +13,9 @@ On a grid a word stops growing once every extension of it must snap
 to one cell.  With L letters left, widen the grid box by
 r_L = (h + 1e-12)(1 - c^L)/(1 - c) on every axis.  ``validate`` lets a
 map send each grid point, hence each point of the box (the hull of its
-corners), at most h + 1e-12 out of the box, and a point at distance r
-at most c r + h + 1e-12: every extension by L letters sends every grid
-point into the widened box.  Image coordinates ``x_0 a_i0 + x_1 a_i1 +
+corners), at most h + 1e-12 out of the box, and so a point at distance
+r from the box to at most c r + h + 1e-12 from it: every extension by
+L letters sends every grid point into the widened box.  Image coordinates ``x_0 a_i0 + x_1 a_i1 +
 t_i`` are monotone in each coordinate and the snap is monotone along
 each axis, so if the per-axis extremes of the word's image of that box,
 moved out by a margin delta, snap to one index on every axis, every
