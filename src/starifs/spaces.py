@@ -76,6 +76,28 @@ def _distinct(values):
     return values[keep]
 
 
+def _splitmix64(seed, shape):
+    """SplitMix64 words (Steele, Lea & Flood, OOPSLA 2014) for the counter 1..N.
+
+    Word i is the finalizer of ``seed + i * 0x9E3779B97F4A7C15`` mod 2^64,
+    in row-major order over ``shape``.  A caller takes doubles in [0, 1) as
+    ``(z >> 11) * 2**-53`` and indices in 0..n-1 as ``z % n``.  Unlike a
+    ``numpy.random`` Generator, whose stream numpy may change between
+    versions (NEP 19) and whose first import takes longer than the draws,
+    the words depend on the seed alone.  uint64 array arithmetic wraps
+    without a warning.
+    """
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64).reshape(shape)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _indices(values, name, space=None):
     """``values`` as an int64 array of the same shape: the array twin of ``_integer``.
 
@@ -148,6 +170,13 @@ class FiniteMetricSpace:
         self._check_metric()
 
     def _check_metric(self):
+        """Raise DomainError unless ``dist`` is a metric.
+
+        Every axiom is checked on every entry, except the triangle
+        inequality above ``_TRIANGLE_EXHAUSTIVE_LIMIT`` points: there it is
+        checked on ``_TRIANGLE_SAMPLES`` triples drawn by ``_splitmix64``
+        with seed 0, the same triples on every numpy version.
+        """
         d = self.dist
         if not np.all(np.isfinite(d)):
             raise DomainError("distances must be finite")
@@ -164,8 +193,7 @@ class FiniteMetricSpace:
                 if np.any(d > d[:, k, None] + d[None, k, :] + tol):
                     raise DomainError("triangle inequality violated")
         else:
-            rng = np.random.default_rng(0)
-            i, j, k = rng.integers(0, self.n, size=(3, _TRIANGLE_SAMPLES))
+            i, j, k = (_splitmix64(0, (3, _TRIANGLE_SAMPLES)) % np.uint64(self.n)).astype(np.intp)
             if np.any(d[i, j] > d[i, k] + d[k, j] + tol):
                 raise DomainError("triangle inequality violated (sampled)")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spaces import _unit_values
+from .spaces import _integer, _splitmix64, _unit_values
 
 FAMILIES = ("minimum", "product", "lukasiewicz", "hamacher")
 
@@ -127,21 +127,31 @@ def parse_tnorm(name, parameter=None):
 
 
 def axiom_report(tnorm, triples=1000, rng_seed=0, tol=1e-12):
-    """Sample the t-norm axioms on random triples; returns a report dict.
+    """Sample the t-norm axioms on ``triples`` triples; returns a report dict.
 
     Checks unit, commutativity, associativity and monotonicity, plus the
-    sampled Lipschitz continuity bound.  Deviations are absolute.
+    sampled Lipschitz continuity bound.  Deviations are absolute.  The
+    triples (a, b, c) and the two monotonicity steps are five vectors of
+    doubles in [0, 1) from ``spaces._splitmix64`` seeded with ``rng_seed``,
+    so the sample is the same on every numpy version.  ``triples`` must be
+    an integer >= 1, ``rng_seed`` an integer in [0, 2^64) and ``tol``
+    finite and >= 0; anything else raises DomainError naming it.
     """
-    rng = np.random.default_rng(rng_seed)
-    a, b, c = rng.uniform(0.0, 1.0, size=(3, triples))
+    triples = _integer(triples, "triples", 1)
+    rng_seed = _integer(rng_seed, "rng_seed")
+    if rng_seed >= 2**64:
+        raise DomainError("rng_seed must be below 2**64")
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise DomainError("tol must be finite and >= 0")
+    a, b, c, step_a, step_b = (_splitmix64(rng_seed, (5, triples)) >> np.uint64(11)) * 2.0**-53
     t = tnorm.apply
 
     dev_unit = np.max(np.abs(t(np.ones_like(a), a) - a))
     dev_comm = np.max(np.abs(t(a, b) - t(b, a)))
     dev_assoc = np.max(np.abs(t(a, t(b, c)) - t(t(a, b), c)))
 
-    a2 = np.clip(a + rng.uniform(0.0, 1.0, triples) * (1.0 - a), 0.0, 1.0)
-    b2 = np.clip(b + rng.uniform(0.0, 1.0, triples) * (1.0 - b), 0.0, 1.0)
+    a2 = np.clip(a + step_a * (1.0 - a), 0.0, 1.0)
+    b2 = np.clip(b + step_b * (1.0 - b), 0.0, 1.0)
     dev_mono = float(np.max(t(a, b) - t(a2, b2)))
 
     L = tnorm.lipschitz_bound()

@@ -12,6 +12,8 @@ from starifs import io_formats
 from starifs.cli import main
 from starifs.config import RunConfig
 
+from conftest import ALL_TNORMS
+
 CONFIGS = Path(__file__).parent / "configs"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -593,8 +595,8 @@ def _python(code, cwd):
     return done.stdout.splitlines()[-1]
 
 
-def test_check_solve_export_do_not_import_numpy_ma(tmp_path):
-    # each import costs 10-15 ms of a run; numpy 1.x imports numpy.ma with numpy
+def test_cli_and_samplers_do_not_import_numpy_ma_or_numpy_random(tmp_path):
+    # each import costs 10-18 ms of a run; numpy 1.x imports numpy.ma with numpy
     loaded = "print([m in sys.modules for m in ('numpy.ma', 'numpy.random')])"
     if _python(f"import sys, numpy; {loaded}", tmp_path) != "[False, False]":
         pytest.skip("a bare `import numpy` loads numpy.ma or numpy.random")
@@ -605,9 +607,13 @@ def test_check_solve_export_do_not_import_numpy_ma(tmp_path):
         for fmt in ("csv", "json", "pgm"):
             out = f"out/{name}.export.{fmt}"
             commands.append(["export", f"out/{name}.density.{fmt}", "--format", fmt, "--out", out])
+    tnorms = [t.config_name() for t in ALL_TNORMS]
     code = (
-        "import sys\nfrom starifs.cli import main\n"
+        "import sys\nimport starifs as si\nfrom starifs.cli import main\n"
         f"for argv in {commands!r}:\n    assert main(argv) == 0, argv\n"
+        f"for name in {tnorms!r}:\n    assert si.axiom_report(si.parse_tnorm(name))['passed']\n"
+        # above 512 points the triangle inequality is checked on samples
+        "si.FiniteMetricSpace(si.grid_1d(600, 0, 1).dist)\n"
         f"{loaded}"
     )
     assert _python(code, tmp_path) == "[False, False]"

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import starifs as si
-from starifs.spaces import GridSpace
+from starifs.spaces import GridSpace, _splitmix64
 
 from conftest import level_floor, product_metric, projection_bound_check
 
@@ -211,8 +212,45 @@ class TestMetricValidation:
 
     def test_sampled_validation_large_space(self):
         # above the exhaustive cutoff the triangle check is sampled
-        X = si.FiniteMetricSpace(si.grid_1d(600, 0, 1).dist)
+        grid = si.grid_1d(600, 0, 1)
+        X = si.FiniteMetricSpace(grid.dist)
         assert X.n == 600
+        # squared distances break the triangle inequality on every triple
+        # with k strictly between i and j: about a third of the samples
+        x = grid.coords.ravel()
+        with pytest.raises(si.DomainError, match=r"triangle inequality violated \(sampled\)"):
+            si.FiniteMetricSpace((x[:, None] - x[None, :]) ** 2)
+
+
+def splitmix64_reference(seed, n):
+    """SplitMix64 in its stateful form, on Python ints reduced mod 2^64."""
+    words, state = [], seed
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        words.append(z ^ (z >> 31))
+    return words
+
+
+class TestSplitMix64:
+    def test_published_outputs_for_seed_0(self):
+        words = [int(z) for z in _splitmix64(0, (3,))]
+        assert words == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", [0, 1, 101, 2**64 - 1])
+    def test_matches_the_reference_without_warnings(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = _splitmix64(seed, (4, 250))
+        assert words.dtype == np.uint64
+        assert [int(z) for z in words.ravel()] == splitmix64_reference(seed, 1000)
+
+    def test_doubles_lie_in_the_unit_interval(self):
+        # the conversion axiom_report uses; the largest word maps to 1 - 2^-53
+        words = np.concatenate([_splitmix64(7, (10**5,)), np.array([2**64 - 1], np.uint64)])
+        u = (words >> np.uint64(11)) * 2.0**-53
+        assert u.min() >= 0.0 and u.max() == 1.0 - 2.0**-53
 
 
 class TestHausdorff:

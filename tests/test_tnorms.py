@@ -157,3 +157,67 @@ def test_non_hamacher_families_ignore_the_parameter():
         )
     )
     si.psi(system, si.StarMeasure.full(X, si.TNorm("product")))
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"triples": 0}, "triples"),
+        ({"triples": 2.5}, "triples"),
+        ({"triples": True}, "triples"),
+        ({"rng_seed": -1}, "rng_seed"),
+        ({"rng_seed": 1.5}, "rng_seed"),
+        ({"rng_seed": 2**64}, "rng_seed"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": -1e-12}, "tol"),
+    ],
+)
+def test_axiom_report_rejects_bad_arguments(kwargs, name):
+    with pytest.raises(si.DomainError, match=name):
+        axiom_report(si.TNorm("product"), **kwargs)
+
+
+def test_axiom_report_accepts_the_extreme_seeds():
+    for seed in (0, np.uint64(2**64 - 1), 2**64 - 1):
+        report = axiom_report(si.TNorm("product"), triples=1, rng_seed=seed)
+        assert report["passed"] and report["rngSeed"] == int(seed)
+
+
+def _unit_broken(a, b):
+    return 0.9 * a * b
+
+
+def _comm_broken(a, b):
+    return a * a * b
+
+
+def _assoc_broken(a, b):
+    return np.minimum(a, b) * np.sqrt(np.maximum(a, b))
+
+
+def _mono_broken(a, b):
+    # decreasing in the larger operand, and equal to the smaller one at 1
+    return np.minimum(a, b) * (1.5 - 0.5 * np.maximum(a, b))
+
+
+def _lipschitz_broken(a, b):
+    # Lukasiewicz with slope 2 in the larger operand, against a bound of 1
+    return np.maximum(0.0, np.minimum(a, b) - 2.0 * (1.0 - np.maximum(a, b)))
+
+
+@pytest.mark.parametrize(
+    "broken, axiom",
+    [
+        (_unit_broken, "unit"),
+        (_comm_broken, "commutativity"),
+        (_assoc_broken, "associativity"),
+        (_mono_broken, "monotonicity"),
+        (_lipschitz_broken, "continuity"),
+    ],
+)
+def test_axiom_report_catches_a_broken_operation(monkeypatch, broken, axiom):
+    monkeypatch.setattr(si.TNorm, "_apply", lambda self, a, b: broken(a, b))
+    report = axiom_report(si.TNorm("product"), rng_seed=101)
+    assert not report["passed"]
+    assert report["deviations"][axiom] > report["tolerance"], report
