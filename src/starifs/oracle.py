@@ -20,11 +20,13 @@ t_i`` are monotone in each coordinate and the snap is monotone along
 each axis, so if the per-axis extremes of the word's image of that box,
 moved out by a margin delta, snap to one index on every axis, every
 extension sends every point to that cell.  The word is then a (cell,
-weight) pair whose weight is folded through the remaining letters by
-the same ``tnorm._apply`` calls, dropping duplicate pairs at each
-level; at full depth it adds max_s T(weight, s) over the distinct seed
-values.  At L = 0 the box is the grid's and delta is 0: the corner
-images are the very floats that bound every point's image.
+weight) pair, and what it adds there depends on its weight w and L
+alone: f_L(w), the max over its suffixes s and the seed values v of
+T(fold(w, s), v).  So f_0(w) = max_v T(w, v) and f_L(w) = max_j
+f_(L-1)(T(w, lambda_j)), evaluated once per distinct weight a level
+needs, by the same ``tnorm._apply`` calls as the per-word fold.  At
+L = 0 the box is the grid's and delta is 0: the corner images are the
+very floats that bound every point's image.
 
 delta covers the float error.  Let S be the largest coordinate of the
 box widened by r_depth and u = 2^-53.  Both the test and the per-word
@@ -37,7 +39,7 @@ costs about 14 u S: (50 L + 30) u S in all.  The word budget caps L at
 delta = 2^-26 S.  A margin too wide only keeps words live longer.
 
 The cost is the words composed before they collapse, each tested once
-through 2^d corner images, plus the weight-only fold; only a word still
+through 2^d corner images, plus the per-level fold; only a word still
 straddling a cell boundary at full depth snaps all n points.  Where
 k c < 1 the live words die out (``cantor-729-oracle`` composes 378 of
 65,536); where k c > 1, as on Sierpinski (3/2), they keep multiplying.
@@ -86,36 +88,28 @@ def _word_cells(space, box, margin, mats, trans):
     boundary."""
     # corner-major, so the extremes reduce over whole rows
     images = _affine_images(box, mats, trans).swapaxes(0, 1).copy()
-    lo, hi = np.split(space.snap(np.concatenate([images.min(0) - margin, images.max(0) + margin])), 2)
+    ends = space.snap(np.concatenate([images.min(0) - margin, images.max(0) + margin]))
+    lo, hi = ends[: len(mats)], ends[len(mats) :]
     return np.where(lo == hi, lo, -1)
 
 
-def _drop_duplicates(weights, cells):
-    """The distinct (weight, cell) pairs."""
-    order = np.lexsort((weights, cells))
-    weights, cells = weights[order], cells[order]
-    new = np.ones(len(cells), dtype=bool)
-    new[1:] = (cells[1:] != cells[:-1]) | (weights[1:] != weights[:-1])
-    return weights[new], cells[new]
-
-
 def _word_blocks(system, depth):
-    """Yield every word of the given length in blocks, or what it collapsed to.
+    """Yield (L, block): every word of the given length in blocks, or the
+    cells its prefixes collapsed to with L letters left.
 
     Affine systems yield live words as (weights, matrices, translations),
-    tabulated ones (weights, tables).  Word (i_1, ..., i_n) composes
-    left-to-right: each letter's map is applied before the prefix,
-    matching the operator's nesting: word w then letter a has matrix
-    M_w A_a, the images of A_a's columns under x -> M_w x, and
+    tabulated ones (weights, tables), both with L = 0.  Word (i_1, ...,
+    i_n) composes left-to-right: each letter's map is applied before the
+    prefix, matching the operator's nesting: word w then letter a has
+    matrix M_w A_a, the images of A_a's columns under x -> M_w x, and
     translation M_w t_a + t_w.  A block grows by appending all k letters
     to all its words at once, so each word gets the same arithmetic
     whichever block it lands in.  On a grid every new affine word is
     tested once (see the module docstring); the words that collapse
-    leave as (weights, cells) pair blocks, folded through the remaining
-    letters and yielded at full depth.  A block that would grow past
-    ``_BLOCK // per_word`` words (at least one; ``per_word`` is the
-    values one word holds) is split into parts that fit, walked depth
-    first, so at most k + 1 parts wait per word level.
+    leave at once as a (weights, cells) pair block.  A block that would
+    grow past ``_BLOCK // per_word`` words (at least one; ``per_word`` is
+    the values one word holds) is split into parts that fit, walked
+    depth first, so at most k + 1 parts wait per word level.
     """
     space = system.space
     k = system.k
@@ -150,11 +144,9 @@ def _word_blocks(system, depth):
         margin = _MARGIN * np.abs(box(depth)).max()
 
     def children(block):
-        """Every word or pair of the block followed by every letter."""
+        """Every word of the block followed by every letter."""
         weights, *arrays = block
         weights = system.tnorm._apply(weights[:, None], system.weights).ravel()
-        if len(arrays) == 1 and grid:
-            return _drop_duplicates(weights, np.repeat(arrays[0], k))
         if affine:
             mats, trans = arrays
             cols = _affine_images(letter_cols, mats, no_shift)
@@ -166,28 +158,22 @@ def _word_blocks(system, depth):
             arrays = (arrays[0][:, system.tables].reshape(len(weights), -1),)
         return (weights, *arrays)
 
-    def collapse(block, left):
-        """The block's live words and its collapsed pairs, each if any."""
-        weights, mats, trans = block
-        cells = _word_cells(space, box(left), left and margin, mats, trans)
-        one = cells >= 0
-        if not one.any():
-            return [block]
-        live = ~one
-        parts = [(weights[live], mats[live], trans[live]), _drop_duplicates(weights[one], cells[one])]
-        return [part for part in parts if len(part[0])]
-
     stack = [(0, (np.ones(1), *root))]
     while stack:
         length, block = stack.pop()
         size = len(block[0])
         if length == depth:
-            yield block
+            yield 0, block
         elif size == 1 or size * k <= cap:
             block = children(block)
-            if grid and len(block) == 3:
-                stack.extend((length + 1, part) for part in collapse(block, depth - length - 1))
-            else:
+            if grid:
+                left = depth - length - 1
+                cells = _word_cells(space, box(left), left and margin, *block[1:])
+                one = cells >= 0
+                if one.any():
+                    yield left, (block[0][one], cells[one])
+                    block = tuple(part[~one] for part in block)
+            if len(block[0]):
                 stack.append((length + 1, block))
         else:
             step = max(1, cap // k)
@@ -202,16 +188,40 @@ def _snap_images(space, coords, mats, trans):
     return space.snap(_affine_images(coords, mats, trans).reshape(-1, coords.shape[1]))
 
 
-def _best_values(apply, weights, levels):
-    """max over ``levels`` of apply(w, level) for each weight w, computed
-    once per distinct weight, at most ``_BLOCK`` values at a time."""
-    distinct = _distinct(weights)
-    best = np.empty(len(distinct))
-    rows = max(1, _BLOCK // len(levels))
-    for start in range(0, len(distinct), rows):
-        part = distinct[start : start + rows, None]
-        best[start : start + rows] = apply(part, levels).max(axis=1)
-    return best[np.searchsorted(distinct, weights)]
+def _table(apply, weights, values, top):
+    """apply(w, v) for every weight w and value v, at most ``_BLOCK``
+    values at a time; with ``top``, only the max of each weight's row."""
+    out = np.empty(len(weights) if top else (len(weights), len(values)))
+    rows = max(1, _BLOCK // len(values))
+    for start in range(0, len(weights), rows):
+        part = apply(weights[start : start + rows, None], values)
+        out[start : start + rows] = part.max(axis=1) if top else part
+    return out
+
+
+def _fold_pairs(out, apply, letters, levels, pairs):
+    """Raise ``out`` at the cell of each pair in ``pairs[L]`` to f_L(weight).
+
+    f_L(w) is what a word of weight w collapsed with L letters left adds:
+    f_0(w) = max T(w, s) over the seed values ``levels``, and
+    f_L(w) = max over the letter weights l of f_(L-1)(T(w, l)).  The
+    distinct weights each level needs are gathered top-down, then f is
+    filled bottom-up by the same T calls as the per-word fold.
+    """
+    while len(pairs) > 1 and not pairs[-1]:
+        pairs.pop()
+    distinct, kids, after = [None] * len(pairs), [None] * len(pairs), np.empty(0)
+    for left in reversed(range(len(pairs))):
+        distinct[left] = _distinct(np.concatenate([after, *(w for w, _ in pairs[left])]))
+        if left:
+            kids[left] = _table(apply, distinct[left], letters, False)
+            after = kids[left].ravel()
+    best = _table(apply, distinct[0], levels, True)
+    for left, blocks in enumerate(pairs):
+        if left:
+            best = best[np.searchsorted(distinct[left - 1], kids[left])].max(axis=1)
+        for weights, cells in blocks:
+            np.maximum.at(out, cells, best[np.searchsorted(distinct[left], weights)])
 
 
 def word_expansion(system, seed, depth):
@@ -224,13 +234,14 @@ def word_expansion(system, seed, depth):
 
     On a grid a word stops growing once every extension of it sends
     the box widened by r_L = (h + 1e-12)(1 - c^L)/(1 - c), L letters
-    before the end, into one cell (see the module docstring); its
-    weight alone is folded on, and at full depth it adds
-    max_s weight * s over the distinct seed values s.  The cost is the
-    words composed before they collapse plus that fold: on Cantor 729
-    at depth 16, 378 of 65,536 words.  Only a word still straddling a
-    cell boundary at full depth, and every word on a dense space, snaps
-    all n points, ``_BLOCK // (n d)`` words at a time.
+    before the end, into one cell (see the module docstring).  It adds
+    f_L(weight) there, the max over its suffixes' folded weights w and
+    the distinct seed values s of w * s; f is filled once per distinct
+    weight a level needs, bottom-up from f_0.  The cost is the words
+    composed before they collapse plus that fold: on Cantor 729 at
+    depth 16, 378 of 65,536 words and 611 t-norm values.  Only a word
+    still straddling a cell boundary at full depth, and every word on a
+    dense space, snaps all n points, ``_BLOCK // (n d)`` words at a time.
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -241,14 +252,16 @@ def word_expansion(system, seed, depth):
     out = np.zeros(space.n)
     apply = system.tnorm._apply
     if not _all_affine(system):
-        for weights, tables in _word_blocks(system, depth):
+        for _, (weights, tables) in _word_blocks(system, depth):
             np.maximum.at(out, tables.ravel(), apply(weights[:, None], seed.density).ravel())
         return StarMeasure(space, out, system.tnorm)
     levels = _distinct(seed.density)
     per_point = max(1, _BLOCK // (space.n * space.coords.shape[1]))
-    for weights, *arrays in _word_blocks(system, depth):
+    # pair blocks by the letters they still lacked when they collapsed
+    pairs = [[] for _ in range(depth)]
+    for left, (weights, *arrays) in _word_blocks(system, depth):
         if len(arrays) == 1:
-            np.maximum.at(out, arrays[0], _best_values(apply, weights, levels))
+            pairs[left].append((weights, arrays[0]))
             continue
         mats, trans = arrays
         for start in range(0, len(weights), per_point):
@@ -259,6 +272,7 @@ def word_expansion(system, seed, depth):
                 _snap_images(space, space.coords, mats[part], trans[part]),
                 apply(weights[part, None], seed.density).ravel(),
             )
+    _fold_pairs(out, apply, system.weights, levels, pairs)
     return StarMeasure(space, out, system.tnorm)
 
 
@@ -267,9 +281,9 @@ def attractor_support(system, depth, reference_index=0):
 
     Returns the sorted indices {snap(f_w(x0)) : |w| = depth}.  Affine
     systems walk the same words as ``word_expansion``: on a grid a word
-    whose every extension sends the whole grid into one cell marks that
-    cell, and the rest snap the image of x0 once, so the cost is the
-    words composed before they collapse, not k^depth.  A system with a
+    marks its cell once every extension sends the whole grid into it,
+    and the rest snap the image of x0 once, so the cost is the words
+    composed before they collapse, not k^depth.  A system with a
     tabulated map takes ``depth`` set images of {x0} under its tables,
     in O(n) memory whatever the word count.  With all weights 1 and the
     minimum t-norm this equals the support of the word expansion from
@@ -286,7 +300,7 @@ def attractor_support(system, depth, reference_index=0):
         return points
     x0 = space.coords[reference_index : reference_index + 1]
     hit = np.zeros(space.n, dtype=bool)
-    for _, *arrays in _word_blocks(system, depth):
+    for _, (_, *arrays) in _word_blocks(system, depth):
         hit[arrays[0] if len(arrays) == 1 else _snap_images(space, x0, *arrays)] = True
     return np.flatnonzero(hit)
 

@@ -126,6 +126,17 @@ def make_leaving(n=41):
     return si.validate(si.IFSSystem(space, maps, [1.0, 0.6], si.TNorm("product")))
 
 
+def make_quarters(n=257):
+    """Three quarter-scale maps, weights (1, .7, .3) under Hamacher(0.5):
+    words collapse with up to three letters left, and the folds of their
+    weights stay apart, so each level of the fold holds tens of weights."""
+    space = si.grid_1d(n, 0.0, 1.0)
+    maps = [si.ContractionMap.affine([[0.25]], [t]) for t in (0.0, 0.375, 0.75)]
+    return si.validate(
+        si.IFSSystem(space, maps, [1.0, 0.7, 0.3], si.TNorm("hamacher", 0.5))
+    )
+
+
 def make_dense():
     """Two halving maps on a user-supplied dense space of random points."""
     pts = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 60))
@@ -189,6 +200,7 @@ EXPANSION_CASES = {
     "cantor-729": (make_cantor, lambda s: random_seed(s, top=1.0 - 2**-42), 10),
     "tabulated": (make_mixed, random_seed, 5),
     "hull-leaving": (make_leaving, random_seed, 9),
+    "quarters-hamacher": (make_quarters, random_seed, 7),
 }
 
 
@@ -391,6 +403,43 @@ class TestBlockedExpansion:
         system = make_mixed(2048)
         seed = full(system)
         assert traced_peak(lambda: si.word_expansion(system, seed, 7)) < 4 * 2**20
+
+
+def applied_values(monkeypatch, run):
+    """``run()`` and the number of t-norm values its ``TNorm._apply``
+    calls evaluated."""
+    count = [0]
+    apply = si.TNorm._apply
+
+    def spy(self, a, b):
+        out = apply(self, a, b)
+        count[0] += np.size(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(si.TNorm, "_apply", spy)
+        return run(), count[0]
+
+
+class TestPerLevelFold:
+    """A collapsed word's weight is folded once per distinct weight and level."""
+
+    def test_expansion_folds_distinct_weights(self, monkeypatch):
+        # folding every (weight, cell) pair through its suffixes took 14,654
+        system = make_cantor()
+        seed = full(system)
+        _, values = applied_values(monkeypatch, lambda: si.word_expansion(system, seed, 16))
+        assert values <= 1000
+
+    def test_attractor_marks_cells_where_words_collapse(self, monkeypatch):
+        # one weight per composed word; folding the collapsed ones to full
+        # depth took 14,582
+        system = make_cantor()
+        (_, values), calls = path_counts(
+            monkeypatch,
+            lambda: applied_values(monkeypatch, lambda: si.attractor_support(system, 16)),
+        )
+        assert 0 < values <= calls["corners"] < 2**10
 
 
 def make_halves(n=4):
