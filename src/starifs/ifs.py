@@ -43,6 +43,8 @@ WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_LEVEL_RESOLUTION = 256
+# how far past one spacing an affine map may send a grid point out of the hull
+_HULL_SLACK = 1e-12
 # pairs per block of a tabulated map's contraction ratio
 _PAIR_BLOCK = 2**18
 
@@ -203,7 +205,7 @@ def validate(system):
         lo = space.coords.min(axis=0)
         hi = space.coords.max(axis=0)
         excess = np.linalg.norm(img - np.clip(img, lo, hi), axis=1).max()
-        if excess > space.spacing + 1e-12:
+        if excess > space.spacing + _HULL_SLACK:
             raise CoverageError(
                 f"map {i} leaves the grid hull by {excess:g} (> spacing {space.spacing:g})"
             )

@@ -11,12 +11,13 @@ grid hull into itself.
 
 On a grid a word stops growing once every extension of it must snap
 to one cell.  With L letters left, widen the grid box by
-r_L = (h + 1e-12)(1 - c^L)/(1 - c) on every axis.  ``validate`` lets a
-map send each grid point, hence each point of the box (the hull of its
-corners), at most h + 1e-12 out of the box, and so a point at distance
-r from the box to at most c r + h + 1e-12 from it: every extension by
-L letters sends every grid point into the widened box.  Image coordinates ``x_0 a_i0 + x_1 a_i1 +
-t_i`` are monotone in each coordinate and the snap is monotone along
+r_L = (h + ``_HULL_SLACK``)(1 - c^L)/(1 - c) on every axis.  ``validate``
+lets a map send each grid point, hence each point of the box (the hull
+of its corners), at most h + ``_HULL_SLACK`` out of the box, and so a
+point at distance r from the box to at most c r + h + ``_HULL_SLACK``
+from it: every extension by L letters sends every grid point into the
+widened box.  Image coordinates ``x_0 a_i0 + x_1 a_i1 + t_i`` are
+monotone in each coordinate and the snap is monotone along
 each axis, so if the per-axis extremes of the word's image of that box,
 moved out by a margin delta, snap to one index on every axis, every
 extension sends every point to that cell.  The word is then a (cell,
@@ -40,11 +41,13 @@ delta = 2^-26 S.  A margin too wide only keeps words live longer.
 
 The cost is the words composed before they collapse, each tested once
 through 2^d corner images, plus the per-level fold; only a word still
-straddling a cell boundary at full depth snaps all n points.  Where
-k c < 1 the live words die out (``cantor-729-oracle`` composes 378 of
-65,536); where k c > 1, as on Sierpinski (3/2), they keep multiplying.
-Dense spaces, whose snap is not monotone along each axis, and tabulated
-systems walk every word.  Blocks hold at most ``_BLOCK`` values.
+straddling a cell boundary at full depth snaps points, and only those
+of the seed's support, since T(w, 0) = 0 adds nothing.  Where k c < 1
+the live words die out (``cantor-729-oracle`` composes 378 of 65,536);
+where k c > 1, as on Sierpinski (3/2), they keep multiplying.  Dense
+spaces, whose snap is not monotone along each axis, and tabulated
+systems walk every word.  Blocks, snaps and the pending (weight, cell)
+pairs each hold at most about ``_BLOCK`` values.
 """
 
 from __future__ import annotations
@@ -52,13 +55,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .ifs import _affine_images, _check_measure, _require_validated, _set_image, _stationary_set
+from .ifs import (
+    _HULL_SLACK, _affine_images, _check_measure, _require_validated, _set_image, _stationary_set,
+)
 from .measures import StarMeasure
 from .spaces import GridSpace, _distinct, _integer
 
 WORD_BUDGET = 1_000_000
 # values (point images, table entries, or a word's map, box images and
-# cells) held by one block of words
+# cells) held by one block of words, and by the pairs that start a fold
 _BLOCK = 1 << 14
 # the collapse test's margin delta, relative to the largest padded coordinate
 _MARGIN = 2.0**-26
@@ -93,23 +98,23 @@ def _word_cells(space, box, margin, mats, trans):
     return np.where(lo == hi, lo, -1)
 
 
-def _word_blocks(system, depth):
-    """Yield (L, block): every word of the given length in blocks, or the
-    cells its prefixes collapsed to with L letters left.
+def _word_blocks(system, depth, points):
+    """Yield (L, weights, cells) for the words of the given length, in
+    blocks: where a word's prefix collapsed with L letters left, ``cells``
+    has shape (words,); for a full-length word (L = 0), shape (words,
+    len(points)), the cell each of ``points`` goes to.
 
-    Affine systems yield live words as (weights, matrices, translations),
-    tabulated ones (weights, tables), both with L = 0.  Word (i_1, ...,
-    i_n) composes left-to-right: each letter's map is applied before the
-    prefix, matching the operator's nesting: word w then letter a has
-    matrix M_w A_a, the images of A_a's columns under x -> M_w x, and
-    translation M_w t_a + t_w.  A block grows by appending all k letters
-    to all its words at once, so each word gets the same arithmetic
-    whichever block it lands in.  On a grid every new affine word is
-    tested once (see the module docstring); the words that collapse
-    leave at once as a (weights, cells) pair block.  A block that would
-    grow past ``_BLOCK // per_word`` words (at least one; ``per_word`` is
-    the values one word holds) is split into parts that fit, walked
-    depth first, so at most k + 1 parts wait per word level.
+    Word (i_1, ..., i_n) composes left-to-right: each letter's map is
+    applied before the prefix, matching the operator's nesting: word w
+    then letter a has matrix M_w A_a, the images of A_a's columns under
+    x -> M_w x, and translation M_w t_a + t_w; a tabulated word chains
+    its tables.  A block grows by appending all k letters to all its
+    words at once, so each word gets the same arithmetic whichever block
+    it lands in.  On a grid every new affine word is tested once (see
+    the module docstring), and the words that collapse leave at once.
+    A block that would grow past ``_BLOCK // per_word`` words (at least
+    one; ``per_word`` is the values one word holds) is split into parts
+    that fit, walked depth first, so at most k + 1 parts wait per level.
     """
     space = system.space
     k = system.k
@@ -117,6 +122,7 @@ def _word_blocks(system, depth):
     grid = affine and isinstance(space, GridSpace)
     if affine:
         dim = space.coords.shape[1]
+        coords = space.coords[points]
         # column j of letter a's matrix is point a * dim + j
         letter_cols = np.concatenate([f.matrix.T for f in system.maps])
         letter_trans = np.stack([f.translation for f in system.maps])
@@ -125,6 +131,7 @@ def _word_blocks(system, depth):
         # a word's matrix, translation and weight; on a grid also its box
         # images, their two ends and the two cells
         per_word = dim * dim + dim + 1 + ((2**dim + 2) * dim + 2 if grid else 0)
+        per_snap = max(1, _BLOCK // coords.size)
     else:
         root = (np.arange(space.n, dtype=np.int64)[None],)
         per_word = space.n
@@ -134,7 +141,7 @@ def _word_blocks(system, depth):
         mesh = np.meshgrid(*[axis[[0, -1]] for axis in space.axes])
         corners = np.column_stack([g.ravel() for g in mesh])
         outward = np.where(corners == corners.max(axis=0), 1.0, -1.0)
-        reach = space.spacing + 1e-12
+        reach = space.spacing + _HULL_SLACK
         c = system.c
 
         def box(left):
@@ -162,8 +169,12 @@ def _word_blocks(system, depth):
     while stack:
         length, block = stack.pop()
         size = len(block[0])
-        if length == depth:
-            yield 0, block
+        if length == depth and affine:
+            for start in range(0, size, per_snap):
+                weights, mats, trans = (part[start : start + per_snap] for part in block)
+                yield 0, weights, _snap_images(space, coords, mats, trans)
+        elif length == depth:
+            yield 0, block[0], block[1][:, points]
         elif size == 1 or size * k <= cap:
             block = children(block)
             if grid:
@@ -171,7 +182,7 @@ def _word_blocks(system, depth):
                 cells = _word_cells(space, box(left), left and margin, *block[1:])
                 one = cells >= 0
                 if one.any():
-                    yield left, (block[0][one], cells[one])
+                    yield left, block[0][one], cells[one]
                     block = tuple(part[~one] for part in block)
             if len(block[0]):
                 stack.append((length + 1, block))
@@ -184,8 +195,9 @@ def _word_blocks(system, depth):
 
 
 def _snap_images(space, coords, mats, trans):
-    """Snapped images of ``coords`` under every word map of a block, word-major."""
-    return space.snap(_affine_images(coords, mats, trans).reshape(-1, coords.shape[1]))
+    """Snapped images of ``coords`` under every word map of a block, one row per word."""
+    images = _affine_images(coords, mats, trans).reshape(-1, coords.shape[1])
+    return space.snap(images).reshape(len(mats), len(coords))
 
 
 def _table(apply, weights, values, top):
@@ -230,18 +242,11 @@ def word_expansion(system, seed, depth):
     density(y) = max over words w and points x snapped into y of
     weight(w) * seed(x).  Affine compositions are snapped once;
     tabulated systems chain their tables.  Depth 0 is the seed, and
-    depth 1 is ``psi`` of it bit for bit.
-
-    On a grid a word stops growing once every extension of it sends
-    the box widened by r_L = (h + 1e-12)(1 - c^L)/(1 - c), L letters
-    before the end, into one cell (see the module docstring).  It adds
-    f_L(weight) there, the max over its suffixes' folded weights w and
-    the distinct seed values s of w * s; f is filled once per distinct
-    weight a level needs, bottom-up from f_0.  The cost is the words
-    composed before they collapse plus that fold: on Cantor 729 at
-    depth 16, 378 of 65,536 words and 611 t-norm values.  Only a word
-    still straddling a cell boundary at full depth, and every word on a
-    dense space, snaps all n points, ``_BLOCK // (n d)`` words at a time.
+    depth 1 is ``psi`` of it bit for bit.  Only the seed's support is
+    followed, as T(w, 0) = 0.  A word that collapsed with L letters left
+    adds f_L(weight) at its cell (see the module docstring); the pending
+    pairs are folded each time they pass ``_BLOCK`` weights, since f_L
+    depends on L and the weight alone and a max on no order.
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -251,27 +256,21 @@ def word_expansion(system, seed, depth):
         return StarMeasure(space, seed.density, system.tnorm)
     out = np.zeros(space.n)
     apply = system.tnorm._apply
-    if not _all_affine(system):
-        for _, (weights, tables) in _word_blocks(system, depth):
-            np.maximum.at(out, tables.ravel(), apply(weights[:, None], seed.density).ravel())
-        return StarMeasure(space, out, system.tnorm)
-    levels = _distinct(seed.density)
-    per_point = max(1, _BLOCK // (space.n * space.coords.shape[1]))
+    points = np.flatnonzero(seed.density)
+    values = seed.density[points]
+    levels = _distinct(values)
     # pair blocks by the letters they still lacked when they collapsed
-    pairs = [[] for _ in range(depth)]
-    for left, (weights, *arrays) in _word_blocks(system, depth):
-        if len(arrays) == 1:
-            pairs[left].append((weights, arrays[0]))
+    pairs, held = [[] for _ in range(depth)], 0
+    for left, weights, cells in _word_blocks(system, depth, points):
+        if cells.ndim == 2:
+            # flat, where ufunc.at has its fast path
+            np.maximum.at(out, cells.ravel(), apply(weights[:, None], values).ravel())
             continue
-        mats, trans = arrays
-        for start in range(0, len(weights), per_point):
-            part = slice(start, start + per_point)
-            # one statement, so a block's targets and values die before the next
-            np.maximum.at(
-                out,
-                _snap_images(space, space.coords, mats[part], trans[part]),
-                apply(weights[part, None], seed.density).ravel(),
-            )
+        pairs[left].append((weights, cells))
+        held += len(weights)
+        if held > _BLOCK:
+            _fold_pairs(out, apply, system.weights, levels, pairs)
+            pairs, held = [[] for _ in range(depth)], 0
     _fold_pairs(out, apply, system.weights, levels, pairs)
     return StarMeasure(space, out, system.tnorm)
 
@@ -280,11 +279,11 @@ def attractor_support(system, depth, reference_index=0):
     """Depth-n attractor approximation: word images of one reference point.
 
     Returns the sorted indices {snap(f_w(x0)) : |w| = depth}.  Affine
-    systems walk the same words as ``word_expansion``: on a grid a word
-    marks its cell once every extension sends the whole grid into it,
-    and the rest snap the image of x0 once, so the cost is the words
-    composed before they collapse, not k^depth.  A system with a
-    tabulated map takes ``depth`` set images of {x0} under its tables,
+    systems walk the same words as ``word_expansion`` with x0 as the
+    support: on a grid a word marks its cell once every extension sends
+    the whole grid into it, and the rest snap x0 alone, so the cost is
+    the words composed before they collapse, not k^depth.  A system with
+    a tabulated map takes ``depth`` set images of {x0} under its tables,
     in O(n) memory whatever the word count.  With all weights 1 and the
     minimum t-norm this equals the support of the word expansion from
     the Dirac seed at the reference point.
@@ -298,10 +297,9 @@ def attractor_support(system, depth, reference_index=0):
         for _ in range(depth):
             points = _set_image(system.tables, points)
         return points
-    x0 = space.coords[reference_index : reference_index + 1]
     hit = np.zeros(space.n, dtype=bool)
-    for _, (_, *arrays) in _word_blocks(system, depth):
-        hit[arrays[0] if len(arrays) == 1 else _snap_images(space, x0, *arrays)] = True
+    for _, _, cells in _word_blocks(system, depth, [reference_index]):
+        hit[cells] = True
     return np.flatnonzero(hit)
 
 

@@ -80,6 +80,15 @@ FIELD_ERRORS = [
     (_set("space", value={**_GRID2D, "bounds": [[0, 1], [2, 1]]}), "space.bounds[1]: needs lo < hi"),
     (_set("space", "bounds", value=[1e16, 1e16 + 2]), "space: grid points must be distinct"),
     (_set("space", "counts", value=[1e300]), "space: grid point count exceeds"),
+    (_set("space", "counts", value=[True]), "space.counts[0]: must be a number"),
+    (_set("space", "counts", value=["9"]), "space.counts[0]: must be a number"),
+    (_set("space", "counts", value=[1]), "space.counts[0]: must be >= 2"),
+    (_set("space", "counts", value=[10**400]), "space.counts[0]: must be a finite number"),
+    (_set("solver", "maxIter", value=2.5), "solver.maxIter: must be an integer"),
+    (_set("solver", "maxIter", value=0), "solver.maxIter: must be >= 1"),
+    (_set("weights", value=[True, 0.5]), "weights[0]: must be a number"),
+    (_set("weights", value=[1.5, 0.5]), "weights[0]: must be <= 1"),
+    (_set("tnorm", value={"family": "hamacher", "parameter": "1"}), "tnorm.parameter: must be a number"),
     (_set("maps", value={}), "maps: must be a nonempty list"),
     (_set("maps", 0, "extra", value=1), "maps[0].extra: unknown field"),
     (_set("maps", 0, value={}), "maps[0]: must be"),
@@ -93,6 +102,7 @@ FIELD_ERRORS = [
     (_set("maps", 0, value={"tabulated": {"pairs": [[0, 0], [0, 1]]}}), "maps[0].tabulated.pairs[1]: duplicate"),
     (_set("maps", 0, value={"tabulated": {"pairs": [[0]]}}), "maps[0].tabulated.pairs[0]: must be"),
     (_set("maps", 0, value={"tabulated": {"pairs": [[729, 0]]}}), "maps[0].tabulated.pairs[0][0]"),
+    (_set("maps", 0, value={"tabulated": {"pairs": 3}}), "maps[0].tabulated.pairs: must be a list"),
 ]
 
 
@@ -538,6 +548,31 @@ class TestExportCommand:
         path = tmp_path / "d.json"
         path.write_text(json.dumps({"columns": ["index", "x", "y", "density"], "rows": rows}))
         assert "rows of 4 numeric fields" in self._export_fails(path, capsys)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("empty.csv", "", "empty density file"),
+            ("header.csv", "index,x,density\n", "one or more rows of 3 numeric fields"),
+            ("unknown.csv", "a,b,c\n0,0,1\n", "unrecognized density header"),
+            ("short.csv", "index,x,density\n0,0,1\n1,0.5\n", "short.csv:3: expected 3 fields"),
+            ("brace.json", "{", "brace.json:1:2:"),
+            ("list.json", "[1, 2]", "malformed density JSON"),
+            ("text.json", '{"columns": "index,x,density", "rows": [[0, 0, 1]]}', "unrecognized density header"),
+            ("binary.pgm", "P5\n1 1\n255\n255\n", "not a plain P2 PGM"),
+            ("short.pgm", "P2\n2 2\n255\n255 0 0\n", "pixel count does not match"),
+            ("negative.pgm", "P2\n-1 -1\n255\n0\n", "malformed PGM header"),
+            ("zero.pgm", "P2\n0 1\n255\n", "malformed PGM header"),
+            ("maxval.pgm", "P2\n1 1\n0\n0\n", "malformed PGM header"),
+            ("fraction.pgm", "P2\n1 1\n255\n3.5\n", "malformed PGM"),
+            ("huge.pgm", f"P2\n1 1\n255\n{10**23}\n", "malformed PGM"),
+            ("d.txt", "index,x,density\n0,0,1\n", "cannot infer density format"),
+        ],
+    )
+    def test_bad_inputs_name_the_file(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert message in self._export_fails(path, capsys)
 
     def test_pgm_pixel_above_maxval(self, tmp_path, capsys):
         path = tmp_path / "d.pgm"

@@ -94,6 +94,19 @@ class TestContractionMap:
         with pytest.raises(si.DomainError):
             si.ContractionMap.affine([[0.5, 0.1]], [0.0])
 
+    def test_image_coords_checks_map_and_space(self):
+        half = si.ContractionMap.affine([[0.5]], [0.0])
+        with pytest.raises(si.DomainError, match="only affine maps"):
+            si.ContractionMap.tabulated([0, 0]).image_coords(si.grid_1d(2, 0, 1))
+        with pytest.raises(si.DomainError, match="a space with coordinates"):
+            half.image_coords(si.FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        with pytest.raises(si.DomainError, match="dimension does not match"):
+            half.image_coords(si.grid_2d(2, 2, ((0, 1), (0, 1))))
+
+    def test_snapped_table_needs_one_target_per_point(self):
+        with pytest.raises(si.DomainError, match="one target per point"):
+            si.ContractionMap.tabulated([0, 0]).snapped_table(si.grid_1d(3, 0, 1))
+
     def test_affine_rejects_nonfinite(self):
         for matrix, translation in (([[np.nan]], [0.0]), ([[0.5]], [np.inf])):
             with pytest.raises(si.DomainError, match="finite"):
@@ -120,6 +133,12 @@ class TestValidate:
         for bad in (np.nan, np.inf):
             with pytest.raises(si.DomainError, match="finite"):
                 si.validate(si.IFSSystem(X, maps * 2, [1.0, bad], si.TNorm("product")))
+
+    def test_one_weight_per_map(self):
+        X = si.grid_1d(10, 0, 1)
+        maps = [si.ContractionMap.affine([[0.5]], [0.0])] * 3
+        with pytest.raises(si.DomainError, match="one weight per map"):
+            si.validate(si.IFSSystem(X, maps, [1.0, 0.5], si.TNorm("product")))
 
     def test_identity_table_not_a_contraction(self):
         X = si.grid_1d(10, 0, 1)

@@ -124,6 +124,13 @@ class TestPushforward:
         out = si.pushforward(np.arange(X.n), mu)
         assert np.array_equal(out.density, mu.density)
 
+    def test_map_needs_one_target_per_point(self):
+        X = si.grid_1d(6, 0, 1)
+        mu = si.StarMeasure.full(X, si.TNorm("product"))
+        for f in (np.zeros(X.n - 1, dtype=int), np.zeros((X.n, 1), dtype=int)):
+            with pytest.raises(si.DomainError, match="one target per point"):
+                si.pushforward(f, mu)
+
     def test_constant_map_gives_dirac(self):
         X = si.grid_1d(6, 0, 1)
         t = si.TNorm("minimum")

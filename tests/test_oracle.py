@@ -388,6 +388,40 @@ class TestBlockedExpansion:
                 att = si.attractor_support(system, 5, reference_index=ref)
                 assert np.array_equal(att, support)
 
+    def test_dirac_expansion_snaps_only_its_support(self, monkeypatch):
+        # T(w, 0) = 0, so a full-length word snaps the seed's one point;
+        # snapping all 1,024 points of every word gave the same density
+        make, seed_of, depth = EXPANSION_CASES["sierpinski-dirac"]
+        system = make()
+        snapped = []
+        snap_images = oracle._snap_images
+
+        def spy(space, coords, mats, trans):
+            snapped.append(len(coords))
+            return snap_images(space, coords, mats, trans)
+
+        monkeypatch.setattr(oracle, "_snap_images", spy)
+        si.word_expansion(system, seed_of(system), depth)
+        assert snapped and set(snapped) == {1}
+
+    def test_pending_pairs_are_folded_in_blocks(self, monkeypatch):
+        # holding every collapsed pair to the end folded 8,991 at once
+        system = make_sierpinski(32, family="product", weights=(1.0, 0.6, 0.8))
+        seed = full(system)
+        whole = si.word_expansion(system, seed, 10).density
+        held = []
+        fold = oracle._fold_pairs
+
+        def spy(out, apply, letters, levels, pairs):
+            held.append(sum(len(weights) for blocks in pairs for weights, _ in blocks))
+            return fold(out, apply, letters, levels, pairs)
+
+        monkeypatch.setattr(oracle, "_BLOCK", 1024)
+        monkeypatch.setattr(oracle, "_fold_pairs", spy)
+        out = si.word_expansion(system, seed, 10).density
+        assert len(held) > 1 and max(held) <= 2 * 1024
+        assert np.array_equal(out, whole)
+
     def test_attractor_support_memory(self):
         # 3^12 words; holding them all at once took 55 MB
         system = make_sierpinski(64)

@@ -164,6 +164,10 @@ class TestMetricValidation:
         with pytest.raises(si.DomainError):
             si.FiniteMetricSpace(d)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(si.DomainError, match="square"):
+            si.FiniteMetricSpace(np.zeros((2, 3)))
+
     def test_rejects_nonzero_diagonal(self):
         d = np.array([[0.1, 1.0], [1.0, 0.0]])
         with pytest.raises(si.DomainError):
@@ -364,6 +368,11 @@ class TestSnap:
         X = si.grid_1d(5, 0, 1)  # spacing 0.25
         assert X.snap(np.array([[0.125]]))[0] == 0
         assert X.snap(np.array([[0.625]]))[0] == 2
+
+    def test_needs_coordinates(self):
+        X = si.FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(si.DomainError, match="requires coordinates"):
+            X.snap([[0.0]])
 
     def test_clips_outside_hull(self):
         X = si.grid_1d(5, 0, 1)
