@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
 from .ifs import DEFAULT_LEVEL_RESOLUTION, DEFAULT_MAX_ITER, DEFAULT_TOL, ContractionMap, IFSSystem
-from .io_formats import WRITERS
+from .io_formats import WRITERS, read_json
 from .measures import StarMeasure
 from .spaces import MAX_LEVEL_RESOLUTION, GridSpace
 from .tnorms import parse_tnorm
@@ -30,6 +30,8 @@ _SOLVER_DEFAULTS = dict(
 )
 _DIRAC_RE = re.compile(r"dirac:([0-9]+)")
 _OUTPUT_DEFAULTS = {"formats": ["csv", "json"], "pathPrefix": "starifs_out"}
+# a path prefix is nonempty text: NUL and lone surrogates cannot name a file
+_PATH_PREFIX_RE = re.compile("[^\0\ud800-\udfff]+")
 
 
 def _fail(path, msg):
@@ -55,6 +57,18 @@ def _expect_number(value, path, lo=None, hi=None, integer=False):
     return int(value) if integer else float(value)
 
 
+def _numbers(raw, path, **limits):
+    """Each entry of the list ``raw``, checked by ``_expect_number`` as ``path[i]``."""
+    return [_expect_number(v, f"{path}[{i}]", **limits) for i, v in enumerate(raw)]
+
+
+def _list(raw, path, message, length=None):
+    """``raw``, which must be a list, of ``length`` entries if given, or fail with ``message``."""
+    if not isinstance(raw, list) or length is not None and len(raw) != length:
+        _fail(path, message)
+    return raw
+
+
 def _object(raw, path, required=(), defaults=None):
     """``raw`` as a JSON object with ``defaults`` filled in.
 
@@ -78,29 +92,21 @@ def _normalize_space(raw):
     # kind first: it decides what counts and bounds must look like
     space = _object(raw, "space", required=("kind",), defaults={"counts": None, "bounds": None})
     kind = space["kind"]
-    if kind not in _GRID_DIMS:
+    if not isinstance(kind, str) or kind not in _GRID_DIMS:
         _fail("space.kind", "must be 'grid1d' or 'grid2d'")
     dim = _GRID_DIMS[kind]
+    counts = _list(space["counts"], "space.counts", f"{kind} takes {dim} point count(s)", dim)
     # grid1d writes its one [lo, hi] pair unnested
-    counts, pairs = space["counts"], [space["bounds"]] if dim == 1 else space["bounds"]
-    if not (isinstance(counts, list) and len(counts) == dim):
-        _fail("space.counts", f"{kind} takes {dim} point count(s)")
-    if not (isinstance(pairs, list) and len(pairs) == dim):
-        _fail("space.bounds", f"{kind} takes one [lo, hi] per axis")
-    out = {"kind": kind, "counts": [], "bounds": []}
-    for ax, (count, pair) in enumerate(zip(counts, pairs)):
-        out["counts"].append(_expect_number(count, f"space.counts[{ax}]", lo=2, integer=True))
+    pairs = [space["bounds"]] if dim == 1 else space["bounds"]
+    _list(pairs, "space.bounds", f"{kind} takes one [lo, hi] per axis", dim)
+    counts, bounds = _numbers(counts, "space.counts", lo=2, integer=True), []
+    for ax, pair in enumerate(pairs):
         path = "space.bounds" if dim == 1 else f"space.bounds[{ax}]"
-        if not (isinstance(pair, list) and len(pair) == 2):
-            _fail(path, "must be [lo, hi]")
-        lo = _expect_number(pair[0], f"{path}[0]")
-        hi = _expect_number(pair[1], f"{path}[1]")
+        lo, hi = _numbers(_list(pair, path, "must be [lo, hi]", 2), path)
         if not lo < hi:
             _fail(path, "needs lo < hi")
-        out["bounds"].append([lo, hi])
-    if dim == 1:
-        out["bounds"] = out["bounds"][0]
-    return out
+        bounds.append([lo, hi])
+    return {"kind": kind, "counts": counts, "bounds": bounds[0] if dim == 1 else bounds}
 
 
 def _normalize_tnorm(raw):
@@ -131,34 +137,23 @@ def _normalize_map(raw, path, dim, n_points):
         _fail(path, "must be {'affine': ...} or {'tabulated': ...}")
     if "affine" in raw:
         body = _object(raw["affine"], f"{path}.affine", required=("matrix", "translation"))
-        matrix, translation = body["matrix"], body["translation"]
-        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
-            _fail(f"{path}.affine.matrix", "must be a matrix (list of rows)")
-        if not isinstance(translation, list):
-            _fail(f"{path}.affine.translation", "must be a vector")
-        mat = [
-            [_expect_number(v, f"{path}.affine.matrix[{r}][{c}]") for c, v in enumerate(row)]
-            for r, row in enumerate(matrix)
-        ]
-        tr = [
-            _expect_number(v, f"{path}.affine.translation[{j}]")
-            for j, v in enumerate(translation)
-        ]
+        at, rows = f"{path}.affine.matrix", "must be a matrix (list of rows)"
+        matrix = [_list(row, at, rows) for row in _list(body["matrix"], at, rows)]
+        translation = _list(body["translation"], f"{path}.affine.translation", "must be a vector")
+        mat = [_numbers(row, f"{at}[{r}]") for r, row in enumerate(matrix)]
+        tr = _numbers(translation, f"{path}.affine.translation")
         if len(mat) != dim or any(len(row) != dim for row in mat):
             _fail(f"{path}.affine.matrix", f"must be {dim}x{dim} on a {dim}-D grid")
         if len(tr) != dim:
             _fail(f"{path}.affine.translation", f"must have {dim} entries on a {dim}-D grid")
         return {"affine": {"matrix": mat, "translation": tr}}
     pairs = _object(raw["tabulated"], f"{path}.tabulated", required=("pairs",))["pairs"]
-    if not isinstance(pairs, list):
-        _fail(f"{path}.tabulated.pairs", "must be a list of [source, target] pairs")
+    _list(pairs, f"{path}.tabulated.pairs", "must be a list of [source, target] pairs")
     table = {}
     for j, pair in enumerate(pairs):
         at = f"{path}.tabulated.pairs[{j}]"
-        if not (isinstance(pair, list) and len(pair) == 2):
-            _fail(at, "must be [source, target]")
-        s = _expect_number(pair[0], f"{at}[0]", lo=0, hi=n_points - 1, integer=True)
-        t = _expect_number(pair[1], f"{at}[1]", lo=0, hi=n_points - 1, integer=True)
+        pair = _list(pair, at, "must be [source, target]", 2)
+        s, t = _numbers(pair, at, lo=0, hi=n_points - 1, integer=True)
         if s in table:
             _fail(at, f"duplicate source {s}")
         table[s] = t
@@ -189,8 +184,9 @@ def _normalize_solver(raw, n_points):
         dirac = _DIRAC_RE.fullmatch(seed) if isinstance(seed, str) else None
         if dirac is None:
             _fail("solver.seed", "must be 'full' or 'dirac:<pointIndex>' (ASCII digits)")
-        index = int(dirac.group(1))
-        if index >= n_points:
+        index = dirac.group(1).lstrip("0") or "0"
+        # by length first: int() refuses more than 4,300 digits
+        if len(index) > len(str(n_points)) or int(index) >= n_points:
             _fail("solver.seed", f"dirac index {index} outside the space of {n_points} points")
         out["seed"] = f"dirac:{index}"
     return out
@@ -201,9 +197,10 @@ def _normalize_output(raw):
     formats = raw["formats"]
     if not isinstance(formats, list) or not all(f in FORMATS for f in formats):
         _fail("output.formats", f"must be a subset of {set(FORMATS)}")
-    if not isinstance(raw["pathPrefix"], str) or not raw["pathPrefix"]:
-        _fail("output.pathPrefix", "must be a nonempty string")
-    return {"formats": sorted(set(formats)), "pathPrefix": raw["pathPrefix"]}
+    prefix = raw["pathPrefix"]
+    if not isinstance(prefix, str) or not _PATH_PREFIX_RE.fullmatch(prefix):
+        _fail("output.pathPrefix", "must be a nonempty string without NUL or lone surrogates")
+    return {"formats": sorted(set(formats)), "pathPrefix": prefix}
 
 
 @dataclass
@@ -219,33 +216,22 @@ class RunConfig:
         space = _normalize_space(raw["space"])
         dim = len(space["counts"])
         n_points = math.prod(space["counts"])
-        if not isinstance(raw["maps"], list) or not raw["maps"]:
-            _fail("maps", "must be a nonempty list")
-        maps = [_normalize_map(m, f"maps[{i}]", dim, n_points) for i, m in enumerate(raw["maps"])]
-        if not isinstance(raw["weights"], list) or len(raw["weights"]) != len(maps):
-            _fail("weights", "must list one weight per map")
-        weights = [
-            _expect_number(w, f"weights[{i}]", lo=0.0, hi=1.0)
-            for i, w in enumerate(raw["weights"])
-        ]
-        data = {
+        maps = _list(raw["maps"] or None, "maps", "must be a nonempty list")
+        maps = [_normalize_map(m, f"maps[{i}]", dim, n_points) for i, m in enumerate(maps)]
+        weights = _list(raw["weights"], "weights", "must list one weight per map", len(maps))
+        weights = _numbers(weights, "weights", lo=0.0, hi=1.0)
+        return cls({
             "space": space,
             "tnorm": _normalize_tnorm(raw["tnorm"]),
             "maps": maps,
             "weights": weights,
             "solver": _normalize_solver(raw["solver"], n_points),
             "output": _normalize_output(raw["output"]),
-        }
-        return cls(data)
+        })
 
     @classmethod
     def from_path(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     def to_json(self):
         return json.dumps(self.data, indent=2) + "\n"

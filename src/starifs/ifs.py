@@ -39,7 +39,6 @@ from .errors import (
 from .measures import StarMeasure, hypograph_hausdorff
 from .spaces import LevelGrid, _distinct, _indices, _integer, _unit_values
 
-WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_LEVEL_RESOLUTION = 256
@@ -185,8 +184,8 @@ def validate(system):
         raise DomainError("one weight per map is required")
     _unit_values(system.weights, "weights")
     max_w = float(system.weights.max())
-    if abs(max_w - 1.0) > WEIGHT_TOL:
-        raise WeightError(f"weight error: max λ = {max_w:g}")
+    if max_w != 1.0:
+        raise WeightError(f"weight error: max λ = {max_w!r}")
 
     worst = max(m.contraction_constant(system.space) for m in system.maps)
     if worst >= 1.0:

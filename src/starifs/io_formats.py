@@ -74,6 +74,27 @@ class DensityTable:
         return width, height
 
 
+def read_text(path):
+    """An input file's text; bytes that are not UTF-8 fail naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
+def read_json(path):
+    """An input file's JSON value.  A syntax error names the file, line and column;
+    arrays nested too deep or an integer of over 4,300 digits, the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _checked(path, columns, rows):
     try:
         return DensityTable(columns, rows)
@@ -125,17 +146,16 @@ def write_density_csv(path, table):
 
 
 def read_density_csv(path):
-    """Read a CSV table: every field in one numpy conversion, or, when
-    that fails, line by line, so the error names the physical line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    """Read a CSV table: every field in one numpy conversion, or, when that
+    fails, line by line, split at line feeds only, so the error names the physical line."""
+    lines = [ln.strip() for ln in read_text(path).split("\n")]
     body = [ln for ln in lines if ln]
     if not body:
         raise ConfigError(f"{path}: empty density file")
     columns = tuple(body[0].split(","))
     rows = body[1:]
     try:
-        if any(ln.count(",") != len(columns) - 1 for ln in rows):
+        if {ln.count(",") for ln in rows} != {len(columns) - 1}:
             raise ValueError("a row has the wrong field count")
         # numpy converts each string with float(), as the line scan does
         values = np.array(",".join(rows).split(","), dtype=float)
@@ -172,11 +192,7 @@ def write_density_json(path, table):
 
 
 def read_density_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    payload = read_json(path)
     try:
         columns, rows = payload["columns"], payload["rows"]
     except (KeyError, TypeError) as exc:
@@ -205,8 +221,7 @@ def read_density_pgm(path):
     uniform unit grid (1-D when the height is 1); densities are
     value/maxval.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = [t for ln in fh for t in ln.split("#", 1)[0].split()]
+    tokens = [t for ln in read_text(path).split("\n") for t in ln.split("#", 1)[0].split()]
     if len(tokens) < 4 or tokens[0] != "P2":
         raise ConfigError(f"{path}: not a plain P2 PGM")
     try:

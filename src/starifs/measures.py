@@ -163,8 +163,8 @@ class SaturatedSet:
 def to_saturated(mu, levels):
     """Quantized hypograph of a density: {(x, l) : l <= density(x)} u X x {0}.
 
-    Densities are rounded down to the level grid, so the quantized set
-    is contained in the true hypograph (one-sided error <= 1/m).
+    Densities are rounded down to the level grid after adding GRID_SNAP_EPS,
+    so each top lies less than 1/m below its density and at most GRID_SNAP_EPS/m above.
     """
     return SaturatedSet(mu.space, levels, levels.floor_index(mu.density))
 

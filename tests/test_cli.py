@@ -103,7 +103,20 @@ FIELD_ERRORS = [
     (_set("maps", 0, value={"tabulated": {"pairs": [[0]]}}), "maps[0].tabulated.pairs[0]: must be"),
     (_set("maps", 0, value={"tabulated": {"pairs": [[729, 0]]}}), "maps[0].tabulated.pairs[0][0]"),
     (_set("maps", 0, value={"tabulated": {"pairs": 3}}), "maps[0].tabulated.pairs: must be a list"),
+    (_set("space", "kind", value=["grid1d"]), "space.kind: must be 'grid1d' or 'grid2d'"),
+    # past int()'s 4,300-digit limit
+    (_set("solver", "seed", value="dirac:" + "9" * 5000), "solver.seed: dirac index 9999"),
+    (_set("output", "pathPrefix", value="out/a\u0000b"), "output.pathPrefix:"),
+    (_set("output", "pathPrefix", value="out/\ud800"), "output.pathPrefix:"),
 ]
+
+# contents the readers cannot decode, as a config or a density JSON file;
+# 1,000 nesting levels suffice on Python 3.11, but newer versions nest deeper
+UNDECODABLE = {
+    "byte-ff": b'{"columns": "\xff"}',
+    "nested": b"[" * 100_000 + b"]" * 100_000,
+    "5000-digits": b'{"columns": ' + b"9" * 5000 + b"}",
+}
 
 
 class TestRunConfig:
@@ -219,6 +232,26 @@ class TestCheckCommand:
         assert main(["check", str(CONFIGS / "bad_weights.json")]) == 1
         err = capsys.readouterr().err
         assert "weight error: max λ = 0.7" in err
+
+    @pytest.mark.parametrize(
+        "name, code, message",
+        [
+            ("not_utf8", 2, "not_utf8.json: not UTF-8 text (byte 338"),
+            ("kind_list", 2, "space.kind: must be 'grid1d' or 'grid2d'"),
+            # check passed, then solve failed: "a measure's density must attain 1"
+            ("near_one_weight", 1, "weight error: max λ = 0.9999999999999"),
+        ],
+    )
+    def test_bad_config_files(self, capsys, name, code, message):
+        assert main(["check", str(CONFIGS / f"{name}.json")]) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys, data):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_grid_overflow_named(self, capsys):
         # check passed with "diameter inf", and solve wrote "aprioriBound": Infinity
@@ -573,6 +606,20 @@ class TestExportCommand:
         path = tmp_path / name
         path.write_text(text)
         assert message in self._export_fails(path, capsys)
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            pytest.param("d.csv", b"index,x,density\n0,0,1\xff\n", id="csv-byte-ff"),
+            pytest.param("d.pgm", b"P2\n1 1\n255\n\xff\n", id="pgm-byte-ff"),
+        ]
+        + [pytest.param("d.json", data, id=f"json-{case}") for case, data in UNDECODABLE.items()],
+    )
+    def test_undecodable_inputs_name_the_file(self, tmp_path, capsys, name, data):
+        # each gave a traceback and exit 1
+        path = tmp_path / name
+        path.write_bytes(data)
+        self._export_fails(path, capsys)
 
     def test_pgm_pixel_above_maxval(self, tmp_path, capsys):
         path = tmp_path / "d.pgm"

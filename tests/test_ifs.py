@@ -125,6 +125,16 @@ class TestValidate:
         with pytest.raises(si.WeightError, match="max λ = 0.7"):
             si.validate(sys_)
 
+    @pytest.mark.parametrize("top", [0.9999999999999, 0.99999999999])
+    def test_max_weight_must_be_exactly_one(self, top):
+        # 1 - 1e-13 passed as 1, and solve then failed on a density whose top is not 1;
+        # 1 - 1e-11 failed, but printed by %g as "max λ = 1"
+        X = si.grid_1d(10, 0, 1)
+        maps = [si.ContractionMap.affine([[0.5]], [0.0])] * 2
+        sys_ = si.IFSSystem(X, maps, [top, 0.5], si.TNorm("product"))
+        with pytest.raises(si.WeightError, match=f"max λ = {top!r}$"):
+            si.validate(sys_)
+
     def test_weights_above_one_rejected(self):
         X = si.grid_1d(10, 0, 1)
         maps = [si.ContractionMap.affine([[0.5]], [0.0])]

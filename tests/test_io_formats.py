@@ -90,3 +90,14 @@ def test_solve_outputs_match_pinned_sha256(tmp_path, name):
     assert sorted(pinned) == [f"{name}.density.csv", f"{name}.density.json"]
     for file_name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [(None, "needs a space with coordinates"), (np.zeros((2, 3)), "1-D and 2-D grids only")],
+    ids=["no-coordinates", "3-D"],
+)
+def test_table_from_space_needs_1d_or_2d_coordinates(coords, message):
+    space = si.FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], coords)
+    with pytest.raises(si.ConfigError, match=message):
+        io_formats.table_from_space(space, np.ones(2))
