@@ -196,7 +196,7 @@ def _normalize_output(raw):
     raw = _object(raw, "output", defaults=_OUTPUT_DEFAULTS)
     formats = raw["formats"]
     if not isinstance(formats, list) or not all(f in FORMATS for f in formats):
-        _fail("output.formats", f"must be a subset of {set(FORMATS)}")
+        _fail("output.formats", f"must be a list drawn from {list(FORMATS)}")
     prefix = raw["pathPrefix"]
     if not isinstance(prefix, str) or not _PATH_PREFIX_RE.fullmatch(prefix):
         _fail("output.pathPrefix", "must be a nonempty string without NUL or lone surrogates")

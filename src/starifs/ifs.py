@@ -62,17 +62,17 @@ def _affine_images(coords, mats, trans):
     formula whatever batch it is in, monotone in each coordinate.  This
     is the package's one affine arithmetic: a matrix product may fuse a
     product into an fma, and whether it does can vary by row with the
-    BLAS build.
+    BLAS build.  It is a view of a (w, d, n) array, each axis contiguous.
     """
     dim = coords.shape[1]
-    out = np.empty((len(mats), len(coords), dim))
+    out = np.empty((len(mats), dim, len(coords)))
     for i in range(dim):
-        axis = out[..., i]
+        axis = out[:, i]
         np.multiply(mats[:, i, 0, None], coords[:, 0], out=axis)
         for j in range(1, dim):
             axis += mats[:, i, j, None] * coords[:, j]
         axis += trans[:, i, None]
-    return out
+    return out.swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,8 @@ def validate(system):
         )
 
     space = system.space
+    if space.coords is not None:
+        lo, hi = space.coords.min(axis=0), space.coords.max(axis=0)
     tables = []
     for i, m in enumerate(system.maps):
         if m.kind != "affine":
@@ -201,8 +203,6 @@ def validate(system):
             continue
         # one image per map: the hull check and the snap read the same array
         img = m.image_coords(space)
-        lo = space.coords.min(axis=0)
-        hi = space.coords.max(axis=0)
         excess = np.linalg.norm(img - np.clip(img, lo, hi), axis=1).max()
         if excess > space.spacing + _HULL_SLACK:
             raise CoverageError(

@@ -14,6 +14,7 @@ block's column once.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class DensityTable:
         if columns not in HEADERS:
             raise ConfigError(f"unrecognized density header {self.columns!r}")
         try:
-            rows = np.array(self.rows, dtype=float)
+            rows = np.array(self.rows, dtype=float, order="C")  # written row by row
         except (TypeError, ValueError, OverflowError):
             rows = None
         if rows is None or rows.ndim != 2 or rows.shape[1] != len(columns) or not len(rows):
@@ -91,8 +92,10 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
+    except RecursionError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # int()'s digit limit, whose advice names a Python call
+        raise ConfigError(f"{path}: an integer of over {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _checked(path, columns, rows):

@@ -196,8 +196,7 @@ def _word_blocks(system, depth, points):
 
 def _snap_images(space, coords, mats, trans):
     """Snapped images of ``coords`` under every word map of a block, one row per word."""
-    images = _affine_images(coords, mats, trans).reshape(-1, coords.shape[1])
-    return space.snap(images).reshape(len(mats), len(coords))
+    return space.snap(_affine_images(coords, mats, trans))
 
 
 def _table(apply, weights, values, top):

@@ -137,11 +137,12 @@ class FiniteMetricSpace:
     """A finite point set with a full distance matrix.
 
     Points are identified by their index 0..n-1.  ``coords`` is optional
-    (affine maps and snapping need it).  ``spacing`` is the snap
-    diameter: the distance within which any point of the hull has a
-    point of the space, here the largest nearest-neighbour distance; a
-    space needs at least two points, as a grid does, so it is defined.
-    ``dist`` and ``coords`` are copied, so the caller's arrays stay writable.
+    (affine maps and snapping need it) and column-major, as on a grid.
+    ``spacing`` is the snap diameter: the distance within which any
+    point of the hull has a point of the space, here the largest
+    nearest-neighbour distance; a space needs at least two points, as a
+    grid does, so it is defined.  ``dist`` and ``coords`` are copied, so
+    the caller's arrays stay writable.
     """
 
     def __init__(self, dist, coords=None):
@@ -155,7 +156,7 @@ class FiniteMetricSpace:
         self.dist.flags.writeable = False
         self.coords = None
         if coords is not None:
-            coords = np.array(coords, dtype=float)
+            coords = np.array(coords, dtype=float, order="F")
             if coords.ndim == 1:
                 coords = coords[:, None]
             if coords.ndim != 2 or coords.shape[0] != self.n or coords.shape[1] < 1:
@@ -219,18 +220,19 @@ class FiniteMetricSpace:
     def snap(self, pts):
         """Indices of the nearest points by coordinates; ties go to the lowest index.
 
-        ``pts`` is (k, d) coordinates, matched by an argmin scan,
+        ``pts`` (..., d) gives indices (...), by an argmin scan,
         ``_DENSE_ROW_BLOCK`` points at a time.
         """
-        pts = _as_points(pts)
         if self.coords is None:
             raise DomainError("snapping requires coordinates")
-        out = np.empty(len(pts), dtype=np.int64)
-        for start in range(0, len(pts), _DENSE_ROW_BLOCK):
-            block = pts[start : start + _DENSE_ROW_BLOCK]
+        pts = np.asarray(pts, dtype=float)
+        flat = pts.reshape(-1, pts.shape[-1])
+        out = np.empty(len(flat), dtype=np.int64)
+        for start in range(0, len(flat), _DENSE_ROW_BLOCK):
+            block = flat[start : start + _DENSE_ROW_BLOCK]
             d2 = ((block[:, None, :] - self.coords[None, :, :]) ** 2).sum(axis=-1)
             out[start : start + _DENSE_ROW_BLOCK] = np.argmin(d2, axis=1)
-        return out
+        return out.reshape(pts.shape[:-1])
 
 
 class GridSpace(FiniteMetricSpace):
@@ -238,18 +240,19 @@ class GridSpace(FiniteMetricSpace):
 
     ``axes`` lists (lo, hi, count) for one or two coordinates, x first;
     points are row-major (index = iy * nx + ix).  The coordinate array
-    (n x d floats) must fit numpy's largest array, which is checked
-    before anything is allocated.  Integer counts >= 2, finite bounds, a
-    positive step on each axis and strictly increasing axis coordinates
-    make the Euclidean distance a metric on the lattice by construction,
-    so only these O(n) facts are checked, and in 2-D that each squared
-    step is a normal float and the squared extent is finite.  ``spacing`` is
-    the step in 1-D and the cell diagonal in 2-D.  ``dist`` is built on
-    first use and cached; distances and the diameter are otherwise
-    computed from the axes and equal the dense matrix's, bit for bit.
-    Snapping is a closed form per axis, which can differ from the dense
-    scan at a floating half-way point: ``grid_1d(4, 0, 1).snap([[0.5]])``
-    gives 1, the dense scan 2, as |0.5 - 2/3| < |0.5 - 1/3| in floats.
+    (n x d floats, column-major: each axis contiguous) must fit numpy's
+    largest array, which is checked before anything is allocated.
+    Integer counts >= 2, finite bounds, a positive step on each axis and
+    strictly increasing axis coordinates make the Euclidean distance a
+    metric on the lattice by construction, so only these O(n) facts are
+    checked, and in 2-D that each squared step is a normal float and the
+    squared extent is finite.  ``spacing`` is the step in 1-D and the
+    cell diagonal in 2-D.  ``dist`` is built on first use and cached;
+    distances and the diameter are otherwise computed from the axes and
+    equal the dense matrix's, bit for bit.  Snapping is a closed form
+    per axis, which can differ from the dense scan at a floating
+    half-way point: ``grid_1d(4, 0, 1).snap([[0.5]])`` gives 1, the
+    dense scan 2, as |0.5 - 2/3| < |0.5 - 1/3| in floats.
     """
 
     def __init__(self, axes):
@@ -292,7 +295,7 @@ class GridSpace(FiniteMetricSpace):
         self._grid_axes = tuple(grid_axes)
         self.n = n
         mesh = np.meshgrid(*self.axes)  # row-major: y varies along rows
-        self.coords = np.column_stack([g.ravel() for g in mesh])
+        self.coords = np.vstack([g.ravel() for g in mesh]).T
         self.coords.flags.writeable = False
 
     @cached_property
@@ -347,14 +350,14 @@ class GridSpace(FiniteMetricSpace):
     def snap(self, pts):
         """Indices of the nearest grid points; ties go to the lowest index.
 
-        Closed form per axis; exact half-way ties resolve to the lower
-        index, and points outside the hull clip to its boundary.
+        ``pts`` (..., d) gives indices (...), by a closed form per axis;
+        points outside the hull clip to its boundary.
         """
-        pts = _as_points(pts)
-        flat = np.zeros(len(pts), dtype=np.int64)
+        pts = np.asarray(pts, dtype=float)
+        flat = np.zeros(pts.shape[:-1], dtype=np.int64)
         for ax, (lo, step, count, stride) in enumerate(self._grid_axes):
-            # in place: the oracle snaps blocks of 2^14 points at a time
-            u = pts[:, ax] - lo
+            # in place, on an array even for one point: the oracle snaps 2^14 at a time
+            u = np.subtract(pts[..., ax], lo, out=np.empty(flat.shape))
             u /= step
             u -= 0.5
             np.ceil(u, out=u)
@@ -363,11 +366,6 @@ class GridSpace(FiniteMetricSpace):
             idx *= stride
             flat += idx
         return flat
-
-
-def _as_points(pts):
-    pts = np.asarray(pts, dtype=float)
-    return pts.reshape(1, -1) if pts.ndim == 1 else pts
 
 
 def _nearest_gap(x, mask):

@@ -112,10 +112,12 @@ FIELD_ERRORS = [
 
 # contents the readers cannot decode, as a config or a density JSON file;
 # 1,000 nesting levels suffice on Python 3.11, but newer versions nest deeper
+# with the start of the message after the file name
 UNDECODABLE = {
-    "byte-ff": b'{"columns": "\xff"}',
-    "nested": b"[" * 100_000 + b"]" * 100_000,
-    "5000-digits": b'{"columns": ' + b"9" * 5000 + b"}",
+    "byte-ff": (b'{"columns": "\xff"}', "not UTF-8 text"),
+    "nested": (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    # Python's own message ended "use sys.set_int_max_str_digits() to increase the limit"
+    "5000-digits": (b'{"columns": ' + b"9" * 5000 + b"}", "an integer of over 4300 digits\n"),
 }
 
 
@@ -246,12 +248,21 @@ class TestCheckCommand:
         assert main(["check", str(CONFIGS / f"{name}.json")]) == code
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("data", UNDECODABLE.values(), ids=UNDECODABLE.keys())
-    def test_undecodable_config_names_the_file(self, tmp_path, capsys, data):
+    @pytest.mark.parametrize("data, message", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys, data, message):
         path = tmp_path / "cfg.json"
         path.write_bytes(data)
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    def test_formats_error_text_is_fixed(self, cantor_cfg, capsys):
+        # the formats were printed as a set, in an order that changed from run to run
+        raw = json.loads(cantor_cfg.read_text())
+        raw["output"]["formats"] = ["bmp"]
+        cantor_cfg.write_text(json.dumps(raw))
+        assert main(["check", str(cantor_cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: output.formats: must be a list drawn from ['csv', 'json', 'pgm']\n"
 
     def test_grid_overflow_named(self, capsys):
         # check passed with "diameter inf", and solve wrote "aprioriBound": Infinity
@@ -608,18 +619,21 @@ class TestExportCommand:
         assert message in self._export_fails(path, capsys)
 
     @pytest.mark.parametrize(
-        "name, data",
+        "name, data, message",
         [
-            pytest.param("d.csv", b"index,x,density\n0,0,1\xff\n", id="csv-byte-ff"),
-            pytest.param("d.pgm", b"P2\n1 1\n255\n\xff\n", id="pgm-byte-ff"),
+            pytest.param("d.csv", b"index,x,density\n0,0,1\xff\n", "not UTF-8", id="csv-byte-ff"),
+            pytest.param("d.pgm", b"P2\n1 1\n255\n\xff\n", "not UTF-8", id="pgm-byte-ff"),
         ]
-        + [pytest.param("d.json", data, id=f"json-{case}") for case, data in UNDECODABLE.items()],
+        + [
+            pytest.param("d.json", data, message, id=f"json-{case}")
+            for case, (data, message) in UNDECODABLE.items()
+        ],
     )
-    def test_undecodable_inputs_name_the_file(self, tmp_path, capsys, name, data):
+    def test_undecodable_inputs_name_the_file(self, tmp_path, capsys, name, data, message):
         # each gave a traceback and exit 1
         path = tmp_path / name
         path.write_bytes(data)
-        self._export_fails(path, capsys)
+        assert f"error: {path}: {message}" in self._export_fails(path, capsys)
 
     def test_pgm_pixel_above_maxval(self, tmp_path, capsys):
         path = tmp_path / "d.pgm"

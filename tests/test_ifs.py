@@ -168,6 +168,48 @@ class TestValidate:
         with pytest.raises(si.CoverageError):
             si.validate(si.IFSSystem(X, [escape], [1.0], si.TNorm("product")))
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["grid", "cloud"])
+    def test_coverage_error_excess_in_2d(self, dense):
+        # the hull box is computed once, before the map loop; map 1's worst
+        # point leaves it along both axes
+        X = si.grid_2d(16, 12, ((0, 1), (0, 2)))
+        spacing = "0.193655"
+        if dense:
+            X, spacing = si.FiniteMetricSpace(X.dist, coords=X.coords), "0.0666667"
+        maps = [
+            si.ContractionMap.affine([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+            si.ContractionMap.affine([[0.5, 0.1], [-0.1, 0.5]], [0.77, -0.41]),
+        ]
+        with pytest.raises(si.CoverageError) as info:
+            si.validate(si.IFSSystem(X, maps, [1.0, 0.5], si.TNorm("product")))
+        assert str(info.value) == f"map 1 leaves the grid hull by 0.577062 (> spacing {spacing})"
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["grid", "cloud"])
+    def test_tables_equal_snaps_of_row_major_images(self, dense):
+        """Column-major coordinates and images leave every table and ``c`` as
+        a row-major evaluation of the same formula gives them."""
+        X = si.grid_2d(23, 17, ((-0.5, 1.5), (0.0, 2.0)))
+        if dense:
+            X = si.FiniteMetricSpace(X.dist, coords=X.coords)
+        maps = [
+            si.ContractionMap.affine([[0.4, 0.2], [-0.1, 0.45]], [0.3, 0.6]),
+            si.ContractionMap.affine([[0.35, -0.15], [0.25, 0.3]], [0.1, 0.2]),
+            si.ContractionMap.tabulated(np.full(X.n, 7)),
+        ]
+        system = si.validate(si.IFSSystem(X, maps, [1.0, 0.7, 0.4], si.TNorm("product")))
+        coords = np.ascontiguousarray(X.coords)
+        expect = []
+        for m in maps[:2]:
+            a, t = m.matrix, m.translation
+            img = np.ascontiguousarray(
+                np.stack([a[i, 0] * coords[:, 0] + a[i, 1] * coords[:, 1] + t[i] for i in (0, 1)], 1)
+            )
+            assert img.flags.c_contiguous
+            expect.append(X.snap(img))
+        expect.append(maps[2].table)
+        assert np.array_equal(system.tables, np.stack(expect))
+        assert system.c == max(np.linalg.norm(m.matrix, 2) for m in maps[:2])
+
     def test_empty_system_rejected(self):
         X = si.grid_1d(10, 0, 1)
         with pytest.raises(si.DomainError):

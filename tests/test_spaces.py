@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import starifs as si
+from starifs.ifs import _affine_images
 from starifs.spaces import GridSpace, _splitmix64
 
 from conftest import level_floor, product_metric, projection_bound_check
@@ -399,6 +400,21 @@ class TestSnap:
         cloud = si.FiniteMetricSpace(X.dist, coords=X.coords)
         assert X.snap([[0.5]])[0] == 1
         assert cloud.snap([[0.5]])[0] == 2
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["grid", "cloud"])
+    def test_stacked_snap_of_transposed_view(self, dense):
+        X = si.grid_2d(13, 11, ((0.0, 1.0), (-1.0, 1.0)))
+        if dense:
+            X = si.FiniteMetricSpace(X.dist, coords=X.coords)
+        assert X.coords.flags.f_contiguous
+        mats = np.array([[[0.5, 0.2], [-0.1, 0.6]], [[0.3, 0.0], [0.4, 0.5]], [[0.7, -0.2], [0.1, 0.2]]])
+        trans = np.array([[0.1, 0.2], [0.5, -0.3], [0.2, 0.1]])
+        images = _affine_images(X.coords, mats, trans)
+        assert images.shape == (3, X.n, 2) and not images.flags.c_contiguous
+        flat = X.snap(np.ascontiguousarray(images).reshape(-1, 2))
+        assert np.array_equal(X.snap(images), flat.reshape(3, X.n))
+        one = X.snap(images[1, 5])
+        assert one.shape == () and one == flat[X.n + 5]
 
 
 class TestLevelGrid:
