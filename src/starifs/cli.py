@@ -37,6 +37,20 @@ _EXIT_CODES = (
 )
 
 
+def _print(text):
+    """Print a line; once stdout's reader has gone, send stdout to /dev/null and go on."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # at most once: later writes, and the flush at exit, go to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _make_parent(path):
+    """Create the directory ``path`` is in, if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+
 def _check(args):
     """Load the config, apply the solver flags, and build the space, the
     t-norm, the validated system and the seed, printing one line per
@@ -46,37 +60,29 @@ def _check(args):
     flags = {"tol": args.tol, "maxIter": args.max_iter, "levelResolution": args.levels}
     config.override_solver({k: v for k, v in flags.items() if v is not None})
     space = config.build_space()
-    print(f"space ok: {space.n} points, diameter {space.diameter:.17g}")
+    _print(f"space ok: {space.n} points, diameter {space.diameter:.17g}")
     tnorm = config.build_tnorm()
-    print(f"t-norm ok: {tnorm.config_name()}")
+    _print(f"t-norm ok: {tnorm.config_name()}")
     system = validate(config.build_system(space, tnorm))
-    print(f"system ok: {system.k} maps, contraction constant c = {system.c:.17g}")
+    _print(f"system ok: {system.k} maps, contraction constant c = {system.c:.17g}")
     seed = config.seed_measure(space, tnorm)
-    print(f"seed ok: {config.solver['seed']}")
+    _print(f"seed ok: {config.solver['seed']}")
     return config, system, seed
 
 
 def cmd_check(args):
     _check(args)
-    print("check passed")
+    _print("check passed")
     return EXIT_OK
 
 
 def cmd_solve(args):
     config, system, seed = _check(args)
-    solver = config.solver
-    measure, report = solve(
-        system,
-        seed=seed,
-        tol=solver["tol"],
-        max_iter=solver["maxIter"],
-        level_resolution=solver["levelResolution"],
-    )
+    s = config.solver
+    measure, report = solve(system, seed, s["tol"], s["maxIter"], s["levelResolution"])
     out = config.output
     prefix = out["pathPrefix"]
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    _make_parent(prefix)
     table = io_formats.table_from_space(system.space, measure.density)
     written = []
     for fmt in out["formats"]:
@@ -86,13 +92,13 @@ def cmd_solve(args):
     report_path = f"{prefix}.report.json"
     io_formats.write_report_json(report_path, report.to_dict())
     written.append(report_path)
-    print(
+    _print(
         f"solved in {report.iterations} iterations "
         f"(stoppedBy={report.stopped_by}, finalResidual={report.final_residual}, "
         f"aprioriBound={report.apriori_bound:.3g})"
     )
     for path in written:
-        print(f"wrote {path}")
+        _print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -111,8 +117,7 @@ def cmd_oracle(args):
     levels = LevelGrid(config.solver["levelResolution"])
     distance = hypograph_hausdorff(space, expanded.density, iterated.density, levels)
     discrepancy = float(np.max(np.abs(expanded.density - iterated.density)))
-    h = space.spacing
-    c = system.c
+    h, c = space.spacing, system.c
     # the step-by-step image of a word is within `drift` of its exact
     # image, and the expansion's single snap within h/2 of it
     drift = h * (1 - c**depth) / (2 * (1 - c))
@@ -127,7 +132,7 @@ def cmd_oracle(args):
         "analyticTolerance": drift,
         "passed": passed,
     }
-    print(json.dumps(report, indent=2))
+    _print(json.dumps(report, indent=2))
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
@@ -135,11 +140,9 @@ def cmd_export(args):
     if args.format not in FORMATS:
         raise ConfigError(f"unknown format {args.format!r}")
     table = io_formats.READERS[io_formats.sniff_format(args.infile)](args.infile)
-    parent = os.path.dirname(args.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    _make_parent(args.out)
     io_formats.WRITERS[args.format](args.out, table)
-    print(f"wrote {args.out}")
+    _print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -150,26 +153,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p):
+    def add_config_command(name, func, help):
+        """A subcommand that reads a config and takes the solver flags."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("config")
         p.add_argument("--tol", type=float, help="override solver.tol (finite, > 0)")
         p.add_argument("--max-iter", type=int, help="override solver.maxIter")
         p.add_argument("--levels", type=int, help="override solver.levelResolution")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="validate a config: space, t-norm, system, seed")
-    p.add_argument("config")
-    add_solver_flags(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("solve", help="solve for the invariant measure and export")
-    p.add_argument("config")
-    add_solver_flags(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("oracle", help="cross-check the solver against word expansion")
-    p.add_argument("config")
-    p.add_argument("--depth", type=int, required=True)
-    add_solver_flags(p)
-    p.set_defaults(func=cmd_oracle)
+    add_config_command("check", cmd_check, "validate a config: space, t-norm, system, seed")
+    add_config_command("solve", cmd_solve, "solve for the invariant measure and export")
+    add_config_command(
+        "oracle", cmd_oracle, "cross-check the solver against word expansion"
+    ).add_argument("--depth", type=int, required=True)
 
     p = sub.add_parser("export", help="convert a density file between encodings")
     p.add_argument("infile")

@@ -101,11 +101,10 @@ def max_union(items):
     if not items:
         raise DomainError("max_union needs at least one density")
     first = items[0]
+    out = first.density
     for it in items[1:]:
         if it.space is not first.space or it.tnorm != first.tnorm:
             raise DomainError("max_union items must share space and t-norm")
-    out = items[0].density
-    for it in items[1:]:
         out = np.maximum(out, it.density)
     return SubDensity(first.space, out, first.tnorm)
 

@@ -112,9 +112,10 @@ def _word_blocks(system, depth, points):
     words at once, so each word gets the same arithmetic whichever block
     it lands in.  On a grid every new affine word is tested once (see
     the module docstring), and the words that collapse leave at once.
-    A block that would grow past ``_BLOCK // per_word`` words (at least
-    one; ``per_word`` is the values one word holds) is split into parts
-    that fit, walked depth first, so at most k + 1 parts wait per level.
+    One rule bounds a block: one whose next step (growing by k letters,
+    or at full length snapping or reading its tables at its points)
+    would touch over ``_BLOCK`` values is split into parts that fit, of
+    one word at least, walked depth first; at most k + 1 wait per level.
     """
     space = system.space
     k = system.k
@@ -131,11 +132,10 @@ def _word_blocks(system, depth, points):
         # a word's matrix, translation and weight; on a grid also its box
         # images, their two ends and the two cells
         per_word = dim * dim + dim + 1 + ((2**dim + 2) * dim + 2 if grid else 0)
-        per_snap = max(1, _BLOCK // coords.size)
+        per_leaf = coords.size
     else:
         root = (np.arange(space.n, dtype=np.int64)[None],)
-        per_word = space.n
-    cap = max(1, _BLOCK // per_word)
+        per_word, per_leaf = space.n, len(points)
     if grid:
         # the grid box's 2^d corners and the way each moves out
         mesh = np.meshgrid(*[axis[[0, -1]] for axis in space.axes])
@@ -169,13 +169,19 @@ def _word_blocks(system, depth, points):
     while stack:
         length, block = stack.pop()
         size = len(block[0])
-        if length == depth and affine:
-            for start in range(0, size, per_snap):
-                weights, mats, trans = (part[start : start + per_snap] for part in block)
-                yield 0, weights, _snap_images(space, coords, mats, trans)
+        # the values the block's next step touches per word
+        touched = per_leaf if length == depth else k * per_word
+        if size > 1 and size * touched > _BLOCK:
+            step = max(1, _BLOCK // touched)
+            stack.extend(
+                (length, tuple(part[start : start + step] for part in block))
+                for start in reversed(range(0, size, step))
+            )
+        elif length == depth and affine:
+            yield 0, block[0], _snap_images(space, coords, *block[1:])
         elif length == depth:
             yield 0, block[0], block[1][:, points]
-        elif size == 1 or size * k <= cap:
+        else:
             block = children(block)
             if grid:
                 left = depth - length - 1
@@ -186,12 +192,6 @@ def _word_blocks(system, depth, points):
                     block = tuple(part[~one] for part in block)
             if len(block[0]):
                 stack.append((length + 1, block))
-        else:
-            step = max(1, cap // k)
-            stack.extend(
-                (length, tuple(part[start : start + step] for part in block))
-                for start in reversed(range(0, size, step))
-            )
 
 
 def _snap_images(space, coords, mats, trans):

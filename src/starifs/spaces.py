@@ -166,12 +166,13 @@ class FiniteMetricSpace:
             coords.flags.writeable = False
             self.coords = coords
         self.diameter = float(dist.max())
-        off = dist + np.diag(np.full(self.n, np.inf))
+        # each point's distances to the others, one row per point
+        off = dist[~np.eye(self.n, dtype=bool)].reshape(self.n, self.n - 1)
         self.spacing = float(off.min(axis=1).max())
-        self._check_metric()
+        self._check_metric(off)
 
-    def _check_metric(self):
-        """Raise DomainError unless ``dist`` is a metric.
+    def _check_metric(self, off):
+        """Raise DomainError unless ``dist`` (off-diagonal entries ``off``) is a metric.
 
         Every axiom is checked on every entry, except the triangle
         inequality above ``_TRIANGLE_EXHAUSTIVE_LIMIT`` points: there it is
@@ -185,7 +186,6 @@ class FiniteMetricSpace:
             raise DomainError("distance of a point to itself must be 0")
         if not np.array_equal(d, d.T):
             raise DomainError("distance matrix must be symmetric")
-        off = d[~np.eye(self.n, dtype=bool)]
         if np.any(off <= 0.0):
             raise DomainError("distinct points must be at positive distance")
         tol = 1e-12 * max(1.0, self.diameter)
@@ -217,15 +217,24 @@ class FiniteMetricSpace:
         """The block of the distance matrix at point indices ``rows`` x ``cols``."""
         return self.dist[np.ix_(rows, cols)]
 
+    def _snap_points(self, pts):
+        """``pts`` as floats; DomainError unless the space has coordinates and
+        ``pts`` is finite with the space's dimension d as its last axis."""
+        if self.coords is None:
+            raise DomainError("snapping requires coordinates")
+        pts = np.asarray(pts, dtype=float)
+        d = self.coords.shape[1]
+        if pts.ndim == 0 or pts.shape[-1] != d or not np.isfinite(pts).all():
+            raise DomainError(f"points to snap must be finite with {d} coordinates each")
+        return pts
+
     def snap(self, pts):
         """Indices of the nearest points by coordinates; ties go to the lowest index.
 
         ``pts`` (..., d) gives indices (...), by an argmin scan,
         ``_DENSE_ROW_BLOCK`` points at a time.
         """
-        if self.coords is None:
-            raise DomainError("snapping requires coordinates")
-        pts = np.asarray(pts, dtype=float)
+        pts = self._snap_points(pts)
         flat = pts.reshape(-1, pts.shape[-1])
         out = np.empty(len(flat), dtype=np.int64)
         for start in range(0, len(flat), _DENSE_ROW_BLOCK):
@@ -300,8 +309,12 @@ class GridSpace(FiniteMetricSpace):
 
     @cached_property
     def dist(self):
-        """The dense n x n distance matrix, built on first read (O(n^2) memory)."""
-        d = _pairwise_euclidean(self.coords)
+        """The dense n x n distance matrix, built on first read (O(n^2)
+        memory) from ``distances``, ``_DENSE_ROW_BLOCK`` rows at a time."""
+        d = np.empty((self.n, self.n))
+        for start in range(0, self.n, _DENSE_ROW_BLOCK):
+            rows = slice(start, start + _DENSE_ROW_BLOCK)
+            d[rows] = self.distances(rows, slice(None))
         d.flags.writeable = False
         return d
 
@@ -353,7 +366,7 @@ class GridSpace(FiniteMetricSpace):
         ``pts`` (..., d) gives indices (...), by a closed form per axis;
         points outside the hull clip to its boundary.
         """
-        pts = np.asarray(pts, dtype=float)
+        pts = self._snap_points(pts)
         flat = np.zeros(pts.shape[:-1], dtype=np.int64)
         for ax, (lo, step, count, stride) in enumerate(self._grid_axes):
             # in place, on an array even for one point: the oracle snaps 2^14 at a time
@@ -392,15 +405,6 @@ def _euclidean(a, b):
     d = (a[:, 0, None] - b[None, :, 0]) ** 2
     d += (a[:, 1, None] - b[None, :, 1]) ** 2
     return np.sqrt(d, out=d)
-
-
-def _pairwise_euclidean(coords):
-    n = len(coords)
-    d = np.empty((n, n), dtype=float)
-    for start in range(0, n, _DENSE_ROW_BLOCK):
-        rows = slice(start, start + _DENSE_ROW_BLOCK)
-        d[rows] = _euclidean(coords[rows], coords)
-    return d
 
 
 def grid_1d(n, a, b):

@@ -118,12 +118,10 @@ def parse_tnorm(name, parameter=None):
             parameter = float(m.group(1))
         except ValueError as exc:
             raise DomainError(f"bad hamacher parameter in {name!r}") from exc
-        return TNorm("hamacher", parameter)
-    if name == "hamacher":
-        if parameter is None:
-            raise DomainError("hamacher requires a parameter")
-        return TNorm("hamacher", parameter)
-    return TNorm(name)
+        name = "hamacher"
+    elif name == "hamacher" and parameter is None:
+        raise DomainError("hamacher requires a parameter")
+    return TNorm(name, parameter)
 
 
 def axiom_report(tnorm, triples=1000, rng_seed=0, tol=1e-12):

@@ -9,7 +9,7 @@ import pytest
 
 import starifs as si
 from starifs import io_formats
-from starifs.cli import main
+from starifs.cli import build_parser, main
 from starifs.config import RunConfig
 
 from conftest import ALL_TNORMS
@@ -713,3 +713,62 @@ def test_cli_and_samplers_do_not_import_numpy_ma_or_numpy_random(tmp_path):
         f"{loaded}"
     )
     assert _python(code, tmp_path) == "[False, False]"
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "oracle"])
+def test_config_commands_share_the_solver_flags(command):
+    depth = ["--depth", "3"] if command == "oracle" else []
+    args = build_parser().parse_args(
+        [command, "c.json", "--tol", "1e-3", "--max-iter", "5", "--levels", "64", *depth]
+    )
+    assert (args.config, args.tol, args.max_iter, args.levels) == ("c.json", 1e-3, 5, 64)
+    with pytest.raises(SystemExit):
+        # --depth is the oracle's own flag, and the oracle's only required one
+        build_parser().parse_args([command, "c.json"] + ([] if depth else ["--depth", "3"]))
+
+
+def _closed_stdout(argv, cwd, unbuffered="1"):
+    """Run ``starifs argv`` in a fresh interpreter whose stdout is a pipe
+    whose read end is already closed; returns (exit code, stderr)."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; from starifs.cli import main; sys.exit(main())"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+class TestClosedStdout:
+    """A reader that goes away (``starifs ... | head -1``) stops the
+    printing, not the command: no message, the command's own exit code."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_check(self, tmp_path, unbuffered):
+        # an unhandled EPIPE exits 3 with "error: [Errno 32] Broken pipe"
+        # unbuffered, and 120 with a message at shutdown buffered
+        argv = ["check", str(CONFIGS / "cantor.json")]
+        assert _closed_stdout(argv, tmp_path, unbuffered) == (0, "")
+
+    def test_solve_writes_every_file(self, cantor_cfg, tmp_path):
+        assert _closed_stdout(["solve", str(cantor_cfg)], tmp_path) == (0, "")
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cantor.density.csv", "cantor.density.json", "cantor.density.pgm", "cantor.report.json"
+        ]
+        golden = (GOLDEN / "cantor_m256.pgm").read_bytes()
+        assert (out / "cantor.density.pgm").read_bytes() == golden
+
+    def test_oracle(self, tmp_path):
+        argv = ["oracle", str(CONFIGS / "cantor.json"), "--depth", "8"]
+        assert _closed_stdout(argv, tmp_path) == (0, "")

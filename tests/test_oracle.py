@@ -362,6 +362,35 @@ class TestBlockedExpansion:
             if oracle._all_affine(system):
                 assert calls["corners"] > 0 and calls["points"] > 0
 
+    @pytest.mark.parametrize("block", [64, 300, 1000])
+    def test_full_length_steps_stay_within_a_block(self, monkeypatch, block):
+        # one rule bounds every step: a block's snapped images, or the
+        # table entries it reads at the seed's support, hold at most
+        # _BLOCK values unless the block is one word
+        cases = [(make_cantor(27, family="product"), 7), (make_rotated(12), 4), (make_mixed(27), 4)]
+        whole = [si.word_expansion(s, random_seed(s), depth).density for s, depth in cases]
+        steps = []
+        snap_images, word_blocks = oracle._snap_images, oracle._word_blocks
+
+        def snap_spy(space, coords, mats, trans):
+            steps.append((len(mats), len(mats) * coords.size))
+            return snap_images(space, coords, mats, trans)
+
+        def blocks_spy(system, depth, points):
+            for left, weights, cells in word_blocks(system, depth, points):
+                if not oracle._all_affine(system) and cells.ndim == 2:
+                    steps.append((len(weights), cells.size))
+                yield left, weights, cells
+
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        monkeypatch.setattr(oracle, "_snap_images", snap_spy)
+        monkeypatch.setattr(oracle, "_word_blocks", blocks_spy)
+        for (system, depth), expect in zip(cases, whole):
+            out = si.word_expansion(system, random_seed(system), depth).density
+            assert np.array_equal(out, expect)
+        assert any(words > 1 for words, _ in steps)
+        assert all(words == 1 or touched <= block for words, touched in steps)
+
     def test_collapsed_words_stop_growing(self, monkeypatch):
         # no word image after length 7 spans more than one of the 729
         # cells, so a few hundred of the 65,536 words are ever composed

@@ -6,7 +6,7 @@ import pytest
 
 import starifs as si
 from starifs.ifs import _affine_images
-from starifs.spaces import GridSpace, _splitmix64
+from starifs.spaces import GridSpace, _euclidean, _splitmix64
 
 from conftest import level_floor, product_metric, projection_bound_check
 
@@ -415,6 +415,40 @@ class TestSnap:
         assert np.array_equal(X.snap(images), flat.reshape(3, X.n))
         one = X.snap(images[1, 5])
         assert one.shape == () and one == flat[X.n + 5]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["grid", "cloud"])
+    @pytest.mark.parametrize(
+        "pts",
+        [[[0.9]], [[0.1, 0.2, 0.9]], [[np.nan, 0.5]], [[np.inf, 0.5]], [[0.5, -np.inf]], 0.5],
+        ids=["one-coordinate", "three-coordinates", "nan", "inf", "minus-inf", "scalar"],
+    )
+    def test_rejects_wrong_dimension_and_nonfinite(self, dense, pts):
+        # unchecked, the grid raises IndexError, reads two of three
+        # coordinates or casts NaN to an index; the dense scan broadcasts
+        X = si.grid_2d(4, 4, ((0, 1), (0, 1)))
+        if dense:
+            X = si.FiniteMetricSpace(X.dist, coords=X.coords)
+        with pytest.raises(si.DomainError, match="finite with 2 coordinates"):
+            X.snap(pts)
+        assert X.snap([[0.9, 0.9], [0.1, 0.1]]).tolist() == [15, 0]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        si.grid_1d(7, 0, 1),
+        si.grid_1d(600, -0.3, 2.1),
+        si.grid_2d(5, 4, ((0, 1), (0, 3))),
+        si.grid_2d(23, 17, ((-1.1, 0.7), (0.2, 3.3))),
+    ],
+    ids=["1d-7", "1d-600", "2d-5x4", "2d-23x17"],
+)
+def test_dense_dist_is_euclidean_of_coords(space):
+    # built in row blocks from ``distances``; 600 and 391 points cross them
+    assert np.array_equal(space.dist, _euclidean(space.coords, space.coords))
+    dense = si.FiniteMetricSpace(space.dist, coords=space.coords)
+    off = space.dist + np.diag(np.full(space.n, np.inf))
+    assert dense.spacing == off.min(axis=1).max()
 
 
 class TestLevelGrid:
