@@ -270,7 +270,8 @@ class RunConfig:
 
     def override_solver(self, values):
         """Replace solver fields, checked as the config file's are."""
-        self.data = RunConfig.from_dict(self.data | {"solver": self.solver | values}).data
+        n_points = math.prod(self.data["space"]["counts"])
+        self.data = self.data | {"solver": _normalize_solver(self.solver | values, n_points)}
 
     @property
     def solver(self):

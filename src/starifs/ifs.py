@@ -384,27 +384,27 @@ def solve(
     levels = LevelGrid(level_resolution)
     mu = seed if seed is not None else StarMeasure.full(system.space, system.tnorm)
     diam = system.space.diameter
+    prev, n = None, 0
     if np.all(mu.density == 1.0):
         density, n = _path_sweep(system)
         mu = StarMeasure(system.space, density, system.tnorm)
         if not np.array_equal(psi(system, mu).density, mu.density):
             raise ValidationError("the path sweep did not end on a fixed point of psi")
-        bound, stopped_by = error_bound(n, system.c, diam), "fixedPoint"
-    else:
-        prev, n = None, 0
-        while True:
-            bound = error_bound(n, system.c, diam)
-            if prev is not None and np.array_equal(prev.density, mu.density):
-                stopped_by = "fixedPoint"
-                break
-            if bound <= tol:
-                stopped_by = "bound"
-                break
-            if n == max_iter:
-                stopped_by = "maxIterations"
-                break
-            prev, mu = mu, psi(system, mu)
-            n += 1
+        # psi returned mu bit for bit: the loop stops at once on fixedPoint
+        prev = mu
+    while True:
+        bound = error_bound(n, system.c, diam)
+        if prev is not None and np.array_equal(prev.density, mu.density):
+            stopped_by = "fixedPoint"
+            break
+        if bound <= tol:
+            stopped_by = "bound"
+            break
+        if n == max_iter:
+            stopped_by = "maxIterations"
+            break
+        prev, mu = mu, psi(system, mu)
+        n += 1
 
     if stopped_by == "fixedPoint":
         res = 0.0

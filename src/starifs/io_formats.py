@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .spaces import _distinct
+from .spaces import _distinct, _lattice
 
 PGM_MAXVAL = 255
 _PGM_VALUES_PER_LINE = 16
@@ -67,11 +67,13 @@ class DensityTable:
         return self.rows[:, -1]
 
     def grid_shape(self):
-        """(width, height) of the row-major grid the table covers: the
-        number of distinct values of each coordinate column."""
-        width, height, *_ = [len(_distinct(c)) for c in self.rows[:, 1:-1].T] + [1]
-        if width * height != len(self.rows):
+        """(width, height) of the row-major grid the table covers, whose
+        coordinates must be ``_lattice`` of each column's distinct values."""
+        coords = self.rows[:, 1:-1]
+        axes = [_distinct(c) for c in coords.T]
+        if not np.array_equal(coords, _lattice(axes)):
             raise ConfigError("the coordinates do not form a row-major grid")
+        width, height, *_ = [len(a) for a in axes] + [1]
         return width, height
 
 
@@ -238,8 +240,7 @@ def read_density_pgm(path):
         raise ConfigError(f"{path}: malformed PGM header")
     counts = (width,) if height == 1 else (width, height)
     axes = [np.linspace(0.0, 1.0, count) for count in counts]
-    coords = np.column_stack([g.ravel() for g in np.meshgrid(*axes)])
-    rows = np.column_stack([np.arange(len(values)), coords, values / maxval])
+    rows = np.column_stack([np.arange(len(values)), _lattice(axes), values / maxval])
     return _checked(path, HEADERS[len(axes) - 1], rows)
 
 

@@ -59,7 +59,7 @@ from .ifs import (
     _HULL_SLACK, _affine_images, _check_measure, _require_validated, _set_image, _stationary_set,
 )
 from .measures import StarMeasure
-from .spaces import GridSpace, _distinct, _integer
+from .spaces import GridSpace, _distinct, _integer, _lattice
 
 WORD_BUDGET = 1_000_000
 # values (point images, table entries, or a word's map, box images and
@@ -138,8 +138,7 @@ def _word_blocks(system, depth, points):
         per_word, per_leaf = space.n, len(points)
     if grid:
         # the grid box's 2^d corners and the way each moves out
-        mesh = np.meshgrid(*[axis[[0, -1]] for axis in space.axes])
-        corners = np.column_stack([g.ravel() for g in mesh])
+        corners = _lattice([axis[[0, -1]] for axis in space.axes])
         outward = np.where(corners == corners.max(axis=0), 1.0, -1.0)
         reach = space.spacing + _HULL_SLACK
         c = system.c

@@ -166,13 +166,17 @@ class FiniteMetricSpace:
             coords.flags.writeable = False
             self.coords = coords
         self.diameter = float(dist.max())
-        # each point's distances to the others, one row per point
-        off = dist[~np.eye(self.n, dtype=bool)].reshape(self.n, self.n - 1)
-        self.spacing = float(off.min(axis=1).max())
-        self._check_metric(off)
+        # each point's distance to its nearest other point, a block of rows at a time
+        near, cols = np.empty(self.n), np.arange(self.n)
+        for start in range(0, self.n, _DENSE_ROW_BLOCK):
+            rows = dist[start : start + _DENSE_ROW_BLOCK]
+            off = cols != np.arange(start, start + len(rows))[:, None]
+            near[start : start + len(rows)] = rows.min(axis=1, initial=np.inf, where=off)
+        self.spacing = float(near.max())
+        self._check_metric(near)
 
-    def _check_metric(self, off):
-        """Raise DomainError unless ``dist`` (off-diagonal entries ``off``) is a metric.
+    def _check_metric(self, near):
+        """Raise DomainError unless ``dist`` (``near``: nearest-other distances) is a metric.
 
         Every axiom is checked on every entry, except the triangle
         inequality above ``_TRIANGLE_EXHAUSTIVE_LIMIT`` points: there it is
@@ -186,7 +190,7 @@ class FiniteMetricSpace:
             raise DomainError("distance of a point to itself must be 0")
         if not np.array_equal(d, d.T):
             raise DomainError("distance matrix must be symmetric")
-        if np.any(off <= 0.0):
+        if np.any(near <= 0.0):
             raise DomainError("distinct points must be at positive distance")
         tol = 1e-12 * max(1.0, self.diameter)
         if self.n <= _TRIANGLE_EXHAUSTIVE_LIMIT:
@@ -271,10 +275,7 @@ class GridSpace(FiniteMetricSpace):
         n = math.prod(count for _, _, count in axes)
         if n * len(axes) * 8 > np.iinfo(np.intp).max:
             raise DomainError("grid point count exceeds the largest array numpy can hold")
-        coords_per_axis = []
-        # ((lo, step, count, stride), ...) per coordinate, for snapping
-        grid_axes = []
-        stride = 1
+        coords_per_axis, steps = [], []
         for lo, hi, count in axes:
             lo, hi = float(lo), float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -287,11 +288,9 @@ class GridSpace(FiniteMetricSpace):
                 raise DomainError("grid points must be distinct")
             coord.flags.writeable = False
             coords_per_axis.append(coord)
-            grid_axes.append((lo, step, count, stride))
-            stride *= count
+            steps.append(step)
         # the corner-to-corner distance, evaluated as the dense matrix would
         extent = [float(ax[-1] - ax[0]) for ax in coords_per_axis]
-        steps = [step for _, step, _, _ in grid_axes]
         if len(extent) == 1:
             self.diameter, self.spacing = extent[0], steps[0]
         else:
@@ -301,10 +300,8 @@ class GridSpace(FiniteMetricSpace):
                 raise DomainError("2-D grid steps and extent must square to normal finite floats")
             self.diameter, self.spacing = math.sqrt(squared), float(np.hypot(*steps))
         self.axes = tuple(coords_per_axis)
-        self._grid_axes = tuple(grid_axes)
         self.n = n
-        mesh = np.meshgrid(*self.axes)  # row-major: y varies along rows
-        self.coords = np.vstack([g.ravel() for g in mesh]).T
+        self.coords = _lattice(self.axes)
         self.coords.flags.writeable = False
 
     @cached_property
@@ -368,17 +365,25 @@ class GridSpace(FiniteMetricSpace):
         """
         pts = self._snap_points(pts)
         flat = np.zeros(pts.shape[:-1], dtype=np.int64)
-        for ax, (lo, step, count, stride) in enumerate(self._grid_axes):
+        # y first: index = iy * nx + ix
+        for ax, axis in reversed(list(enumerate(self.axes))):
+            # linspace returns both bounds exactly, so this is the step checked at build
+            lo, count = axis[0], len(axis)
+            step = (axis[-1] - lo) / (count - 1)
             # in place, on an array even for one point: the oracle snaps 2^14 at a time
             u = np.subtract(pts[..., ax], lo, out=np.empty(flat.shape))
             u /= step
             u -= 0.5
             np.ceil(u, out=u)
             np.clip(u, 0, count - 1, out=u)
-            idx = u.astype(np.int64)
-            idx *= stride
-            flat += idx
+            flat *= count
+            flat += u.astype(np.int64)
         return flat
+
+
+def _lattice(axes):
+    """The row-major points on ``axes`` (x first, varying fastest), column-major (n, d)."""
+    return np.vstack([g.ravel() for g in np.meshgrid(*axes)]).T
 
 
 def _nearest_gap(x, mask):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import starifs as si
+from starifs import config as config_module
 from starifs import io_formats
 from starifs.cli import build_parser, main
 from starifs.config import RunConfig
@@ -308,6 +309,17 @@ class TestCheckCommand:
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nowhere.json"]) == 3
+
+    def test_solver_flags_recheck_only_the_solver(self, cantor_cfg, monkeypatch, capsys):
+        # the flags re-parsed the whole config, so every map was checked twice
+        calls = []
+        real = config_module._normalize_map
+        monkeypatch.setattr(config_module, "_normalize_map", lambda *a: calls.append(a) or real(*a))
+        sierpinski = CONFIGS / "sierpinski.json"
+        assert main(["check", str(sierpinski), "--tol", "1e-3", "--max-iter", "5"]) == 0
+        assert len(calls) == 3
+        assert main(["check", str(cantor_cfg), "--levels", "0"]) == 2
+        assert "solver.levelResolution: must be >= 1" in capsys.readouterr().err
 
     def test_out_of_range_seed(self, capsys):
         # check used to pass a seed that solve then rejected
@@ -646,10 +658,28 @@ class TestExportCommand:
         assert f"{path}:5:" in self._export_fails(path, capsys)
 
     def test_pgm_needs_grid_coordinates(self, tmp_path):
-        rows = [(0, 0.0, 0.0, 1.0), (1, 1.0, 0.0, 1.0), (2, 0.0, 1.0, 1.0)]
-        table = io_formats.DensityTable(("index", "x", "y", "density"), rows)
-        with pytest.raises(si.ConfigError, match="row-major grid"):
-            io_formats.write_density_pgm(tmp_path / "t.pgm", table)
+        xy, x = ("index", "x", "y", "density"), ("index", "x", "density")
+        tables = [
+            (xy, [(0, 0.0, 0.0, 1.0), (1, 1.0, 0.0, 1.0), (2, 0.0, 1.0, 1.0)]),
+            # column-major: y varies fastest, which the PGM wrote transposed
+            (xy, [(0, 0.0, 0.0, 1.0), (1, 0.0, 1.0, 0.5), (2, 1.0, 0.0, 0.0), (3, 1.0, 1.0, 1.0)]),
+            # four rows at two points: two distinct values on each axis
+            (xy, [(0, 0.0, 0.0, 1.0), (1, 1.0, 1.0, 1.0), (2, 0.0, 0.0, 1.0), (3, 1.0, 1.0, 1.0)]),
+            # 1-D, x not increasing
+            (x, [(0, 1.0, 1.0), (1, 0.0, 0.5), (2, 2.0, 0.0)]),
+        ]
+        for columns, rows in tables:
+            table = io_formats.DensityTable(columns, rows)
+            with pytest.raises(si.ConfigError, match="row-major grid"):
+                io_formats.write_density_pgm(tmp_path / "t.pgm", table)
+
+    def test_column_major_csv_to_pgm_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("index,x,y,density\n0,0,0,1\n1,0,1,0.5\n2,1,0,0\n3,1,1,1\n")
+        out = tmp_path / "d.pgm"
+        assert main(["export", str(path), "--format", "pgm", "--out", str(out)]) == 2
+        assert "row-major grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_table_rows_read_only(self, cantor_cfg, tmp_path):
         self._solve(cantor_cfg)

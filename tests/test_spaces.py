@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import starifs as si
 from starifs.ifs import _affine_images
-from starifs.spaces import GridSpace, _euclidean, _splitmix64
+from starifs.spaces import GridSpace, _euclidean, _lattice, _splitmix64
 
 from conftest import level_floor, product_metric, projection_bound_check
 
@@ -227,6 +228,30 @@ class TestMetricValidation:
             si.FiniteMetricSpace((x[:, None] - x[None, :]) ** 2)
 
 
+class TestDenseBuild:
+    def test_spacing_and_positivity_across_row_blocks(self):
+        # 600 points span three blocks of nearest-other distances
+        x = np.sort(np.concatenate([np.linspace(0.0, 1.0, 599), [0.123456]]))
+        d = np.abs(x[:, None] - x[None, :])
+        off = d[~np.eye(len(x), dtype=bool)].reshape(len(x), -1)
+        assert si.FiniteMetricSpace(d).spacing == off.min(axis=1).max()
+        # a duplicate point in the last block
+        x[-1] = x[-2]
+        with pytest.raises(si.DomainError, match="distinct points must be at positive distance"):
+            si.FiniteMetricSpace(np.abs(x[:, None] - x[None, :]))
+
+    def test_peak_memory_is_one_matrix_and_a_block(self):
+        # an n(n-1) off-diagonal copy put the peak at about 2.1 matrices
+        d = si.grid_1d(2000, 0, 1).dist
+        tracemalloc.start()
+        try:
+            si.FiniteMetricSpace(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d.nbytes
+
+
 def splitmix64_reference(seed, n):
     """SplitMix64 in its stateful form, on Python ints reduced mod 2^64."""
     words, state = [], seed
@@ -400,6 +425,38 @@ class TestSnap:
         cloud = si.FiniteMetricSpace(X.dist, coords=X.coords)
         assert X.snap([[0.5]])[0] == 1
         assert cloud.snap([[0.5]])[0] == 2
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            [(0.0, 1.0, 7)],
+            [(-0.0, 1.0, 9)],
+            [(-2.5, -0.0, 33)],
+            [(-0.0, 1.0, 5), (-1.0, 3.5, 4)],
+            [(0.1, 0.7, 13), (-0.0, 2.0, 11)],
+            [(-1e-3, 2.0, 64), (0.2, 0.3, 3)],
+        ],
+        ids=["1d", "1d-minus-zero", "1d-hi-minus-zero", "2d-minus-zero-x", "2d-minus-zero-y", "2d"],
+    )
+    def test_coords_are_the_lattice_and_snap_keeps_its_indices(self, axes):
+        X = GridSpace(axes)
+        assert np.array_equal(X.coords, _lattice(X.axes))
+        assert X.coords.flags.f_contiguous
+        rng = np.random.default_rng(5)
+        lo, hi = np.array([a[0] for a in axes]), np.array([a[1] for a in axes])
+        pts = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (4000, len(axes)))
+        # the grid points, the midpoints between neighbours, and signed zeros
+        pts = np.concatenate([pts, X.coords, (X.coords[1:] + X.coords[:-1]) / 2, 0.0 * pts[:3]])
+        pts[-1] = -0.0
+        # the closed form from the constructor's bounds: lo, step and row-major strides
+        expected, stride = np.zeros(len(pts), dtype=np.int64), 1
+        for ax, (a, b, count) in enumerate(axes):
+            step = (float(b) - float(a)) / (count - 1)
+            u = np.clip(np.ceil((pts[:, ax] - float(a)) / step - 0.5), 0, count - 1)
+            expected += u.astype(np.int64) * stride
+            stride *= count
+        assert np.array_equal(X.snap(pts), expected)
+        assert X.snap(pts[7]) == expected[7]
 
     @pytest.mark.parametrize("dense", [False, True], ids=["grid", "cloud"])
     def test_stacked_snap_of_transposed_view(self, dense):

@@ -132,7 +132,9 @@ def test_parse_tnorm_rejections():
 
 
 def test_config_name_round_trip():
-    for tnorm in ALL_TNORMS:
+    # ":g" printed 0.1234567 as 0.123457, which parses to another t-norm
+    extra = [si.TNorm("hamacher", p) for p in (0.1234567, 1e-7, 1 / 3, 5e-324, 1e308)]
+    for tnorm in ALL_TNORMS + extra:
         assert parse_tnorm(tnorm.config_name()) == tnorm
 
 
