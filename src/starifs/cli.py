@@ -141,7 +141,11 @@ def cmd_export(args):
         raise ConfigError(f"unknown format {args.format!r}")
     table = io_formats.READERS[io_formats.sniff_format(args.infile)](args.infile)
     _make_parent(args.out)
-    io_formats.WRITERS[args.format](args.out, table)
+    try:
+        io_formats.WRITERS[args.format](args.out, table)
+    except ConfigError as exc:
+        # a table the writer cannot encode: name its file, as the readers do
+        raise ConfigError(f"{args.infile}: {exc}") from None
     _print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -12,6 +12,12 @@ falls to the tolerance, or until the step budget is spent.  That number
 is the paper's bound between two continuum orbits in the hypograph
 Hausdorff metric, not a certified distance to a grid fixed point.
 
+On a grid ``psi`` is a sparse (max, T) matrix-vector product, and since
+T(w, 0) = 0 only the density's support contributes: ``_psi_density``
+follows the support alone.  ``solve`` and the path sweep iterate raw
+density arrays through it and build one measure at the end; the public
+``psi`` checks its arguments and wraps the same kernel.
+
 Affine map images are snapped to the nearest grid point (ties to the
 lowest index).  Every affine image and composition, in the tables, the
 hull check and the oracle, goes through ``_affine_images``, so a table
@@ -145,7 +151,8 @@ class IFSSystem:
     """Contraction maps with weights and a t-norm over one space.
 
     The weight vector must attain 1 (its max is the normalization the
-    operator preserves); it is held as a read-only copy.  The derived
+    operator preserves); it is held as a read-only copy, with a -0.0
+    weight stored as +0.0, as a measure stores its density.  The derived
     ``c`` (the largest contraction constant of the maps) and ``tables``
     (the snapped maps, one read-only ``(k, n)`` int64 array, row i for
     map i) are None until validate() returns a copy carrying them;
@@ -161,7 +168,7 @@ class IFSSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
-        weights = np.array(self.weights, dtype=float).ravel()
+        weights = np.array(self.weights, dtype=float).ravel() + 0.0
         object.__setattr__(self, "weights", _readonly(weights))
 
     @property
@@ -228,12 +235,28 @@ def _check_measure(system, mu):
 
 
 def _psi_density(system, density):
-    """The operator on a raw density array, unchecked: the body of ``psi``."""
+    """The operator on a raw density array, unchecked: the body of ``psi``
+    and of the solver's loops.
+
+    Only the support is followed, since T(w, 0) = 0 adds nothing to an
+    output that starts at 0.  Per map, the support's values are first
+    pushed forward by a max into one reused image buffer, reset at the
+    map's targets, and only then scaled by T: a Hamacher ``_apply`` is not
+    monotone in its second operand to the last bit, so scaling each
+    point before the max would change bits.  The density must hold no
+    -0.0 (a measure's never does), or the zeros it leaves out would not
+    match the full scatter's.
+    """
     out = np.zeros(system.space.n)
+    points = np.flatnonzero(density > 0.0)
+    values = density[points]
+    # read only at the targets, each reset before use
+    image = np.empty_like(out)
     for w, tbl in zip(system.weights, system.tables):
-        image = np.zeros_like(out)
-        np.maximum.at(image, tbl, density)
-        np.maximum(out, system.tnorm._apply(float(w), image), out=out)
+        targets = tbl[points]
+        image[targets] = 0.0
+        np.maximum.at(image, targets, values)
+        np.maximum.at(out, targets, system.tnorm._apply(float(w), image[targets]))
     return out
 
 
@@ -243,7 +266,9 @@ def psi(system, mu):
     density'(y) = max over maps i and points x with f_i(x) snapped to y
     of lambda_i * density(x); normalization survives because some
     weight is 1 and images keep the global max.  Equal bit for bit to
-    max_union of scale(w, pushforward(table, mu)) over the maps.
+    max_union of scale(w, pushforward(table, mu)) over the maps.  It
+    checks its arguments and wraps ``_psi_density``, which follows only
+    the support of the density.
     """
     _require_validated(system)
     _check_measure(system, mu)
@@ -281,7 +306,7 @@ def _path_sweep(system):
     finite paths (Bellman-Ford in (max, T)).  T(a, lambda) <= a makes
     every best walk a simple path, so in exact arithmetic the raise
     takes at most n rounds; ``rounds`` counts them, the last one
-    unchanged.
+    unchanged.  The rounds work on raw density arrays.
     """
     weights = system.weights
     density = np.zeros(system.space.n)
@@ -373,6 +398,11 @@ def solve(
     error).  The residual is computed once, after the loop, and only
     when the last two iterates differ.  ``tol``, ``max_iter`` and
     ``level_resolution`` are checked for every seed.
+
+    Both branches iterate raw density arrays through ``_psi_density``,
+    and the stop tests and the residual read those arrays.  The output is
+    the one measure the solve builds, after the loop; when no step was
+    taken from a seed, it is that seed object.
     """
     _require_validated(system)
     if not (tol > 0.0 and np.isfinite(tol)):
@@ -382,19 +412,19 @@ def solve(
         _check_measure(system, seed)
     start = time.perf_counter()
     levels = LevelGrid(level_resolution)
-    mu = seed if seed is not None else StarMeasure.full(system.space, system.tnorm)
-    diam = system.space.diameter
+    space = system.space
+    density = seed.density if seed is not None else np.ones(space.n)
+    diam = space.diameter
     prev, n = None, 0
-    if np.all(mu.density == 1.0):
+    if np.all(density == 1.0):
         density, n = _path_sweep(system)
-        mu = StarMeasure(system.space, density, system.tnorm)
-        if not np.array_equal(psi(system, mu).density, mu.density):
+        if not np.array_equal(_psi_density(system, density), density):
             raise ValidationError("the path sweep did not end on a fixed point of psi")
-        # psi returned mu bit for bit: the loop stops at once on fixedPoint
-        prev = mu
+        # psi returned it bit for bit: the loop stops at once on fixedPoint
+        prev = density
     while True:
         bound = error_bound(n, system.c, diam)
-        if prev is not None and np.array_equal(prev.density, mu.density):
+        if prev is not None and np.array_equal(prev, density):
             stopped_by = "fixedPoint"
             break
         if bound <= tol:
@@ -403,7 +433,7 @@ def solve(
         if n == max_iter:
             stopped_by = "maxIterations"
             break
-        prev, mu = mu, psi(system, mu)
+        prev, density = density, _psi_density(system, density)
         n += 1
 
     if stopped_by == "fixedPoint":
@@ -411,7 +441,12 @@ def solve(
     elif prev is None:
         res = None
     else:
-        res = hypograph_hausdorff(system.space, prev.density, mu.density, levels)
+        res = hypograph_hausdorff(space, prev, density, levels)
+    # the one measure of the solve; with no step taken the seed comes back as it was
+    if seed is not None and density is seed.density:
+        mu = seed
+    else:
+        mu = StarMeasure(space, density, system.tnorm)
     report = SolveReport(
         iterations=n,
         final_residual=res,

@@ -29,11 +29,15 @@ NORMALIZATION_TOL = 1e-12
 class SubDensity:
     """A density field with values in [0, 1]; the top may fall below 1.
 
-    Arises from the scalar action r * mu, whose maximum is r * 1.
+    Arises from the scalar action r * mu, whose maximum is r * 1.  A
+    -0.0 entry is stored as +0.0, so no max over densities depends on
+    the order of its operands (``np.maximum`` returns the second of two
+    equal zeros).
     """
 
     def __init__(self, space, density, tnorm):
-        density = _unit_values(density, "density", space).copy()
+        # the sum is a fresh array, and -0.0 + 0.0 is +0.0
+        density = _unit_values(density, "density", space) + 0.0
         density.flags.writeable = False
         self.space = space
         self.density = density

@@ -5,7 +5,8 @@ The n-th operator power expands into k^n terms indexed by words
 fold of its letter weights.  The oracle composes each word's affine map
 through the solver's own ``ifs._affine_images`` and snaps it once at the
 end — deliberately a different error mode from the solver's
-snap-each-step, equal to ``psi`` at depth 1.  The two agree within
+snap-each-step, equal to ``psi`` at depth 1 under min, product and
+Lukasiewicz (see ``word_expansion``).  The two agree within
 h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps send the
 grid hull into itself.
 
@@ -239,12 +240,17 @@ def word_expansion(system, seed, depth):
 
     density(y) = max over words w and points x snapped into y of
     weight(w) * seed(x).  Affine compositions are snapped once;
-    tabulated systems chain their tables.  Depth 0 is the seed, and
-    depth 1 is ``psi`` of it bit for bit.  Only the seed's support is
-    followed, as T(w, 0) = 0.  A word that collapsed with L letters left
-    adds f_L(weight) at its cell (see the module docstring); the pending
-    pairs are folded each time they pass ``_BLOCK`` weights, since f_L
-    depends on L and the weight alone and a max on no order.
+    tabulated systems chain their tables.  Depth 0 is the seed.  Depth 1
+    is ``psi`` of it bit for bit under min, product and Lukasiewicz, whose
+    float T(w, .) is monotone.  The expansion applies T to each point
+    before the max over a cell, and ``psi`` applies it after, so under
+    Hamacher, whose float T(w, .) can fall by an ulp as its operand
+    rises, a cell that two adjacent values reach can differ in the last
+    bits.  Only the seed's support is followed, as T(w, 0) = 0.  A word
+    that collapsed with L letters left adds f_L(weight) at its cell (see
+    the module docstring); the pending pairs are folded each time they
+    pass ``_BLOCK`` weights, since f_L depends on L and the weight alone
+    and a max on no order.
     """
     _require_validated(system)
     _check_measure(system, seed)

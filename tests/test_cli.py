@@ -681,6 +681,15 @@ class TestExportCommand:
         assert "row-major grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_writer_error_names_the_input_file(self, tmp_path, capsys):
+        path = tmp_path / "cm.csv"
+        path.write_text("index,x,y,density\n0,0,0,1\n1,0,1,0.5\n2,1,0,0\n3,1,1,1\n")
+        out = tmp_path / "cm.pgm"
+        assert main(["export", str(path), "--format", "pgm", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: the coordinates do not form a row-major grid\n"
+        assert not out.exists()
+
     def test_table_rows_read_only(self, cantor_cfg, tmp_path):
         self._solve(cantor_cfg)
         table = io_formats.read_density_csv(tmp_path / "out" / "cantor.density.csv")

@@ -384,6 +384,71 @@ class TestPsi:
                     assert np.array_equal(out, si.max_union(parts).density)
                     assert np.array_equal(out, psi_by_hand(sys_, mu))
 
+    def test_sparse_density_matches_hand_formula(self):
+        # mostly zeros, some subnormal: the support is all psi reads
+        rng = np.random.default_rng(25)
+        for t in ALL_TNORMS:
+            affine = make_cantor(30, (0.8, 1.0), t.family, t.parameter)
+            for sys_ in (affine, ultrametric_halving(t)):
+                for _ in range(5):
+                    n = sys_.space.n
+                    density = np.zeros(n)
+                    picked = rng.choice(n, 6, replace=False)
+                    density[picked[:3]] = rng.uniform(0.0, 1.0, 3)
+                    density[picked[3:5]] = 5e-324 * rng.integers(1, 1000, 2)
+                    density[picked[5]] = 1.0
+                    mu = si.StarMeasure(sys_.space, density, t)
+                    out = si.psi(sys_, mu).density
+                    parts = [
+                        si.scale(w, si.pushforward(tbl, mu))
+                        for w, tbl in zip(sys_.weights, sys_.tables)
+                    ]
+                    assert np.array_equal(out, si.max_union(parts).density)
+                    assert np.array_equal(out, psi_by_hand(sys_, mu))
+
+    def test_negative_zero_does_not_depend_on_map_order(self):
+        # np.maximum returns its second operand on a tie, so a stored -0.0
+        # made cell 4 read -0.0 with the maps in one order and +0.0 in the other
+        X = si.grid_1d(9, 0, 1)
+        t = si.TNorm("minimum")
+        density = np.zeros(9)
+        density[0], density[8] = 1.0, -0.0
+        mu = si.StarMeasure(X, density, t)
+        assert not np.signbit(mu.density).any()
+        maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.25]], [0.75])]
+        outs = [
+            si.psi(si.validate(si.IFSSystem(X, order, [1.0, 1.0], t)), mu).density
+            for order in (maps, maps[::-1])
+        ]
+        assert outs[0][4] == 0.0
+        for out in outs:
+            assert not np.signbit(out).any()
+        assert np.array_equal(outs[0], outs[1])
+        # a -0.0 weight is held as +0.0: under product it made every cell
+        # its map does not reach read -0.0
+        p = si.TNorm("product")
+        system = si.validate(si.IFSSystem(X, maps, [1.0, -0.0], p))
+        assert not np.signbit(system.weights).any()
+        out = si.psi(system, si.StarMeasure(X, np.abs(density), p)).density
+        assert not np.signbit(out).any()
+
+    def test_pushforward_max_comes_before_the_tnorm(self):
+        # Hamacher's float T(w, .) is not monotone to the last bit: here
+        # v1 < v2 are adjacent floats with T(w, v1) > T(w, v2), and both
+        # land on cell 4 under the second map
+        X = si.grid_1d(9, 0, 1)
+        t = si.TNorm("hamacher", 0.5)
+        w = 0.08564916714362436
+        v1, v2 = 0.23681050659610012, 0.23681050659610015
+        assert np.nextafter(v1, 1.0) == v2 and t.apply(w, v1) > t.apply(w, v2)
+        maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.3]], [0.35])]
+        system = si.validate(si.IFSSystem(X, maps, [1.0, w], t))
+        assert system.tables.tolist() == [[0, 0, 1, 1, 2, 2, 3, 3, 4], [3, 3, 3, 4, 4, 4, 5, 5, 5]]
+        density = np.zeros(9)
+        density[[0, 3, 4]] = 1.0, v1, v2
+        out = si.psi(system, si.StarMeasure(X, density, t)).density
+        assert out[4] == t.apply(w, v2)
+
     def test_normalization_preserved(self):
         rng = np.random.default_rng(22)
         for family in ("minimum", "product", "lukasiewicz"):
@@ -467,6 +532,18 @@ class TestSolve:
         assert (report.iterations, report.stopped_by) == (0, "maxIterations")
         assert report.final_residual is None
         assert report.apriori_bound == cantor.space.diameter
+
+    def test_loop_builds_one_measure(self, cantor):
+        # the steps run on raw arrays: no psi call, one measure at the end
+        seed = si.StarMeasure.dirac(cantor.space, 5, cantor.tnorm)
+        psi_spy = mock.patch.object(si.ifs, "psi", wraps=si.psi)
+        measure_spy = mock.patch.object(si.ifs, "StarMeasure", wraps=si.StarMeasure)
+        for kwargs in ({"seed": seed, "max_iter": 4}, {"seed": seed}, {}):
+            with psi_spy as psi_calls, measure_spy as built:
+                out, report = si.solve(cantor, **kwargs)
+            assert report.iterations > 0
+            assert psi_calls.call_count == 0 and built.call_count == 1
+            assert np.array_equal(built.call_args.args[1], out.density)
 
     def test_seed_must_match_space_and_tnorm(self, cantor):
         wide = si.grid_1d(cantor.space.n, 0, 10)

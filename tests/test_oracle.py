@@ -627,6 +627,34 @@ class TestWordExpansion:
             si.word_expansion(system, seed, 1).density, si.psi(system, seed).density
         )
 
+    def test_depth_one_under_hamacher_is_within_the_snap_tolerance(self):
+        # the expansion scales each point by T before its max, psi after
+        # the pushforward's max; min and Lukasiewicz are monotone, so the
+        # order does not matter there, but Hamacher's float T(w, .) is not
+        X = si.grid_1d(9, 0, 1)
+        maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.3]], [0.35])]
+        w = 0.08564916714362436
+        density = np.zeros(9)
+        density[[0, 3, 4]] = 1.0, 0.23681050659610012, 0.23681050659610015
+        for family in ("minimum", "lukasiewicz"):
+            t = si.TNorm(family)
+            system = si.validate(si.IFSSystem(X, maps, [1.0, w], t))
+            seed = si.StarMeasure(X, density, t)
+            assert np.array_equal(
+                si.word_expansion(system, seed, 1).density, si.psi(system, seed).density
+            )
+        t = si.TNorm("hamacher", 0.5)
+        system = si.validate(si.IFSSystem(X, maps, [1.0, w], t))
+        seed = si.StarMeasure(X, density, t)
+        expanded = si.word_expansion(system, seed, 1).density
+        stepped = si.psi(system, seed).density
+        assert expanded[4] == 0.03115186624431867
+        assert stepped[4] == 0.031151866244318663
+        assert np.flatnonzero(expanded != stepped).tolist() == [4]
+        h, c = system.space.spacing, system.c
+        # snapTolerance of `starifs oracle` at depth 1
+        assert abs(expanded[4] - stepped[4]) <= h / 2 + h * (1 - c) / (2 * (1 - c))
+
     def test_image_does_not_depend_on_its_batch(self):
         system = make_rotated()
         coords = system.space.coords
