@@ -87,10 +87,14 @@ class ContractionMap:
 
     Affine maps act on coordinates as x -> matrix x + translation,
     evaluated by ``_affine_images``, and are snapped onto the grid;
-    their contraction constant is the operator 2-norm of the matrix.
-    Tabulated maps are explicit point-to-point assignments; their constant is estimated by the
-    exhaustive pairwise ratio max d(f(x), f(y)) / d(x, y), in row blocks
-    of the space's ``distances``, so a grid never builds its dense matrix.
+    their contraction constant is the operator 2-norm of the matrix.  For
+    a per-axis scaling (every off-diagonal entry zero, so every 1 x 1
+    matrix) that is max |a_ii|, exact; any other matrix takes LAPACK's
+    SVD value from ``np.linalg.norm(matrix, 2)``, which can sit a few
+    ulps below the true norm.  Tabulated maps are explicit point-to-point
+    assignments; their constant is estimated by the exhaustive pairwise
+    ratio max d(f(x), f(y)) / d(x, y), in row blocks of the space's
+    ``distances``, so a grid never builds its dense matrix.
     """
 
     kind: str
@@ -131,6 +135,10 @@ class ContractionMap:
 
     def contraction_constant(self, space):
         if self.kind == "affine":
+            diagonal = np.diagonal(self.matrix)
+            if np.array_equal(self.matrix, np.diag(diagonal)):
+                # a per-axis scaling (-0.0 compares equal to 0.0): exact, and no SVD
+                return float(np.abs(diagonal).max())
             return float(np.linalg.norm(self.matrix, 2))
         tbl = self.snapped_table(space)
         points = np.arange(space.n)
@@ -284,11 +292,15 @@ def _set_image(tables, points):
 def _stationary_set(tables):
     """The stationary set of S -> U_i table_i(S) from the full point set.
 
-    The sets only shrink, so this takes at most n steps.
+    The sets only shrink, so this takes at most n steps.  Each image is
+    marked in a point mask, which lists it sorted without a sort.
     """
     current = np.arange(tables.shape[1], dtype=np.int64)
+    hit = np.empty(tables.shape[1], dtype=bool)
     while True:
-        nxt = _set_image(tables, current)
+        hit[:] = False
+        hit[tables[:, current]] = True
+        nxt = np.flatnonzero(hit)
         if np.array_equal(nxt, current):
             return current
         current = nxt

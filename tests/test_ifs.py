@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import starifs as si
+from starifs.config import RunConfig
 
 from conftest import ALL_TNORMS, make_cantor, make_sierpinski, random_measure
+
+CONFIGS = Path(__file__).parent / "configs"
 
 
 class TestContractionMap:
@@ -18,6 +22,61 @@ class TestContractionMap:
         assert m.contraction_constant(X) == pytest.approx(
             np.linalg.norm([[0.3, 0.1], [0.0, 0.4]], 2)
         )
+
+    @pytest.mark.parametrize(
+        "matrix, c",
+        [
+            # LAPACK's SVD puts these one and two ulps below the norm
+            (np.diag([-0.4971860918541538, 0.2727634298245977]), 0.4971860918541538),
+            (np.diag([0.07633957272923778, -0.06099613064970464]), 0.07633957272923778),
+            ([[-0.7]], 0.7),
+            ([[0.25, -0.0], [0.0, -0.5]], 0.5),
+        ],
+        ids=["lapack-1ulp-low", "lapack-2ulp-low", "1x1-negative", "negative-zero-off-diagonal"],
+    )
+    def test_per_axis_scaling_constant_is_exact(self, matrix, c):
+        m = si.ContractionMap.affine(matrix, np.zeros(len(matrix)))
+        assert m.contraction_constant(si.grid_1d(3, 0, 1)) == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+        off=st.lists(st.sampled_from([0.0, -0.0]), min_size=9, max_size=9),
+        diagonal_only=st.booleans(),
+    )
+    def test_affine_constant_routing(self, dim, entries, off, diagonal_only):
+        """Per-axis scalings get max |a_ii|, never below LAPACK's value;
+        any other matrix gets LAPACK's value bit for bit."""
+        matrix = np.reshape(entries[: dim * dim], (dim, dim))
+        offdiag = ~np.eye(dim, dtype=bool)
+        if diagonal_only:
+            matrix[offdiag] = np.reshape(off[: dim * dim], (dim, dim))[offdiag]
+        c = si.ContractionMap.affine(matrix, np.zeros(dim)).contraction_constant(None)
+        lapack = float(np.linalg.norm(matrix, 2))
+        if not matrix[offdiag].any():
+            assert c == np.abs(np.diagonal(matrix)).max() >= lapack
+        else:
+            assert c == lapack
+
+    @pytest.mark.parametrize(
+        "name, svds", [("cantor", 0), ("sierpinski", 0), ("sheared_dirac", 1)]
+    )
+    def test_only_non_diagonal_maps_call_lapack(self, name, svds, monkeypatch):
+        calls = []
+        norm = np.linalg.norm
+
+        def recorded(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.array(x))
+            return norm(x, ord, *args, **kwargs)
+
+        system = RunConfig.from_path(CONFIGS / f"{name}.json").build_system()
+        monkeypatch.setattr(np.linalg, "norm", recorded)
+        si.validate(system)
+        assert len(calls) == svds
+        for matrix in calls:
+            assert np.count_nonzero(matrix - np.diag(np.diagonal(matrix)))
 
     def test_snapped_table_matches_snap(self):
         X = si.grid_1d(9, 0, 1)
