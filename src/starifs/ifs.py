@@ -285,22 +285,20 @@ def psi(system, mu):
 
 def _set_image(tables, points):
     """The sorted union of the images of ``points`` under every row of a
-    ``(k', n)`` table array."""
-    return _distinct(tables[:, points])
+    ``(k', n)`` table array, marked in a point mask, so no sort."""
+    hit = np.zeros(tables.shape[1], dtype=bool)
+    hit[tables[:, points]] = True
+    return np.flatnonzero(hit)
 
 
 def _stationary_set(tables):
     """The stationary set of S -> U_i table_i(S) from the full point set.
 
-    The sets only shrink, so this takes at most n steps.  Each image is
-    marked in a point mask, which lists it sorted without a sort.
+    The sets only shrink, so this takes at most n steps.
     """
     current = np.arange(tables.shape[1], dtype=np.int64)
-    hit = np.empty(tables.shape[1], dtype=bool)
     while True:
-        hit[:] = False
-        hit[tables[:, current]] = True
-        nxt = np.flatnonzero(hit)
+        nxt = _set_image(tables, current)
         if np.array_equal(nxt, current):
             return current
         current = nxt
