@@ -67,6 +67,15 @@ def _check(args):
     _print(f"system ok: {system.k} maps, contraction constant c = {system.c:.17g}")
     seed = config.seed_measure(space, tnorm)
     _print(f"seed ok: {config.solver['seed']}")
+    # from a seed other than the full one, snapped affine images keep orbits
+    # up to h/(1-c) apart, so no tolerance below that is ever certified
+    tol, floor = config.solver["tol"], space.spacing / (1 - system.c)
+    affine = any(m.kind == "affine" for m in system.maps)
+    if config.solver["seed"] != "full" and affine and tol < floor:
+        _print(
+            f"note: tol = {tol:.3g} is below the grid's floor h/(1-c) = {floor:.3g}; "
+            "no grid certificate reaches tol"
+        )
     return config, system, seed
 
 

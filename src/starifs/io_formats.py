@@ -1,14 +1,17 @@
 """Density-field encodings: CSV, JSON, and plain PGM.
 
 CSV is the primary format: header ``index,x[,y],density``, one row per
-grid point in row-major order, 17 significant digits so 64-bit values
-round-trip losslessly.  JSON mirrors the same table in the layout of
-``json.dump(indent=2)``.  PGM (plain P2, maxval 255) quantizes density
-d to round-half-up(255 d) and is the only lossy encoding.
+grid point in row-major order, the index as an integer and every other
+field by ``repr``, the shortest string that reads back to the same
+64-bit value.  JSON mirrors the same table in the layout of
+``json.dump(indent=2)``, with the same strings.  PGM (plain P2, maxval
+255) quantizes density d to round-half-up(255 d) and is the only lossy
+encoding.
 
-The writers stream the table in blocks of ``_ROW_BLOCK`` rows, each
-filled into one ``%`` template, and format every distinct float of a
-block's column once.
+A table formats each distinct value of a column once, on its first
+write, and the CSV and JSON writers share those strings; both stream
+the table in blocks of ``_ROW_BLOCK`` rows, each filled into one ``%``
+template.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .spaces import _distinct, _lattice
 PGM_MAXVAL = 255
 _PGM_VALUES_PER_LINE = 16
 # rows formatted at once by the writers; a multiple of _PGM_VALUES_PER_LINE
-_ROW_BLOCK = 4096
+_ROW_BLOCK = 1024
 # the header of a table, by the dimension of its coordinates
 HEADERS = (("index", "x", "density"), ("index", "x", "y", "density"))
 
@@ -37,6 +41,7 @@ class DensityTable:
     ``rows`` is a read-only (n, len(columns)) float array: the index,
     the coordinates, then the density.  Every table, built or read, is
     checked here once; readers prefix the ``ConfigError`` with the path.
+    Its first CSV or JSON write keeps ``_column_text`` for later writes.
     """
 
     columns: tuple
@@ -65,6 +70,19 @@ class DensityTable:
     @property
     def density(self):
         return self.rows[:, -1]
+
+    @cached_property
+    def _column_text(self):
+        """Per non-index column, the ``repr`` of each distinct value and
+        each row's position among them.  Values are told apart by their
+        bits, so -0.0 keeps its sign."""
+        split = []
+        for column in self.rows[:, 1:].T:
+            bits = column.view(np.int64)
+            distinct = _distinct(bits)
+            strings = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+            split.append((strings, np.searchsorted(distinct, bits)))
+        return split
 
     def grid_shape(self):
         """(width, height) of the row-major grid the table covers, whose
@@ -117,37 +135,27 @@ def table_from_space(space, density):
     return DensityTable(HEADERS[dim - 1], rows)
 
 
-def _formatted(column, fmt):
-    """``fmt`` of each value of a float column, called once per distinct
-    value; values are told apart by their bits, so -0.0 keeps its sign."""
-    bits = column.view(np.int64)
-    distinct = _distinct(bits)
-    strings = np.array([fmt(v) for v in distinct.view(float).tolist()], dtype=object)
-    return strings[np.searchsorted(distinct, bits)].tolist()
-
-
-def _row_blocks(table, row_template, fmt, sep=""):
+def _row_blocks(table, row_template, sep=""):
     """The rows as text, one string per block of ``_ROW_BLOCK`` rows.
 
     ``row_template`` takes the index by ``%d`` and every other column
-    by ``%s`` of its ``fmt`` string; rows, and blocks, are joined by
-    ``sep``.
+    by ``%s`` of its ``repr``; rows, and blocks, are joined by ``sep``.
     """
-    rows, width = table.rows, len(table.columns)
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK]
-        fields = [None] * block.size
-        fields[::width] = range(start, start + len(block))
-        for j in range(1, width):
-            fields[j::width] = _formatted(block[:, j], fmt)
-        yield (sep if start else "") + sep.join([row_template] * len(block)) % tuple(fields)
+    n, width = len(table.rows), len(table.columns)
+    for start in range(0, n, _ROW_BLOCK):
+        rows = range(start, min(start + _ROW_BLOCK, n))
+        fields = [None] * (len(rows) * width)
+        fields[::width] = rows
+        for j, (strings, positions) in enumerate(table._column_text, start=1):
+            fields[j::width] = strings[positions[start : rows.stop]].tolist()
+        yield (sep if start else "") + sep.join([row_template] * len(rows)) % tuple(fields)
 
 
 def write_density_csv(path, table):
     row_template = ",".join(["%d"] + ["%s"] * (len(table.columns) - 1)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table.columns) + "\n")
-        fh.writelines(_row_blocks(table, row_template, "%.17g".__mod__))
+        fh.writelines(_row_blocks(table, row_template))
 
 
 def read_density_csv(path):
@@ -192,7 +200,7 @@ def write_density_json(path, table):
     columns = ",\n".join("    " + json.dumps(c) for c in table.columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "columns": [\n' + columns + '\n  ],\n  "rows": [\n')
-        fh.writelines(_row_blocks(table, "    [\n" + fields + "\n    ]", repr, ",\n"))
+        fh.writelines(_row_blocks(table, "    [\n" + fields + "\n    ]", ",\n"))
         fh.write("\n  ]\n}\n")
 
 

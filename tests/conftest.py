@@ -174,11 +174,13 @@ def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
 
 
 def reference_csv(path, table):
-    """The per-row CSV writer: one ``%d,%.17g,...`` format per row."""
-    row_format = ",".join(["%d"] + ["%.17g"] * (len(table.columns) - 1)) + "\n"
+    """The per-row CSV writer: the index by ``%d``, every other field by ``repr``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table.columns) + "\n")
-        fh.writelines(row_format % tuple(row) for row in table.rows.tolist())
+        fh.writelines(
+            ",".join(["%d" % row[0]] + [repr(v) for v in row[1:]]) + "\n"
+            for row in table.rows.tolist()
+        )
 
 
 def reference_json(path, table):

@@ -226,6 +226,19 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "check passed" in out
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize(
+        "name, flags, noted",
+        [("cantor_dirac", [], True), ("cantor", [], False), ("cantor_dirac", ["--tol", "0.01"], False)],
+        ids=["dirac-seed", "full-seed", "tol-above-floor"],
+    )
+    def test_tolerance_floor_note(self, tmp_path, capsys, command, name, flags, noted):
+        # cantor_dirac: h/(1-c) = (1/728) / (2/3) = 0.00206 against tol 1e-06
+        assert main([command, str(_redirected(tmp_path, name)), *flags]) == 0
+        notes = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("note:")]
+        expected = "note: tol = 1e-06 is below the grid's floor h/(1-c) = 0.00206; no grid certificate reaches tol"
+        assert notes == ([expected] if noted else [])
+
     def test_large_hamacher_parameter(self, capsys):
         # the t-norm's Lipschitz bound was nan here and check exited 2
         assert main(["check", str(CONFIGS / "hamacher_large.json")]) == 0

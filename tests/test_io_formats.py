@@ -1,5 +1,6 @@
-"""The density writers against the encoders they replace, and the
-pinned bytes of the test configs' CSV and JSON outputs."""
+"""The density writers against the encoders they replace, their
+round trip and shared value strings, and the pinned bytes of the test
+configs' CSV and JSON outputs."""
 
 import hashlib
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starifs as si
 from starifs import io_formats
@@ -59,7 +61,7 @@ TABLES = {
     "one-row": lambda: DensityTable(HEADERS[0], [[0, 0.25, 1.0]]),
     "one-row-2d": lambda: DensityTable(HEADERS[1], [[0, 0.25, -0.0, 1.0]]),
 }
-# one row block (4,096 rows) and one row either side of it, in 1-D and 2-D
+# one row block (_ROW_BLOCK rows) and one row either side of it, in 1-D and 2-D
 GRIDS = [(_ROW_BLOCK - 1, 1), (_ROW_BLOCK, 1), (_ROW_BLOCK + 1, 1), (65, 63), (64, 64), (241, 17)]
 for shape in GRIDS:
     TABLES["grid-%dx%d" % shape] = lambda s=shape: _grid_table(*s, np.random.default_rng(s))
@@ -72,6 +74,54 @@ def test_writer_bytes_match_reference(tmp_path, name, fmt):
     io_formats.WRITERS[fmt](tmp_path / f"new.{fmt}", table)
     REFERENCE_WRITERS[fmt](tmp_path / f"ref.{fmt}", table)
     assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+# floats whose shortest repr and 17-digit forms differ, signed zeros,
+# subnormals and large integers, then any finite float
+_EDGE_COORDS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-05, 0.1, 1.0 / 3.0, 1e16, -1e16]
+_COORDS = st.one_of(st.sampled_from(_EDGE_COORDS), st.floats(allow_nan=False, allow_infinity=False))
+_EDGE_DENSITIES = [-0.0, 0.0, 5e-324, 1e-310, 1e-05, 0.1, 1.0 / 3.0, 0.5, np.nextafter(1.0, 0.0), 1.0]
+_DENSITIES = st.one_of(st.sampled_from(_EDGE_DENSITIES), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _tables(draw):
+    """A 1-D or 2-D table of 1-40 rows; the coordinates need not form a grid."""
+    dim, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 40))
+    coords = draw(st.lists(_COORDS, min_size=n * dim, max_size=n * dim))
+    density = draw(st.lists(_DENSITIES, min_size=n, max_size=n))
+    rows = np.column_stack([np.arange(n), np.reshape(coords, (n, dim)), density])
+    return DensityTable(HEADERS[dim - 1], rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_csv_and_json_round_trip_with_the_same_strings(tmp_path_factory, table):
+    out = tmp_path_factory.mktemp("round-trip")
+    io_formats.write_density_csv(out / "t.csv", table)
+    io_formats.write_density_json(out / "t.json", table)
+    for back in (io_formats.read_density_csv(out / "t.csv"), io_formats.read_density_json(out / "t.json")):
+        assert back.columns == table.columns
+        assert np.array_equal(back.rows.view(np.int64), table.rows.view(np.int64))
+    csv_fields = [ln.split(",") for ln in (out / "t.csv").read_text().splitlines()[1:]]
+    # the JSON value tokens as written, unparsed
+    json_tokens = json.loads((out / "t.json").read_text(), parse_float=str, parse_int=str)["rows"]
+    assert csv_fields == json_tokens
+
+
+@pytest.mark.parametrize("source", ["built", "csv", "json"])
+def test_each_column_is_formatted_once_for_every_write(tmp_path, monkeypatch, source):
+    table = _grid_table(65, 63, np.random.default_rng(0))
+    if source != "built":
+        io_formats.WRITERS[source](tmp_path / f"in.{source}", table)
+        table = io_formats.READERS[source](tmp_path / f"in.{source}")
+    splits = []
+    real = io_formats._distinct
+    monkeypatch.setattr(io_formats, "_distinct", lambda values: splits.append(values.size) or real(values))
+    for i, fmt in enumerate(["csv", "json", "csv"]):
+        io_formats.WRITERS[fmt](tmp_path / f"out{i}.{fmt}", table)
+    assert splits == [len(table.rows)] * (len(table.columns) - 1)
+    assert (tmp_path / "out0.csv").read_bytes() == (tmp_path / "out2.csv").read_bytes()
 
 
 def _pinned():
