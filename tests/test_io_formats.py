@@ -61,8 +61,9 @@ TABLES = {
     "one-row": lambda: DensityTable(HEADERS[0], [[0, 0.25, 1.0]]),
     "one-row-2d": lambda: DensityTable(HEADERS[1], [[0, 0.25, -0.0, 1.0]]),
 }
-# one row block (_ROW_BLOCK rows) and one row either side of it, in 1-D and 2-D
-GRIDS = [(_ROW_BLOCK - 1, 1), (_ROW_BLOCK, 1), (_ROW_BLOCK + 1, 1), (65, 63), (64, 64), (241, 17)]
+# one row block and four row blocks, each with one row either side, in 1-D and 2-D
+GRIDS = [(blocks * _ROW_BLOCK + d, 1) for blocks in (1, 4) for d in (-1, 0, 1)]
+GRIDS += [(65, 63), (64, 64), (241, 17)]
 for shape in GRIDS:
     TABLES["grid-%dx%d" % shape] = lambda s=shape: _grid_table(*s, np.random.default_rng(s))
 
