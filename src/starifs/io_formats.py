@@ -8,10 +8,11 @@ field by ``repr``, the shortest string that reads back to the same
 255) quantizes density d to round-half-up(255 d) and is the only lossy
 encoding.
 
-A table formats each distinct value of a column once, on its first
-write, and the CSV and JSON writers share those strings; both stream
-the table in blocks of ``_ROW_BLOCK`` rows, each filled into one ``%``
-template.
+A table turns its rows into CSV text once, on its first CSV or JSON
+write, one string per block of ``_ROW_BLOCK`` rows, formatting each
+distinct value of a column once, and keeps that text: the CSV writer
+writes it, and the JSON writer re-punctuates it.  The PGM writer joins
+the strings of its 8-bit values.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .spaces import _distinct, _lattice
 
 PGM_MAXVAL = 255
 _PGM_VALUES_PER_LINE = 16
+_PGM_TEXT = np.array([str(v) for v in range(PGM_MAXVAL + 1)], dtype=object)
 # rows formatted at once by the writers; a multiple of _PGM_VALUES_PER_LINE
-_ROW_BLOCK = 1024
+_ROW_BLOCK = 512
 # the header of a table, by the dimension of its coordinates
 HEADERS = (("index", "x", "density"), ("index", "x", "y", "density"))
 
@@ -41,7 +43,7 @@ class DensityTable:
     ``rows`` is a read-only (n, len(columns)) float array: the index,
     the coordinates, then the density.  Every table, built or read, is
     checked here once; readers prefix the ``ConfigError`` with the path.
-    Its first CSV or JSON write keeps ``_column_text`` for later writes.
+    Its first CSV or JSON write keeps ``_csv_rows`` for later writes.
     """
 
     columns: tuple
@@ -72,26 +74,44 @@ class DensityTable:
         return self.rows[:, -1]
 
     @cached_property
-    def _column_text(self):
-        """Per non-index column, the ``repr`` of each distinct value and
-        each row's position among them.  Values are told apart by their
-        bits, so -0.0 keeps its sign."""
+    def _csv_rows(self):
+        """The CSV lines, one string per block of ``_ROW_BLOCK`` rows: the
+        index as an integer and every other field by the ``repr`` of its
+        value.  Each column's distinct values, told apart by their bits so
+        that -0.0 keeps its sign, are formatted once, with their punctuation."""
+        n, width = len(self.rows), len(self.columns)
         split = []
-        for column in self.rows[:, 1:].T:
+        for j, column in enumerate(self.rows[:, 1:].T):
             bits = column.view(np.int64)
             distinct = _distinct(bits)
-            strings = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
-            split.append((strings, np.searchsorted(distinct, bits)))
-        return split
+            text = list(map(repr, distinct.view(float).tolist()))
+            if j:  # the comma before the field; the index's string ends in the first one
+                end = "\n" if j == width - 2 else ""
+                text = ["," + s + end for s in text]
+            split.append((bits, distinct, np.array(text, dtype=object)))
+        blocks = []
+        for start in range(0, n, _ROW_BLOCK):
+            rows = range(start, min(start + _ROW_BLOCK, n))
+            fields = [None] * (len(rows) * width)
+            fields[::width] = [f"{i}," for i in rows]
+            for j, (bits, distinct, strings) in enumerate(split, start=1):
+                positions = np.searchsorted(distinct, bits[start : rows.stop])
+                fields[j::width] = strings[positions].tolist()
+            blocks.append("".join(fields))
+        return blocks
 
     def grid_shape(self):
-        """(width, height) of the row-major grid the table covers, whose
+        """(width, height) of the row-major grid the table covers: its
         coordinates must be ``_lattice`` of each column's distinct values."""
         coords = self.rows[:, 1:-1]
         axes = [_distinct(c) for c in coords.T]
-        if not np.array_equal(coords, _lattice(axes)):
-            raise ConfigError("the coordinates do not form a row-major grid")
         width, height, *_ = [len(a) for a in axes] + [1]
+        # x along each row, y down each column of the (height, width) grid
+        lines = [axes[0]] + [a[:, None] for a in axes[1:]]
+        if width * height != len(coords) or not all(
+            np.all(c.reshape(height, width) == a) for c, a in zip(coords.T, lines)
+        ):
+            raise ConfigError("the coordinates do not form a row-major grid")
         return width, height
 
 
@@ -135,27 +155,10 @@ def table_from_space(space, density):
     return DensityTable(HEADERS[dim - 1], rows)
 
 
-def _row_blocks(table, row_template, sep=""):
-    """The rows as text, one string per block of ``_ROW_BLOCK`` rows.
-
-    ``row_template`` takes the index by ``%d`` and every other column
-    by ``%s`` of its ``repr``; rows, and blocks, are joined by ``sep``.
-    """
-    n, width = len(table.rows), len(table.columns)
-    for start in range(0, n, _ROW_BLOCK):
-        rows = range(start, min(start + _ROW_BLOCK, n))
-        fields = [None] * (len(rows) * width)
-        fields[::width] = rows
-        for j, (strings, positions) in enumerate(table._column_text, start=1):
-            fields[j::width] = strings[positions[start : rows.stop]].tolist()
-        yield (sep if start else "") + sep.join([row_template] * len(rows)) % tuple(fields)
-
-
 def write_density_csv(path, table):
-    row_template = ",".join(["%d"] + ["%s"] * (len(table.columns) - 1)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table.columns) + "\n")
-        fh.writelines(_row_blocks(table, row_template))
+        fh.writelines(table._csv_rows)
 
 
 def read_density_csv(path):
@@ -194,14 +197,18 @@ def _read_csv_lines(path, columns, lines):
 
 def write_density_json(path, table):
     """``json.dump({"columns": ..., "rows": ...}, indent=2)`` and a newline,
-    byte for byte, without the encoder: the index as an int, every other
-    value by ``repr``, which is how ``json`` writes a float."""
-    fields = ",\n".join(["      %d"] + ["      %s"] * (len(table.columns) - 1))
+    byte for byte, without the encoder: the CSV text re-punctuated, which
+    holds the index as an int and every other value by ``repr``, as
+    ``json`` writes a float; neither has a ``]``, ``,`` or line feed."""
     columns = ",\n".join("    " + json.dumps(c) for c in table.columns)
+    blocks = table._csv_rows
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "columns": [\n' + columns + '\n  ],\n  "rows": [\n')
-        fh.writelines(_row_blocks(table, "    [\n" + fields + "\n    ]", ",\n"))
-        fh.write("\n  ]\n}\n")
+        fh.write('{\n  "columns": [\n' + columns + '\n  ],\n  "rows": [\n    [\n      ')
+        # a line feed opens the next row, so the last block drops its last one
+        for block in blocks[:-1] + [blocks[-1][:-1]]:
+            text = block.replace("\n", "]").replace(",", ",\n      ")
+            fh.write(text.replace("]", "\n    ],\n    [\n      "))
+        fh.write("\n    ]\n  ]\n}\n")
 
 
 def read_density_json(path):
@@ -216,15 +223,17 @@ def read_density_json(path):
 def write_density_pgm(path, table):
     """Plain P2, maxval 255, row-major; value = round-half-up(255 d)."""
     width, height = table.grid_shape()
-    line = " ".join(["%d"] * _PGM_VALUES_PER_LINE)
+    values = np.floor(PGM_MAXVAL * table.density + 0.5).astype(np.intp)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"P2\n{width} {height}\n{PGM_MAXVAL}\n")
-        for start in range(0, len(table.rows), _ROW_BLOCK):
-            density = table.density[start : start + _ROW_BLOCK]
-            values = np.floor(PGM_MAXVAL * density + 0.5).astype(np.int64).tolist()
-            full, rest = divmod(len(values), _PGM_VALUES_PER_LINE)
-            lines = [line] * full + [" ".join(["%d"] * rest)] * bool(rest)
-            fh.write("\n".join(lines) % tuple(values) + "\n")
+        for start in range(0, len(values), _ROW_BLOCK):
+            block = _PGM_TEXT[values[start : start + _ROW_BLOCK]].tolist()
+            parts = [" "] * (2 * len(block))
+            parts[::2] = block
+            lines = len(block) // _PGM_VALUES_PER_LINE
+            parts[2 * _PGM_VALUES_PER_LINE - 1 :: 2 * _PGM_VALUES_PER_LINE] = ["\n"] * lines
+            parts[-1] = "\n"  # a block ends a line
+            fh.write("".join(parts))
 
 
 def read_density_pgm(path):

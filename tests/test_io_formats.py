@@ -14,7 +14,8 @@ import starifs as si
 from starifs import io_formats
 from starifs.cli import main
 from starifs.config import RunConfig
-from starifs.io_formats import HEADERS, _ROW_BLOCK, DensityTable
+from starifs.io_formats import HEADERS, DensityTable
+from starifs.spaces import _distinct, _lattice
 
 from conftest import REFERENCE_WRITERS
 
@@ -61,8 +62,8 @@ TABLES = {
     "one-row": lambda: DensityTable(HEADERS[0], [[0, 0.25, 1.0]]),
     "one-row-2d": lambda: DensityTable(HEADERS[1], [[0, 0.25, -0.0, 1.0]]),
 }
-# one row block and four row blocks, each with one row either side, in 1-D and 2-D
-GRIDS = [(blocks * _ROW_BLOCK + d, 1) for blocks in (1, 4) for d in (-1, 0, 1)]
+# one 512-row block, two and eight blocks, each with one row either side, in 1-D and 2-D
+GRIDS = [(n, 1) for n in (511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097)]
 GRIDS += [(65, 63), (64, 64), (241, 17)]
 for shape in GRIDS:
     TABLES["grid-%dx%d" % shape] = lambda s=shape: _grid_table(*s, np.random.default_rng(s))
@@ -123,6 +124,104 @@ def test_each_column_is_formatted_once_for_every_write(tmp_path, monkeypatch, so
         io_formats.WRITERS[fmt](tmp_path / f"out{i}.{fmt}", table)
     assert splits == [len(table.rows)] * (len(table.columns) - 1)
     assert (tmp_path / "out0.csv").read_bytes() == (tmp_path / "out2.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_csv_and_json_bytes_match_reference_for_any_values(tmp_path_factory, table):
+    """The JSON text is the CSV text re-punctuated, so exponents (``1e+16``,
+    ``-1e-05``), subnormals and signed zeros pass through that too."""
+    out = tmp_path_factory.mktemp("bytes")
+    for fmt in ("csv", "json"):
+        io_formats.WRITERS[fmt](out / f"new.{fmt}", table)
+        REFERENCE_WRITERS[fmt](out / f"ref.{fmt}", table)
+        assert (out / f"new.{fmt}").read_bytes() == (out / f"ref.{fmt}").read_bytes()
+
+
+def test_json_written_first_formats_each_column_once(tmp_path, monkeypatch):
+    table = _grid_table(65, 63, np.random.default_rng(0))
+    splits = []
+    real = io_formats._distinct
+    monkeypatch.setattr(io_formats, "_distinct", lambda values: splits.append(values.size) or real(values))
+    for i, fmt in enumerate(["json", "csv", "json"]):
+        io_formats.WRITERS[fmt](tmp_path / f"out{i}.{fmt}", table)
+    assert splits == [len(table.rows)] * (len(table.columns) - 1)
+    assert (tmp_path / "out0.json").read_bytes() == (tmp_path / "out2.json").read_bytes()
+
+
+def _lattice_shape(table):
+    """``grid_shape`` by the full lattice: (width, height), or None to reject."""
+    coords = table.rows[:, 1:-1]
+    axes = [_distinct(c) for c in coords.T]
+    if not np.array_equal(coords, _lattice(axes)):
+        return None
+    width, height, *_ = [len(a) for a in axes] + [1]
+    return width, height
+
+
+def _grid_shape_or_none(table):
+    try:
+        return table.grid_shape()
+    except si.ConfigError as exc:
+        assert str(exc) == "the coordinates do not form a row-major grid"
+        return None
+
+
+def _points_table(points):
+    points = np.reshape(points, (len(points), -1))
+    rows = np.column_stack([np.arange(len(points)), points, np.zeros(len(points))])
+    return DensityTable(HEADERS[points.shape[1] - 1], rows)
+
+
+_X, _Y = [0.0, 0.5, 1.0], [-1.0, 2.0]
+_ROW_MAJOR = [(x, y) for y in _Y for x in _X]
+SHAPE_CASES = {
+    "row-major": (_ROW_MAJOR, (3, 2)),
+    "column-major": ([(x, y) for x in _X for y in _Y], None),
+    "repeated-point": (_ROW_MAJOR[:-1] + _ROW_MAJOR[:1], None),
+    "one-point-short": (_ROW_MAJOR[:-1], None),
+    "1d-increasing": ([[x] for x in _X], (3, 1)),
+    "1d-decreasing": ([[x] for x in _X[::-1]], None),
+    "signed-zeros": ([(-0.0, 0.0), (1.0, 0.0), (0.0, -0.0), (1.0, -0.0)], None),
+    "zeros-of-either-sign": ([(-0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], (2, 2)),
+}
+
+
+@pytest.mark.parametrize("points, shape", list(SHAPE_CASES.values()), ids=list(SHAPE_CASES))
+def test_grid_shape_cases(points, shape):
+    table = _points_table(points)
+    assert _grid_shape_or_none(table) == _lattice_shape(table) == shape
+
+
+_AXIS_VALUES = [-1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 1.0, 1e16]
+
+
+@st.composite
+def _near_grid_tables(draw):
+    """A table on the lattice of one or two small axes, drawn in any order
+    and with repeats, laid out row-major, column-major or shuffled, then
+    maybe with a point repeated or the last point dropped."""
+    dim = draw(st.sampled_from([1, 2]))
+    axis = st.lists(st.sampled_from(_AXIS_VALUES), min_size=1, max_size=5)
+    axes = [draw(axis) for _ in range(dim)]
+    axes = [sorted(a) if draw(st.booleans()) else a for a in axes]
+    order = draw(st.sampled_from(["C", "F"]))
+    points = np.column_stack([g.ravel(order=order) for g in np.meshgrid(*axes)])
+    if draw(st.booleans()):
+        points = points[draw(st.permutations(range(len(points))))]
+    edit = draw(st.sampled_from(["none", "repeat", "drop"]))
+    if edit == "repeat" and len(points) > 1:
+        i, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
+        points[i] = points[j]
+    elif edit == "drop" and len(points) > 1:
+        points = points[:-1]
+    return _points_table(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_near_grid_tables())
+def test_grid_shape_accepts_exactly_the_lattice(table):
+    assert _grid_shape_or_none(table) == _lattice_shape(table)
 
 
 def _pinned():
