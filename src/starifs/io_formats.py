@@ -223,11 +223,11 @@ def read_density_json(path):
 def write_density_pgm(path, table):
     """Plain P2, maxval 255, row-major; value = round-half-up(255 d)."""
     width, height = table.grid_shape()
-    values = np.floor(PGM_MAXVAL * table.density + 0.5).astype(np.intp)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"P2\n{width} {height}\n{PGM_MAXVAL}\n")
-        for start in range(0, len(values), _ROW_BLOCK):
-            block = _PGM_TEXT[values[start : start + _ROW_BLOCK]].tolist()
+        for start in range(0, len(table.rows), _ROW_BLOCK):
+            density = table.density[start : start + _ROW_BLOCK]
+            block = _PGM_TEXT[np.floor(PGM_MAXVAL * density + 0.5).astype(np.intp)].tolist()
             parts = [" "] * (2 * len(block))
             parts[::2] = block
             lines = len(block) // _PGM_VALUES_PER_LINE
