@@ -170,11 +170,13 @@ def read_density_csv(path):
         raise ConfigError(f"{path}: empty density file")
     columns = tuple(body[0].split(","))
     rows = body[1:]
+    text = ",".join(rows)
     try:
-        if {ln.count(",") for ln in rows} != {len(columns) - 1}:
-            raise ValueError("a row has the wrong field count")
+        # float() also reads "0_5" and other scripts' digits ("٠.٧٥"): fields are ASCII, no "_"
+        if {ln.count(",") for ln in rows} != {len(columns) - 1} or not text.isascii() or "_" in text:
+            raise ValueError("a row has the wrong field count or a field that is not ASCII")
         # numpy converts each string with float(), as the line scan does
-        values = np.array(",".join(rows).split(","), dtype=float)
+        values = np.array(text.split(","), dtype=float)
     except ValueError:
         return _read_csv_lines(path, columns, lines)
     return _checked(path, columns, values.reshape(len(rows), len(columns)))
@@ -188,6 +190,8 @@ def _read_csv_lines(path, columns, lines):
         parts = ln.split(",")
         if len(parts) != len(columns):
             raise ConfigError(f"{path}:{lineno}: expected {len(columns)} fields")
+        if not ln.isascii() or "_" in ln:
+            raise ConfigError(f"{path}:{lineno}: fields must be ASCII numbers without '_'")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
@@ -217,7 +221,10 @@ def read_density_json(path):
         columns, rows = payload["columns"], payload["rows"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed density JSON ({exc})") from exc
-    return _checked(path, columns, rows)
+    table = _checked(path, columns, rows)
+    if not all(type(v) in (int, float) for row in rows for v in row):  # no string or bool
+        raise ConfigError(f"{path}: every value must be a JSON number")
+    return table
 
 
 def write_density_pgm(path, table):
@@ -247,14 +254,17 @@ def read_density_pgm(path):
     if len(tokens) < 4 or tokens[0] != "P2":
         raise ConfigError(f"{path}: not a plain P2 PGM")
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        # ASCII decimal digits only: int() also reads "+1", "1_0" and "٣"
+        width, height, maxval = (int(t) if t.isascii() and t.isdigit() else 0 for t in tokens[1:4])
+        if not all(t.isascii() and t.isdigit() for t in tokens[4:]):
+            raise ValueError("a pixel is not ASCII decimal digits")
         values = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed PGM ({exc})") from exc
-    if len(values) != width * height:
-        raise ConfigError(f"{path}: PGM pixel count does not match its header")
     if width < 1 or height < 1 or maxval < 1:
         raise ConfigError(f"{path}: malformed PGM header")
+    if len(values) != width * height:
+        raise ConfigError(f"{path}: PGM pixel count does not match its header")
     counts = (width,) if height == 1 else (width, height)
     axes = [np.linspace(0.0, 1.0, count) for count in counts]
     rows = np.column_stack([np.arange(len(values)), _lattice(axes), values / maxval])

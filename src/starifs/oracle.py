@@ -47,8 +47,8 @@ of the seed's support, since T(w, 0) = 0 adds nothing.  Where k c < 1
 the live words die out (``cantor-729-oracle`` composes 378 of 65,536);
 where k c > 1, as on Sierpinski (3/2), they keep multiplying.  Dense
 spaces, whose snap is not monotone along each axis, and tabulated
-systems walk every word.  Blocks, snaps and the pending (weight, cell)
-pairs each hold at most about ``_BLOCK`` values.
+systems walk every word.  Blocks and snaps hold at most about ``_BLOCK``
+values; collapsed (weight, cell) pairs wait for one fold at the end.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .spaces import GridSpace, _distinct, _integer, _lattice
 
 WORD_BUDGET = 1_000_000
 # values (point images, table entries, or a word's map, box images and
-# cells) held by one block of words, and by the pairs that start a fold
+# cells) held by one block of words, and by one chunk of a fold's table
 _BLOCK = 1 << 14
 # the collapse test's margin delta, relative to the largest padded coordinate
 _MARGIN = 2.0**-26
@@ -248,9 +248,9 @@ def word_expansion(system, seed, depth):
     rises, a cell that two adjacent values reach can differ in the last
     bits.  Only the seed's support is followed, as T(w, 0) = 0.  A word
     that collapsed with L letters left adds f_L(weight) at its cell (see
-    the module docstring); the pending pairs are folded each time they
-    pass ``_BLOCK`` weights, since f_L depends on L and the weight alone
-    and a max on no order.
+    the module docstring); every pair is held to the end of the walk and
+    folded once, as f_L depends on L and the weight alone and a max on
+    no order.
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -264,17 +264,13 @@ def word_expansion(system, seed, depth):
     values = seed.density[points]
     levels = _distinct(values)
     # pair blocks by the letters they still lacked when they collapsed
-    pairs, held = [[] for _ in range(depth)], 0
+    pairs = [[] for _ in range(depth)]
     for left, weights, cells in _word_blocks(system, depth, points):
         if cells.ndim == 2:
             # flat, where ufunc.at has its fast path
             np.maximum.at(out, cells.ravel(), apply(weights[:, None], values).ravel())
-            continue
-        pairs[left].append((weights, cells))
-        held += len(weights)
-        if held > _BLOCK:
-            _fold_pairs(out, apply, system.weights, levels, pairs)
-            pairs, held = [[] for _ in range(depth)], 0
+        else:
+            pairs[left].append((weights, cells))
     _fold_pairs(out, apply, system.weights, levels, pairs)
     return StarMeasure(space, out, system.tnorm)
 

@@ -635,6 +635,15 @@ class TestExportCommand:
             ("maxval.pgm", "P2\n1 1\n0\n0\n", "malformed PGM header"),
             ("fraction.pgm", "P2\n1 1\n255\n3.5\n", "malformed PGM"),
             ("huge.pgm", f"P2\n1 1\n255\n{10**23}\n", "malformed PGM"),
+            # float() and int() read these as numbers; the formats do not
+            ("string.json", '{"columns": ["index", "x", "density"], "rows": [[0, "0.5", "1"]]}',
+             "every value must be a JSON number"),
+            ("bool.json", '{"columns": ["index", "x", "density"], "rows": [[0, 0, 1], [1, true, 0.25]]}',
+             "every value must be a JSON number"),
+            ("underscore.csv", "index,x,density\n0,0,1\n\n1,0_5,1\n", "underscore.csv:4: fields must be ASCII"),
+            ("arabic.csv", "index,x,density\n0,0,\u0660.\u0667\u0665\n", "arabic.csv:2: fields must be ASCII"),
+            ("underscore.pgm", "P2\n1 1\n255\n1_0\n", "malformed PGM"),
+            ("arabic.pgm", "P2\n1 1\n255\n\u0663\n", "malformed PGM"),
             ("d.txt", "index,x,density\n0,0,1\n", "cannot infer density format"),
         ],
     )

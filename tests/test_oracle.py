@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import starifs as si
 from starifs import oracle
+from starifs.config import RunConfig
 from starifs.ifs import _affine_images
 
 from conftest import (
@@ -19,6 +21,8 @@ from conftest import (
     pairs_hausdorff,
     product_metric,
 )
+
+CONFIGS = Path(__file__).parent / "configs"
 
 
 class Word(NamedTuple):
@@ -433,22 +437,26 @@ class TestBlockedExpansion:
         si.word_expansion(system, seed_of(system), depth)
         assert snapped and set(snapped) == {1}
 
-    def test_pending_pairs_are_folded_in_blocks(self, monkeypatch):
-        # holding every collapsed pair to the end folded 8,991 at once
+    def test_collapsed_pairs_fold_once(self, monkeypatch):
+        # a flush each time 1,024 pairs waited took 9 folds and refolded
+        # shared weights: 4,894 t-norm values in folds against 1,052
         system = make_sierpinski(32, family="product", weights=(1.0, 0.6, 0.8))
         seed = full(system)
-        whole = si.word_expansion(system, seed, 10).density
-        held = []
+        whole, whole_values = applied_values(
+            monkeypatch, lambda: si.word_expansion(system, seed, 10).density
+        )
+        folds = []
         fold = oracle._fold_pairs
 
-        def spy(out, apply, letters, levels, pairs):
-            held.append(sum(len(weights) for blocks in pairs for weights, _ in blocks))
-            return fold(out, apply, letters, levels, pairs)
+        def spy(*args):
+            folds.append(1)
+            return fold(*args)
 
         monkeypatch.setattr(oracle, "_BLOCK", 1024)
         monkeypatch.setattr(oracle, "_fold_pairs", spy)
-        out = si.word_expansion(system, seed, 10).density
-        assert len(held) > 1 and max(held) <= 2 * 1024
+        out, values = applied_values(monkeypatch, lambda: si.word_expansion(system, seed, 10).density)
+        assert len(folds) == 1
+        assert values == whole_values
         assert np.array_equal(out, whole)
 
     def test_attractor_support_memory(self):
@@ -460,6 +468,14 @@ class TestBlockedExpansion:
         system = make_cantor()
         seed = full(system)
         assert traced_peak(lambda: si.word_expansion(system, seed, 12)) < 2 * 2**20
+
+    def test_one_fold_memory(self):
+        # 60,269 collapsed (weight, cell) pairs wait for one fold: 1.5 MiB
+        config = RunConfig.from_path(CONFIGS / "sierpinski_dirac.json")
+        space, tnorm = config.build_space(), config.build_tnorm()
+        system = si.validate(config.build_system(space, tnorm))
+        seed = config.seed_measure(space, tnorm)
+        assert traced_peak(lambda: si.word_expansion(system, seed, 12)) < 3 * 2**20
 
     def test_tabulated_blocks_count_their_tables(self):
         # each tabulated word carries a 2048-long table; 2187 of them take 36 MB
