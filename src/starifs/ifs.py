@@ -29,6 +29,7 @@ are the only systematic discretization errors.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -59,6 +60,43 @@ def _readonly(arr):
     return arr
 
 
+def _semidefinite(rows):
+    """Whether the symmetric matrix ``rows`` (lists of exact numbers) is
+    positive semidefinite, by exact LDL^T elimination: a pivot below 0,
+    or a pivot 0 with a nonzero entry in its row, rules it out."""
+    while rows:
+        (pivot, *top), *below = rows
+        if pivot < 0 or (pivot == 0 and any(top)):
+            return False
+        rows = [[x - (r[0] * y / pivot if pivot else 0) for x, y in zip(r[1:], top)] for r in below]
+    return True
+
+
+def _operator_norm(matrix):
+    """The least double s with s^2 I - A^T A positive semidefinite, so
+    s bounds |A x| / |x| for every x: LAPACK's SVD value, stepped by one
+    ulp until the exact test holds and fails one ulp below."""
+    from fractions import Fraction  # imports decimal; only a non-diagonal matrix needs it
+
+    cols = [[Fraction(v) for v in col] for col in matrix.T.tolist()]
+    gram = [[sum(p * q for p, q in zip(a, b)) for b in cols] for a in cols]
+
+    def bounds(s):
+        square = Fraction(s) ** 2
+        return _semidefinite(
+            [[square * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]
+        )
+
+    s = float(np.linalg.norm(matrix, 2))
+    if not math.isfinite(s):
+        return s
+    while not bounds(s):
+        s = math.nextafter(s, math.inf)
+    while s > 0.0 and bounds(math.nextafter(s, 0.0)):
+        s = math.nextafter(s, 0.0)
+    return s
+
+
 def _affine_images(coords, mats, trans):
     """Images of the points ``coords`` (n, d) under the maps x -> A x + t
     given by ``mats`` (w, d, d) and ``trans`` (w, d); returns (w, n, d).
@@ -87,11 +125,13 @@ class ContractionMap:
 
     Affine maps act on coordinates as x -> matrix x + translation,
     evaluated by ``_affine_images``, and are snapped onto the grid;
-    their contraction constant is the operator 2-norm of the matrix.  For
-    a per-axis scaling (every off-diagonal entry zero, so every 1 x 1
-    matrix) that is max |a_ii|, exact; any other matrix takes LAPACK's
-    SVD value from ``np.linalg.norm(matrix, 2)``, which can sit a few
-    ulps below the true norm.  Tabulated maps are explicit point-to-point
+    their contraction constant is the operator 2-norm of the matrix,
+    rounded up to a double.  For a per-axis scaling (every off-diagonal
+    entry zero, so every 1 x 1 matrix) that is max |a_ii|, exact; any
+    other matrix starts from LAPACK's SVD value, which can sit a few ulps
+    either side of the true norm, and ``_operator_norm`` steps it to the
+    least double that an exact rational test certifies, the same on any
+    LAPACK build.  Tabulated maps are explicit point-to-point
     assignments; their constant is estimated by the exhaustive pairwise
     ratio max d(f(x), f(y)) / d(x, y), in row blocks of the space's
     ``distances``, so a grid never builds its dense matrix.
@@ -139,7 +179,7 @@ class ContractionMap:
             if np.array_equal(self.matrix, np.diag(diagonal)):
                 # a per-axis scaling (-0.0 compares equal to 0.0): exact, and no SVD
                 return float(np.abs(diagonal).max())
-            return float(np.linalg.norm(self.matrix, 2))
+            return _operator_norm(self.matrix)
         tbl = self.snapped_table(space)
         points = np.arange(space.n)
         step = max(1, _PAIR_BLOCK // space.n)

@@ -10,9 +10,9 @@ encoding.
 
 A table turns its rows into CSV text once, on its first CSV or JSON
 write, one string per block of ``_ROW_BLOCK`` rows, formatting each
-distinct value of a column once, and keeps that text: the CSV writer
-writes it, and the JSON writer re-punctuates it.  The PGM writer joins
-the strings of its 8-bit values.
+distinct value of a column once (with its block where no value repeats)
+and keeps that text: the CSV writer writes it, and the JSON writer
+re-punctuates it.  The PGM writer joins the strings of its 8-bit values.
 """
 
 from __future__ import annotations
@@ -78,25 +78,33 @@ class DensityTable:
         """The CSV lines, one string per block of ``_ROW_BLOCK`` rows: the
         index as an integer and every other field by the ``repr`` of its
         value.  Each column's distinct values, told apart by their bits so
-        that -0.0 keeps its sign, are formatted once, with their punctuation."""
+        that -0.0 keeps its sign, are formatted once, with their punctuation:
+        for all blocks, or by each block where every row holds its own value."""
         n, width = len(self.rows), len(self.columns)
+
+        def text(j, values):
+            strings = list(map(repr, values.view(float).tolist()))
+            end = "\n" if j == width - 2 else ""
+            # the comma before the field; the index's string ends in the first one
+            return ["," + s + end for s in strings] if j else strings
         split = []
         for j, column in enumerate(self.rows[:, 1:].T):
             bits = column.view(np.int64)
             distinct = _distinct(bits)
-            text = list(map(repr, distinct.view(float).tolist()))
-            if j:  # the comma before the field; the index's string ends in the first one
-                end = "\n" if j == width - 2 else ""
-                text = ["," + s + end for s in text]
-            split.append((bits, distinct, np.array(text, dtype=object)))
+            own = len(distinct) == n  # every row its own value, as a 1-D grid's x
+            strings = None if own else np.array(text(j, distinct), dtype=object)
+            split.append((bits, None if own else distinct, strings))
         blocks = []
         for start in range(0, n, _ROW_BLOCK):
             rows = range(start, min(start + _ROW_BLOCK, n))
             fields = [None] * (len(rows) * width)
             fields[::width] = [f"{i}," for i in rows]
-            for j, (bits, distinct, strings) in enumerate(split, start=1):
-                positions = np.searchsorted(distinct, bits[start : rows.stop])
-                fields[j::width] = strings[positions].tolist()
+            for j, (bits, distinct, strings) in enumerate(split):
+                values = bits[start : rows.stop]
+                if distinct is None:  # the block's own strings, gone with the block
+                    fields[j + 1 :: width] = text(j, values)
+                else:
+                    fields[j + 1 :: width] = strings[np.searchsorted(distinct, values)].tolist()
             blocks.append("".join(fields))
         return blocks
 

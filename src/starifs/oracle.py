@@ -215,24 +215,49 @@ def _fold_pairs(out, apply, letters, levels, pairs):
 
     f_L(w) is what a word of weight w collapsed with L letters left adds:
     f_0(w) = max T(w, s) over the seed values ``levels``, and
-    f_L(w) = max over the letter weights l of f_(L-1)(T(w, l)).  The
-    distinct weights each level needs are gathered top-down, then f is
-    filled bottom-up by the same T calls as the per-word fold.
+    f_L(w) = max over the letter weights l of f_(L-1)(T(w, l)).
+    ``pairs`` maps each level that has pairs to its blocks.  The distinct
+    weights each level needs are gathered top-down, then f is filled
+    bottom-up by the same T calls as the per-word fold.  Where T sends a
+    level's weights onto themselves, every level below it down to the
+    next one with pairs needs the same weights and takes the same step
+    f_(L-1) -> f_L, so the run is gathered once and the step repeats only
+    until f stops changing, after which it cannot.  As T(w, 1) = w, f_L
+    is the max of f_0 over the weights reached in at most L steps, so that
+    takes at most one step per distinct weight: a one-map fold does not
+    grow with the depth.
     """
-    while len(pairs) > 1 and not pairs[-1]:
-        pairs.pop()
-    distinct, kids, after = [None] * len(pairs), [None] * len(pairs), np.empty(0)
-    for left in reversed(range(len(pairs))):
-        distinct[left] = _distinct(np.concatenate([after, *(w for w, _ in pairs[left])]))
-        if left:
-            kids[left] = _table(apply, distinct[left], letters, False)
-            after = kids[left].ravel()
-    best = _table(apply, distinct[0], levels, True)
-    for left, blocks in enumerate(pairs):
-        if left:
-            best = best[np.searchsorted(distinct[left - 1], kids[left])].max(axis=1)
-        for weights, cells in blocks:
-            np.maximum.at(out, cells, best[np.searchsorted(distinct[left], weights)])
+    if not pairs:
+        return
+    # (bottom, top, distinct, kids): levels bottom..top share the weights and the step
+    runs, after, top = [], np.empty(0), max(pairs)
+    while top >= 0:
+        distinct = _distinct(np.concatenate([after, *(w for w, _ in pairs.get(top, ()))]))
+        if top not in pairs and np.array_equal(distinct, runs[-1][2]):
+            # the level above repeats down to the next level with pairs
+            bottom = 1 + max((left for left in pairs if left < top), default=-1)
+            runs[-1] = (bottom, *runs[-1][1:])
+            top = bottom - 1
+            continue
+        kids = _table(apply, distinct, letters, False) if top else None
+        if top:
+            after = kids.ravel()
+        runs.append((top, top, distinct, kids))
+        top -= 1
+    for bottom, top, distinct, kids in reversed(runs):
+        if bottom:
+            best = best[np.searchsorted(below, kids)].max(axis=1)
+        else:
+            best = _table(apply, distinct, levels, True)
+        step = np.searchsorted(distinct, kids) if top > bottom else None
+        for _ in range(top - bottom):
+            raised = best[step].max(axis=1)
+            if np.array_equal(raised, best):
+                break
+            best = raised
+        for weights, cells in pairs.get(top, ()):
+            np.maximum.at(out, cells, best[np.searchsorted(distinct, weights)])
+        below = distinct
 
 
 def word_expansion(system, seed, depth):
@@ -264,13 +289,13 @@ def word_expansion(system, seed, depth):
     values = seed.density[points]
     levels = _distinct(values)
     # pair blocks by the letters they still lacked when they collapsed
-    pairs = [[] for _ in range(depth)]
+    pairs = {}
     for left, weights, cells in _word_blocks(system, depth, points):
         if cells.ndim == 2:
             # flat, where ufunc.at has its fast path
             np.maximum.at(out, cells.ravel(), apply(weights[:, None], values).ravel())
         else:
-            pairs[left].append((weights, cells))
+            pairs.setdefault(left, []).append((weights, cells))
     _fold_pairs(out, apply, system.weights, levels, pairs)
     return StarMeasure(space, out, system.tnorm)
 

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +15,32 @@ from starifs.config import RunConfig
 from conftest import ALL_TNORMS, make_cantor, make_sierpinski, random_measure
 
 CONFIGS = Path(__file__).parent / "configs"
+
+
+def _bounds_norm(s, matrix):
+    """Whether s^2 I - A^T A is positive semidefinite, so that s bounds the
+    operator 2-norm of A, in exact rationals: every principal minor of
+    the matrix, over every subset of its indices, is at least 0."""
+    a = [[Fraction(v) for v in row] for row in np.asarray(matrix, dtype=float).tolist()]
+    dim = len(a)
+    square = Fraction(float(s)) ** 2
+    m = [
+        [square * (i == j) - sum(a[k][i] * a[k][j] for k in range(dim)) for j in range(dim)]
+        for i in range(dim)
+    ]
+
+    def det(idx):
+        total = Fraction(0)
+        for perm in itertools.permutations(range(len(idx))):
+            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            term = Fraction(-1) ** inversions
+            for row, col in enumerate(perm):
+                term *= m[idx[row]][idx[col]]
+            total += term
+        return total
+
+    subsets = (idx for size in range(1, dim + 1) for idx in itertools.combinations(range(dim), size))
+    return all(det(idx) >= 0 for idx in subsets)
 
 
 class TestContractionMap:
@@ -46,8 +74,9 @@ class TestContractionMap:
         diagonal_only=st.booleans(),
     )
     def test_affine_constant_routing(self, dim, entries, off, diagonal_only):
-        """Per-axis scalings get max |a_ii|; any other matrix gets
-        LAPACK's value bit for bit."""
+        """Per-axis scalings get max |a_ii|; any other matrix gets the
+        least double that bounds its norm, certified exactly: it passes
+        the test and the double below it fails."""
         matrix = np.reshape(entries[: dim * dim], (dim, dim))
         offdiag = ~np.eye(dim, dtype=bool)
         if diagonal_only:
@@ -56,7 +85,40 @@ class TestContractionMap:
         if not matrix[offdiag].any():
             assert c == np.abs(np.diagonal(matrix)).max()
         else:
-            assert c == float(np.linalg.norm(matrix, 2))
+            assert _bounds_norm(c, matrix)
+            assert not _bounds_norm(np.nextafter(c, 0.0), matrix)
+
+    @pytest.mark.parametrize(
+        "matrix, c",
+        [
+            # LAPACK's SVD gives 0.4497968677006066, four ulps below the norm
+            (
+                [[0.006291607350661144, 0.3020570831765945], [0.024851091626092336, 0.33251538160368965]],
+                0.44979686770060684,
+            ),
+            # the sheared map of tests/configs/sheared_dirac.json
+            ([[1 / 6, 1 / 2], [-1 / 3, 1 / 6]], 0.5320970672612088),
+        ],
+        ids=["lapack-4ulp-low", "sheared-dirac"],
+    )
+    def test_non_diagonal_constant_is_the_least_certified_bound(self, matrix, c):
+        m = si.ContractionMap.affine(matrix, np.zeros(2))
+        assert m.contraction_constant(None) == c
+        assert _bounds_norm(c, matrix) and not _bounds_norm(np.nextafter(c, 0.0), matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 3),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+        scale=st.sampled_from([1.0, 2.0**-40, 2.0**40]),
+    )
+    def test_non_diagonal_constant_certificate(self, dim, entries, scale):
+        # a 1 x 1 matrix is a per-axis scaling, so only 2-D and 3-D ones are certified
+        matrix = scale * np.reshape(entries[: dim * dim], (dim, dim))
+        matrix[0, 1] = matrix[0, 1] or scale / 3.0  # one nonzero off-diagonal entry at least
+        c = si.ContractionMap.affine(matrix, np.zeros(dim)).contraction_constant(None)
+        assert _bounds_norm(c, matrix)
+        assert not _bounds_norm(np.nextafter(c, 0.0), matrix)
 
     @pytest.mark.parametrize(
         "name, svds", [("cantor", 0), ("sierpinski", 0), ("sheared_dirac", 1)]
@@ -266,7 +328,9 @@ class TestValidate:
             expect.append(X.snap(img))
         expect.append(maps[2].table)
         assert np.array_equal(system.tables, np.stack(expect))
-        assert system.c == max(np.linalg.norm(m.matrix, 2) for m in maps[:2])
+        # the least double that bounds both affine maps' norms
+        assert all(_bounds_norm(system.c, m.matrix) for m in maps[:2])
+        assert not all(_bounds_norm(np.nextafter(system.c, 0.0), m.matrix) for m in maps[:2])
 
     def test_empty_system_rejected(self):
         X = si.grid_1d(10, 0, 1)
