@@ -14,7 +14,8 @@ Hausdorff metric, not a certified distance to a grid fixed point.
 
 On a grid ``psi`` is a sparse (max, T) matrix-vector product, and since
 T(w, 0) = 0 only the density's support contributes: ``_psi_density``
-follows the support alone.  ``solve`` and the path sweep iterate raw
+follows the support alone, one scatter per map through the t-norm's
+monotone scalar action.  ``solve`` and the path sweep iterate raw
 density arrays through it and build one measure at the end; the public
 ``psi`` checks its arguments and wraps the same kernel.
 
@@ -287,24 +288,18 @@ def _psi_density(system, density):
     and of the solver's loops.
 
     Only the support is followed, since T(w, 0) = 0 adds nothing to an
-    output that starts at 0.  Per map, the support's values are first
-    pushed forward by a max into one reused image buffer, reset at the
-    map's targets, and only then scaled by T: a Hamacher ``_apply`` is not
-    monotone in its second operand to the last bit, so scaling each
-    point before the max would change bits.  The density must hold no
-    -0.0 (a measure's never does), or the zeros it leaves out would not
-    match the full scatter's.
+    output that starts at 0.  Each map scatters T(w, v) of the support's
+    values v by one max; ``TNorm._scale`` is monotone in v float by float,
+    so that is T of the pushed-forward max, and at w = 1 it is v.  The
+    density must hold no -0.0 (a measure's never does), or the zeros it
+    leaves out would not match the full scatter's.
     """
     out = np.zeros(system.space.n)
     points = np.flatnonzero(density > 0.0)
     values = density[points]
-    # read only at the targets, each reset before use
-    image = np.empty_like(out)
     for w, tbl in zip(system.weights, system.tables):
-        targets = tbl[points]
-        image[targets] = 0.0
-        np.maximum.at(image, targets, values)
-        np.maximum.at(out, targets, system.tnorm._apply(float(w), image[targets]))
+        scaled = values if w == 1.0 else system.tnorm._scale(float(w), values)
+        np.maximum.at(out, tbl[points], scaled)
     return out
 
 
@@ -314,9 +309,9 @@ def psi(system, mu):
     density'(y) = max over maps i and points x with f_i(x) snapped to y
     of lambda_i * density(x); normalization survives because some
     weight is 1 and images keep the global max.  Equal bit for bit to
-    max_union of scale(w, pushforward(table, mu)) over the maps.  It
-    checks its arguments and wraps ``_psi_density``, which follows only
-    the support of the density.
+    max_union of scale(w, pushforward(table, mu)) over the maps, under
+    every t-norm.  It checks its arguments and wraps ``_psi_density``,
+    which follows only the support of the density.
     """
     _require_validated(system)
     _check_measure(system, mu)

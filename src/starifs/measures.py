@@ -95,8 +95,8 @@ def pushforward(f, mu):
 
 
 def scale(r, mu):
-    """The scalar action r * mu: apply the t-norm to every level."""
-    return SubDensity(mu.space, mu.tnorm.apply(float(r), mu.density), mu.tnorm)
+    """The scalar action r * mu: T(r, .) on every level, by ``TNorm._scale``."""
+    return SubDensity(mu.space, mu.tnorm._scale(_unit_values(float(r), "r"), mu.density), mu.tnorm)
 
 
 def max_union(items):

@@ -5,8 +5,8 @@ The n-th operator power expands into k^n terms indexed by words
 fold of its letter weights.  The oracle composes each word's affine map
 through the solver's own ``ifs._affine_images`` and snaps it once at the
 end — deliberately a different error mode from the solver's
-snap-each-step, equal to ``psi`` at depth 1 under min, product and
-Lukasiewicz (see ``word_expansion``).  The two agree within
+snap-each-step, equal to ``psi`` at depth 1 under every t-norm (see
+``word_expansion``).  The two agree within
 h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps send the
 grid hull into itself.
 
@@ -24,11 +24,11 @@ moved out by a margin delta, snap to one index on every axis, every
 extension sends every point to that cell.  The word is then a (cell,
 weight) pair, and what it adds there depends on its weight w and L
 alone: f_L(w), the max over its suffixes s and the seed values v of
-T(fold(w, s), v).  So f_0(w) = max_v T(w, v) and f_L(w) = max_j
-f_(L-1)(T(w, lambda_j)), evaluated once per distinct weight a level
-needs, by the same ``tnorm._apply`` calls as the per-word fold.  At
-L = 0 the box is the grid's and delta is 0: the corner images are the
-very floats that bound every point's image.
+T(fold(w, s), v).  So f_0(w) = max_v T(w, v), by ``tnorm._scale`` as
+at a full-length word, and f_L(w) = max_j f_(L-1)(T(w, lambda_j)), once
+per distinct weight a level needs, by the per-word fold's ``_apply``
+calls.  At L = 0 the box is the grid's and delta is 0: the corner images
+are the very floats that bound every point's image.
 
 delta covers the float error.  Let S be the largest coordinate of the
 box widened by r_depth and u = 2^-53.  Both the test and the per-word
@@ -210,12 +210,12 @@ def _table(apply, weights, values, top):
     return out
 
 
-def _fold_pairs(out, apply, letters, levels, pairs):
+def _fold_pairs(out, apply, letters, levels, pairs, scale=None):
     """Raise ``out`` at the cell of each pair in ``pairs[L]`` to f_L(weight).
 
     f_L(w) is what a word of weight w collapsed with L letters left adds:
-    f_0(w) = max T(w, s) over the seed values ``levels``, and
-    f_L(w) = max over the letter weights l of f_(L-1)(T(w, l)).
+    f_0(w) = max scale(w, s) over the seed values ``levels`` (``scale`` is
+    ``apply`` unless given), and f_L(w) = max_l f_(L-1)(apply(w, l)).
     ``pairs`` maps each level that has pairs to its blocks.  The distinct
     weights each level needs are gathered top-down, then f is filled
     bottom-up by the same T calls as the per-word fold.  Where T sends a
@@ -248,7 +248,7 @@ def _fold_pairs(out, apply, letters, levels, pairs):
         if bottom:
             best = best[np.searchsorted(below, kids)].max(axis=1)
         else:
-            best = _table(apply, distinct, levels, True)
+            best = _table(scale or apply, distinct, levels, True)
         step = np.searchsorted(distinct, kids) if top > bottom else None
         for _ in range(top - bottom):
             raised = best[step].max(axis=1)
@@ -264,18 +264,15 @@ def word_expansion(system, seed, depth):
     """Depth-n word expansion of the operator applied to the seed.
 
     density(y) = max over words w and points x snapped into y of
-    weight(w) * seed(x).  Affine compositions are snapped once;
-    tabulated systems chain their tables.  Depth 0 is the seed.  Depth 1
-    is ``psi`` of it bit for bit under min, product and Lukasiewicz, whose
-    float T(w, .) is monotone.  The expansion applies T to each point
-    before the max over a cell, and ``psi`` applies it after, so under
-    Hamacher, whose float T(w, .) can fall by an ulp as its operand
-    rises, a cell that two adjacent values reach can differ in the last
-    bits.  Only the seed's support is followed, as T(w, 0) = 0.  A word
-    that collapsed with L letters left adds f_L(weight) at its cell (see
-    the module docstring); every pair is held to the end of the walk and
-    folded once, as f_L depends on L and the weight alone and a max on
-    no order.
+    weight(w) * seed(x): the weight folded by ``_apply``, then applied by
+    the scalar action ``_scale`` before the max over a cell, as in
+    ``psi``, so depth 1 is ``psi`` of the seed bit for bit under every
+    t-norm.  Depth 0 is the seed.  Affine compositions are snapped once;
+    tabulated systems chain their tables.  Only the seed's support is
+    followed, as T(w, 0) = 0.  A word that collapsed with L letters left
+    adds f_L(weight) at its cell (see the module docstring); every pair is
+    held to the end of the walk and folded once, as f_L depends on L and
+    the weight alone and a max on no order.
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -284,7 +281,7 @@ def word_expansion(system, seed, depth):
     if depth == 0:
         return StarMeasure(space, seed.density, system.tnorm)
     out = np.zeros(space.n)
-    apply = system.tnorm._apply
+    tnorm = system.tnorm
     points = np.flatnonzero(seed.density)
     values = seed.density[points]
     levels = _distinct(values)
@@ -293,10 +290,10 @@ def word_expansion(system, seed, depth):
     for left, weights, cells in _word_blocks(system, depth, points):
         if cells.ndim == 2:
             # flat, where ufunc.at has its fast path
-            np.maximum.at(out, cells.ravel(), apply(weights[:, None], values).ravel())
+            np.maximum.at(out, cells.ravel(), tnorm._scale(weights[:, None], values).ravel())
         else:
             pairs.setdefault(left, []).append((weights, cells))
-    _fold_pairs(out, apply, system.weights, levels, pairs)
+    _fold_pairs(out, tnorm._apply, system.weights, levels, pairs, tnorm._scale)
     return StarMeasure(space, out, system.tnorm)
 
 

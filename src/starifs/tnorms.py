@@ -1,10 +1,13 @@
 """Continuous triangular norms on the unit interval.
 
 A t-norm is a continuous, associative, commutative, monotone binary
-operation on [0, 1] with unit 1.  It is the multiplication the rest of
-the package is built on: measures are evaluated with it, word weights
-are folded with it, and the scalar action on hypographs applies it
-level-wise.
+operation on [0, 1] with unit 1, the multiplication the package is built
+on.  The symmetric ``_apply(a, b)`` folds weights (word weights, the
+path sweep's T(e, e) == e test), evaluates measures and meets the axiom
+suite.  The scalar action ``_scale(w, v)`` applies a weight to density
+values level-wise (``psi``, ``measures.scale``, the oracle's
+T(weight, v)); it never falls as v rises by a float, so it commutes
+with a max over a cell bit for bit.
 
 Only closed-form continuous families are provided; tabulated or
 user-supplied operations are rejected so the axiom suite stays exact.
@@ -81,6 +84,24 @@ class TNorm:
         safe = np.where(denom > 0.0, denom, 1.0)
         # clip: the denominator rounding can push the quotient one ulp past 1
         return np.clip(np.where(denom > 0.0, a * b / safe, 0.0), 0.0, 1.0)
+
+    def _scale(self, w, v):
+        """T(w, v) on broadcasting float operands in [0, 1], nondecreasing
+        in v float by float: ``_apply`` under min, product and Lukasiewicz.
+
+        Hamacher is w / (1 + alpha (1 - v) / v), alpha = p (1 - w) + w: it
+        is w / (alpha / v + beta), as alpha + beta = 1, without the sum's
+        cancellation at a large p.  Each step rounds once, monotone in v; an
+        overflow is +inf (T = 0, as at v = 0), and the NaN of p = w = v = 0
+        yields to the clamp to min(w, v).  T(1, v) = v and T(w, 1) = w exactly.
+        """
+        if self.family != "hamacher":
+            return self._apply(w, v)
+        v = np.asarray(v, dtype=float)  # a Python float division by 0 raises
+        alpha = self.parameter * (1.0 - w) + w
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = w / (1.0 + alpha * (1.0 - v) / v)
+        return np.where(w == 1.0, v, np.fmin(out, np.minimum(w, v)))
 
     def fold(self, weights):
         """Left-fold apply over a sequence; the empty fold is the unit 1."""

@@ -397,13 +397,40 @@ class TestFrozenSystem:
 
 
 def psi_by_hand(system, mu):
-    """Direct double-loop evaluation of the operator's defining formula."""
+    """Direct double-loop evaluation of the operator's defining formula,
+    with T(w, v) by the t-norm's scalar action."""
     out = np.zeros(system.space.n)
     for w, tbl in zip(system.weights, system.tables):
         for x in range(system.space.n):
             y = tbl[x]
-            out[y] = max(out[y], system.tnorm.apply(float(w), float(mu.density[x])))
+            out[y] = max(out[y], float(system.tnorm._scale(float(w), float(mu.density[x]))))
     return out
+
+
+def two_scatter_psi(system, density, action):
+    """The two-scatter kernel ``psi`` ran before its scalar action was
+    monotone: per map, push the support's values forward by a max into
+    a reset image buffer, then apply ``action(w, .)`` once per target."""
+    out = np.zeros(system.space.n)
+    points = np.flatnonzero(density > 0.0)
+    values = density[points]
+    image = np.empty_like(out)
+    for w, tbl in zip(system.weights, system.tables):
+        targets = tbl[points]
+        image[targets] = 0.0
+        np.maximum.at(image, targets, values)
+        np.maximum.at(out, targets, action(float(w), image[targets]))
+    return out
+
+
+def kernel_systems(tnorm):
+    """A 1-D and a 2-D system under ``tnorm``, each with maps of weight 1
+    and below 1."""
+    square = make_sierpinski(16)
+    return [
+        make_cantor(40, (0.8, 1.0), tnorm.family, tnorm.parameter),
+        si.validate(si.IFSSystem(square.space, square.maps, [1.0, 0.6, 0.8], tnorm)),
+    ]
 
 
 def ultrametric_halving(tnorm, depth=5):
@@ -555,21 +582,45 @@ class TestPsi:
         assert not np.signbit(out).any()
 
     def test_pushforward_max_comes_before_the_tnorm(self):
-        # Hamacher's float T(w, .) is not monotone to the last bit: here
-        # v1 < v2 are adjacent floats with T(w, v1) > T(w, v2), and both
-        # land on cell 4 under the second map
+        # the symmetric Hamacher T(w, .) is not monotone to the last bit:
+        # here v1 < v2 are adjacent floats with T(w, v1) > T(w, v2), and
+        # both land on cell 4 under the second map; the scalar action psi
+        # scatters through is monotone, so scaling each point before the
+        # max gives T of the max
         X = si.grid_1d(9, 0, 1)
         t = si.TNorm("hamacher", 0.5)
         w = 0.08564916714362436
         v1, v2 = 0.23681050659610012, 0.23681050659610015
         assert np.nextafter(v1, 1.0) == v2 and t.apply(w, v1) > t.apply(w, v2)
+        assert t._scale(w, v1) <= t._scale(w, v2)
         maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.3]], [0.35])]
         system = si.validate(si.IFSSystem(X, maps, [1.0, w], t))
         assert system.tables.tolist() == [[0, 0, 1, 1, 2, 2, 3, 3, 4], [3, 3, 3, 4, 4, 4, 5, 5, 5]]
         density = np.zeros(9)
         density[[0, 3, 4]] = 1.0, v1, v2
         out = si.psi(system, si.StarMeasure(X, density, t)).density
-        assert out[4] == t.apply(w, v2)
+        assert out[4] == t._scale(w, v2)
+
+    @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.config_name())
+    def test_one_scatter_equals_the_two_scatter_kernel(self, tnorm):
+        # bit for bit, signbits included: max then T under the symmetric
+        # form where it is monotone, max then the scalar action elsewhere
+        action = tnorm._scale if tnorm.family == "hamacher" else tnorm._apply
+        rng = np.random.default_rng(31)
+        for system in kernel_systems(tnorm):
+            n = system.space.n
+            for size in (1, 5, n // 3, n):
+                density = np.zeros(n)
+                picked = rng.choice(n, size, replace=False)
+                density[picked] = rng.uniform(0.0, 1.0, size)
+                subnormal = picked[: max(1, size // 4)]
+                density[subnormal] = 5e-324 * rng.integers(1, 2**20, len(subnormal))
+                density[picked[-1]] = 1.0
+                mu = si.StarMeasure(system.space, density, tnorm)
+                out = si.psi(system, mu).density
+                expect = two_scatter_psi(system, mu.density, action)
+                assert np.array_equal(out, expect)
+                assert np.array_equal(np.signbit(out), np.signbit(expect))
 
     def test_normalization_preserved(self):
         rng = np.random.default_rng(22)

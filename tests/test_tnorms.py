@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import starifs as si
 from starifs.tnorms import axiom_report, parse_tnorm
@@ -109,6 +111,54 @@ def test_fold_permutation_invariant(tnorm):
         shuffled = list(w)
         rng.shuffle(shuffled)
         assert abs(tnorm.fold(w) - tnorm.fold(shuffled)) <= TOL
+
+
+# the scalar action under every family, and Hamacher with a large
+# parameter, one whose alpha / v + beta cancels to 0 at v = 1, and a
+# subnormal one
+SCALE_TNORMS = ALL_TNORMS + [si.TNorm("hamacher", p) for p in (7.5, 1e308, 5e-324)]
+# relative error of T(w, v) against exact rationals, in units of 2^-53,
+# where w, v and the exact value are normal floats: the largest measured
+# over about 30,000 sampled points per family was 3.9 (Hamacher, p = 0.5);
+# 8 is the first-order bound of the Hamacher form's eight roundings
+SCALE_ERROR_UNITS = 8
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+def _exact(tnorm, w, v):
+    w, v = Fraction(w), Fraction(v)
+    if tnorm.family == "minimum":
+        return min(w, v)
+    if tnorm.family == "product":
+        return w * v
+    if tnorm.family == "lukasiewicz":
+        return max(Fraction(0), w + v - 1)
+    p = Fraction(tnorm.parameter)
+    denom = p + (1 - p) * (w + v - w * v)
+    return w * v / denom if denom else Fraction(0)
+
+
+@pytest.mark.parametrize("tnorm", SCALE_TNORMS, ids=lambda t: t.config_name())
+@settings(deadline=None)
+@given(w=units, start=units)
+def test_scalar_action(tnorm, w, start):
+    # a run of 257 adjacent floats around start, clipped to [0, 1]
+    bits = np.clip(np.float64(start).view(np.int64) + np.arange(-128, 129), 0, _ONE_BITS)
+    run = np.unique(bits).view(np.float64)
+    out = tnorm._scale(w, run)
+    assert np.all(np.diff(out) >= 0.0)
+    assert np.all(out <= np.minimum(w, run)) and not np.signbit(out).any()
+    assert np.array_equal(tnorm._scale(1.0, run), run)
+    assert tnorm._scale(w, 0.0) == 0.0 and tnorm._scale(w, 1.0) == w
+    if tnorm.family != "hamacher":
+        expect = tnorm._apply(w, run)
+        assert np.array_equal(out, expect) and np.array_equal(np.signbit(out), np.signbit(expect))
+    tiny = 2.0**-1022
+    if w >= tiny:
+        for v, got in zip(run[::32].tolist(), out[::32].tolist()):
+            exact = _exact(tnorm, w, v)
+            if v >= tiny and exact >= tiny:
+                assert abs(Fraction(got) - exact) <= SCALE_ERROR_UNITS * 2**-53 * exact
 
 
 def test_parse_tnorm_names():
