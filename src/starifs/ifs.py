@@ -6,18 +6,24 @@ invariant measure.  On a grid the operator is linear over the semiring
 ([0, 1], max, T), so the limit of the chain from the full seed (density
 identically 1, which the chain descends from monotonically) is the
 solution of an algebraic path problem: ``solve`` computes it exactly by
-a path sweep and checks it against ``psi`` bit for bit.  Other seeds are
-iterated until a step returns its input bit for bit, until c^n * diam(X)
-falls to the tolerance, or until the step budget is spent.  That number
-is the paper's bound between two continuum orbits in the hypograph
-Hausdorff metric, not a certified distance to a grid fixed point.
+a path sweep and checks it against ``psi`` bit for bit.  The sweep's
+raise d <- max(d, psi(d)) is semi-naive (``_closure``): ``psi`` is a max
+of one term per point, so a point that did not rise last round sends
+what the density already holds, and each round pushes only the points
+that rose, with the naive raise's output and round count bit for bit.
+Other seeds are iterated until a step returns its input bit for bit,
+until c^n * diam(X) falls to the tolerance, or until the step budget is
+spent.  That number is the paper's bound between two continuum orbits
+in the hypograph Hausdorff metric, not a certified distance to a grid
+fixed point.
 
 On a grid ``psi`` is a sparse (max, T) matrix-vector product, and since
 T(w, 0) = 0 only the density's support contributes: ``_psi_density``
-follows the support alone, one scatter per map through the t-norm's
-monotone scalar action.  ``solve`` and the path sweep iterate raw
-density arrays through it and build one measure at the end; the public
-``psi`` checks its arguments and wraps the same kernel.
+follows the support alone, one scatter per map (``_scatter``) through
+the t-norm's monotone scalar action.  ``solve`` iterates raw density
+arrays through it, the path sweep through the same scatter, and each
+builds one measure at the end; the public ``psi`` checks its arguments
+and wraps the same kernel.
 
 Affine map images are snapped to the nearest grid point (ties to the
 lowest index).  Every affine image and composition, in the tables, the
@@ -45,7 +51,7 @@ from .errors import (
     WeightError,
 )
 from .measures import StarMeasure, hypograph_hausdorff
-from .spaces import LevelGrid, _distinct, _indices, _integer, _unit_values
+from .spaces import LevelGrid, _indices, _integer, _unit_values
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
@@ -283,24 +289,28 @@ def _check_measure(system, mu):
         raise DomainError("the measure must live on the system's space and t-norm")
 
 
-def _psi_density(system, density):
-    """The operator on a raw density array, unchecked: the body of ``psi``
-    and of the solver's loops.
-
-    Only the support is followed, since T(w, 0) = 0 adds nothing to an
-    output that starts at 0.  Each map scatters T(w, v) of the support's
-    values v by one max; ``TNorm._scale`` is monotone in v float by float,
-    so that is T of the pushed-forward max, and at w = 1 it is v.  The
-    density must hold no -0.0 (a measure's never does), or the zeros it
-    leaves out would not match the full scatter's.
-    """
-    out = np.zeros(system.space.n)
-    points = np.flatnonzero(density > 0.0)
-    values = density[points]
+def _scatter(system, out, points, values):
+    """Raise ``out`` by T(w, v) at the image of each point under each map,
+    v its value in ``values``: one max-scatter per map.  ``TNorm._scale``
+    is monotone in v float by float, so that is T of the pushed-forward
+    max, and at w = 1 it is v.  Returns ``out``."""
     for w, tbl in zip(system.weights, system.tables):
         scaled = values if w == 1.0 else system.tnorm._scale(float(w), values)
         np.maximum.at(out, tbl[points], scaled)
     return out
+
+
+def _psi_density(system, density):
+    """The operator on a raw density array, unchecked: the body of ``psi``
+    and of the iterated solve.
+
+    Only the support is followed, since T(w, 0) = 0 adds nothing to an
+    output that starts at 0.  The density must hold no -0.0 (a measure's
+    never does), or the zeros it leaves out would not match the full
+    scatter's.
+    """
+    points = np.flatnonzero(density > 0.0)
+    return _scatter(system, np.zeros(system.space.n), points, density[points])
 
 
 def psi(system, mu):
@@ -318,25 +328,54 @@ def psi(system, mu):
     return StarMeasure(system.space, _psi_density(system, mu.density), system.tnorm)
 
 
-def _set_image(tables, points):
-    """The sorted union of the images of ``points`` under every row of a
-    ``(k', n)`` table array, marked in a point mask, so no sort."""
+def _set_image(tables, points=None):
+    """The sorted union of the images of ``points`` (all points when
+    None) under every row of a ``(k', n)`` table array, marked in a point
+    mask, so no sort."""
     hit = np.zeros(tables.shape[1], dtype=bool)
-    hit[tables[:, points]] = True
-    return np.flatnonzero(hit)
+    hit[tables if points is None else tables.take(points, axis=1)] = True
+    return hit.nonzero()[0]
 
 
-def _stationary_set(tables):
-    """The stationary set of S -> U_i table_i(S) from the full point set.
-
-    The sets only shrink, so this takes at most n steps.
+def _stationary_set(tables, points=None):
+    """The stationary set of S -> U_i table_i(S) from ``points``, a set
+    the map sends into itself: all points when None, or the stationary
+    set of more rows.  The sets then only shrink, so a step that keeps
+    the size keeps the set, and this takes at most n steps.
     """
-    current = np.arange(tables.shape[1], dtype=np.int64)
+    size = tables.shape[1] if points is None else points.size
     while True:
-        nxt = _set_image(tables, current)
-        if np.array_equal(nxt, current):
-            return current
-        current = nxt
+        points = _set_image(tables, points)
+        if points.size == size:
+            return points
+        size = points.size
+
+
+def _closure(system, start):
+    """The limit of the raise d <- max(d, psi(d)) from ``start``, the
+    (max, T) closure of ``start``; returns (density, rounds).
+
+    The raise is semi-naive.  ``psi`` is a max of one term T(w, d(x))
+    per point x and map, so a point that did not rise in the last round
+    sends exactly what it sent then, and the density already holds that.
+    Each round therefore scatters only from the points that rose in the
+    round before (round 1: the start's support), and it equals the naive
+    round bit for bit.  ``rounds`` counts the rounds, the last one
+    unchanged.  The start must be nonnegative and hold no -0.0; it is
+    left as it was.
+    """
+    density = np.array(start, dtype=float)
+    raised = np.empty_like(density)
+    points = (density > 0.0).nonzero()[0]
+    rounds = 0
+    while True:
+        rounds += 1
+        np.copyto(raised, density)
+        _scatter(system, raised, points, density[points])
+        points = (raised != density).nonzero()[0]
+        density, raised = raised, density
+        if not points.size:
+            return density, rounds
 
 
 def _path_sweep(system):
@@ -347,25 +386,26 @@ def _path_sweep(system):
     end at y.  Such a fold is nonzero only on a tail of weights >= some
     e with T(e, e) = e, and an infinite walk on maps of weight >= e ends
     exactly in their stationary set.  Those sets, at level e, are the
-    sources; the raise d <- max(d, psi(d)) then carries them along
-    finite paths (Bellman-Ford in (max, T)).  T(a, lambda) <= a makes
-    every best walk a simple path, so in exact arithmetic the raise
-    takes at most n rounds; ``rounds`` counts them, the last one
-    unchanged.  The rounds work on raw density arrays.
+    sources.  The maps of weight >= e lose members as e rises, so each
+    level's set lies in the one below, and its iteration starts there:
+    those iterates lie between the level's set and the iterates from all
+    points, so they end on the same set.  ``_closure`` then carries the
+    sources along finite paths, a semi-naive Bellman-Ford in (max, T)
+    that pushes each round only from the points that rose: one that did
+    not sends what the density already holds, so each round is the naive
+    one bit for bit.  T(a, lambda) <= a makes every best walk a simple
+    path, so in exact arithmetic that takes at most n rounds; ``rounds``
+    counts them, the last one unchanged.
     """
     weights = system.weights
     density = np.zeros(system.space.n)
+    sources = None
     # ascending, so a higher source level overwrites a lower one
-    for e in _distinct(weights):
+    for e in sorted(set(weights.tolist())):
         if e > 0.0 and system.tnorm._apply(e, e) == e:
-            density[_stationary_set(system.tables[weights >= e])] = e
-    rounds = 0
-    while True:
-        rounds += 1
-        raised = np.maximum(density, _psi_density(system, density))
-        if np.array_equal(raised, density):
-            return density, rounds
-        density = raised
+            sources = _stationary_set(system.tables[weights >= e], sources)
+            density[sources] = e
+    return _closure(system, density)
 
 
 def error_bound(n, c, diam):

@@ -78,9 +78,10 @@ class TNorm:
             # 1 - hi is exact (Sterbenz) whenever the result can be nonzero
             return np.maximum(0.0, lo - (1.0 - hi))
         p = self.parameter
-        # p + (1 - p) s, with s = a + b - ab, written as s + p (1 - s)
+        # p + (1 - p) s, with s = a + b - ab, written as s + p (1 - s); 1 - s
+        # is taken as (1 - hi)(1 - lo), so a large p scales no rounding of s
         s = hi + lo * (1.0 - hi)
-        denom = s + p * (1.0 - s)
+        denom = s + p * ((1.0 - hi) * (1.0 - lo))
         safe = np.where(denom > 0.0, denom, 1.0)
         # clip: the denominator rounding can push the quotient one ulp past 1
         return np.clip(np.where(denom > 0.0, a * b / safe, 0.0), 0.0, 1.0)

@@ -820,12 +820,13 @@ def halves(weights, tnorm=si.TNorm("product"), n=101):
 
 
 @st.composite
-def small_systems(draw):
-    """A validated system with 2 or 3 maps on a small space: a 1-D grid
-    or a 2-D grid of at most 12 x 12 (affine or constant tabulated maps),
-    or a binary tree (tabulated halving maps, as in
-    ``ultrametric_halving``, followed by a random isometry x -> x ^ mask)."""
-    tnorm = draw(st.sampled_from(ALL_TNORMS))
+def small_systems(draw, tnorms=tuple(ALL_TNORMS)):
+    """A validated system with 2 or 3 maps under one of ``tnorms`` on a
+    small space: a 1-D grid or a 2-D grid of at most 12 x 12 (affine or
+    constant tabulated maps), or a binary tree (tabulated halving maps,
+    as in ``ultrametric_halving``, followed by a random isometry
+    x -> x ^ mask)."""
+    tnorm = draw(st.sampled_from(tnorms))
     kind = draw(st.sampled_from(["grid1d", "grid2d", "tree"]))
     k = draw(st.integers(2, 3))
     unit = st.floats(0.0, 1.0)
@@ -863,7 +864,81 @@ def small_systems(draw):
     return si.validate(si.IFSSystem(space, maps, weights, tnorm))
 
 
+def naive_closure(system, start):
+    """The raise d <- max(d, psi(d)) with the whole ``psi`` every round,
+    until a round returns its input; returns (density, rounds)."""
+    density, rounds = start, 0
+    while True:
+        rounds += 1
+        raised = np.maximum(density, si.ifs._psi_density(system, density))
+        if np.array_equal(raised, density):
+            return density, rounds
+        density = raised
+
+
+def stationary_from_all(tables):
+    """The stationary set of S -> U_i table_i(S), iterated from the full
+    point set until a step returns its input."""
+    current = np.arange(tables.shape[1])
+    while True:
+        hit = np.zeros(tables.shape[1], dtype=bool)
+        hit[tables[:, current]] = True
+        nxt = np.flatnonzero(hit)
+        if np.array_equal(nxt, current):
+            return current
+        current = nxt
+
+
+# start values: zeros, subnormals and ones as well as the unit interval
+start_values = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestClosure:
+    @settings(max_examples=80, deadline=None)
+    @given(system=small_systems(), data=st.data())
+    def test_equals_the_naive_raise(self, system, data):
+        n = system.space.n
+        # + 0.0: a start holds no -0.0
+        start = np.array(data.draw(st.lists(start_values, min_size=n, max_size=n))) + 0.0
+        kept = start.copy()
+        density, rounds = si.ifs._closure(system, start)
+        expect, expect_rounds = naive_closure(system, start)
+        assert rounds == expect_rounds
+        assert np.array_equal(density, expect)
+        assert not np.signbit(density).any()
+        assert np.array_equal(start, kept)
+
+
 class TestPathSweep:
+    @pytest.mark.parametrize("name, rounds", [("cantor", 9), ("hamacher_large", 6), ("sierpinski", 1)])
+    def test_full_seed_round_counts(self, name, rounds):
+        system = si.validate(RunConfig.from_path(CONFIGS / f"{name}.json").build_system())
+        _, report = si.solve(system)
+        assert (report.stopped_by, report.iterations) == ("fixedPoint", rounds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=small_systems(tnorms=[si.TNorm("minimum")]))
+    def test_nested_stationary_sets(self, system):
+        # under min every positive weight is a source level, and each
+        # level's iteration starts from the set of the level below
+        calls = []
+
+        def spy(tables, points=None):
+            calls.append((tables, points, stationary(tables, points)))
+            return calls[-1][2]
+
+        stationary = si.ifs._stationary_set
+        with mock.patch.object(si.ifs, "_stationary_set", spy):
+            si.ifs._path_sweep(system)
+        levels = sorted({w for w in system.weights.tolist() if w > 0.0})
+        assert len(calls) == len(levels)
+        below = None
+        for (tables, points, got), e in zip(calls, levels):
+            assert np.array_equal(tables, system.tables[system.weights >= e])
+            assert points is below
+            assert np.array_equal(got, stationary_from_all(tables))
+            below = got
+
     @pytest.mark.parametrize("weight", [0.99, 0.999])
     def test_halves_repro_is_exact(self, weight):
         # the iteration stopped 0.740 (0.99) and 0.987 (0.999) above the

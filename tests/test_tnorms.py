@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import starifs as si
 from starifs.tnorms import axiom_report, parse_tnorm
@@ -159,6 +159,27 @@ def test_scalar_action(tnorm, w, start):
             exact = _exact(tnorm, w, v)
             if v >= tiny and exact >= tiny:
                 assert abs(Fraction(got) - exact) <= SCALE_ERROR_UNITS * 2**-53 * exact
+
+
+# floats within 2^20 ulps below 1, where 1 - s of a rounded s loses most
+near_one = st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0**-53)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 2.0, 7.5, 1e10, 1e200, 1e308])
+@settings(deadline=None)
+@given(a=st.one_of(units, near_one), b=st.one_of(units, near_one))
+@example(a=0.3, b=1.0 - 2.0**-53)
+def test_hamacher_apply_relative_error(p, a, b):
+    # p (1 - s) must not take 1 - s from a rounded s = a + b - ab: p would
+    # scale the rounding error of s, to 5.6e8 u at p = 1e10
+    tnorm = si.TNorm("hamacher", p)
+    got = float(tnorm._apply(a, b))
+    assert got == float(tnorm._apply(b, a)) and float(tnorm._apply(1.0, a)) == a
+    exact = _exact(tnorm, a, b)
+    tiny = 2.0**-1022
+    # the numerator ab must be normal too: at p < 1 it can underflow where T does not
+    if a * b >= tiny and exact >= tiny:
+        assert abs(Fraction(got) - exact) <= SCALE_ERROR_UNITS * 2**-53 * exact
 
 
 def test_parse_tnorm_names():
