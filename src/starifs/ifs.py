@@ -441,7 +441,10 @@ class SolveReport:
     fixed point and ``iterations`` counts the path sweep's rounds.  After
     ``bound`` or ``maxIterations``, neither c^n diam(X) (the paper's bound
     between two continuum orbits) nor the residual bounds the distance
-    from the output to a grid fixed point.
+    from the output to a grid fixed point.  The residual floors each
+    density to the level grid (multiples of 1/m), so it can read 0.0
+    although the last two iterates differ, as on the (1, .999) halves
+    system's ``bound`` stop from a Dirac seed.
     """
 
     iterations: int

@@ -24,11 +24,14 @@ moved out by a margin delta, snap to one index on every axis, every
 extension sends every point to that cell.  The word is then a (cell,
 weight) pair, and what it adds there depends on its weight w and L
 alone: f_L(w), the max over its suffixes s and the seed values v of
-T(fold(w, s), v).  So f_0(w) = max_v T(w, v), by ``tnorm._scale`` as
-at a full-length word, and f_L(w) = max_j f_(L-1)(T(w, lambda_j)), once
-per distinct weight a level needs, by the per-word fold's ``_apply``
-calls.  At L = 0 the box is the grid's and delta is 0: the corner images
-are the very floats that bound every point's image.
+T(fold(w, s), v).  So f_0(w) = T(w, top) by ``tnorm._scale`` at the
+seed's largest value (the action never falls as v rises), and f_L(w) =
+max_j f_(L-1)(T(w, lambda_j)) by ``_apply``, one level at a time, with no
+run compression and no table over the seed values.  A weight of 1 makes
+f_L >= f_0, equal where T never falls as w rises, which the Hamacher form
+can by a last bit; with every weight 1 (one map, say) f_L = f_0 and all
+pairs file at level 0.  At L = 0 the box is the grid's and delta is 0:
+the corner images are the very floats that bound every point's image.
 
 delta covers the float error.  Let S be the largest coordinate of the
 box widened by r_depth and u = 2^-53.  Both the test and the per-word
@@ -199,63 +202,37 @@ def _snap_images(space, coords, mats, trans):
     return space.snap(_affine_images(coords, mats, trans))
 
 
-def _table(apply, weights, values, top):
-    """apply(w, v) for every weight w and value v, at most ``_BLOCK``
-    values at a time; with ``top``, only the max of each weight's row."""
-    out = np.empty(len(weights) if top else (len(weights), len(values)))
+def _table(apply, weights, values):
+    """apply(w, v) for every weight w and value v, ``_BLOCK`` values at a time."""
+    out = np.empty((len(weights), len(values)))
     rows = max(1, _BLOCK // len(values))
     for start in range(0, len(weights), rows):
-        part = apply(weights[start : start + rows, None], values)
-        out[start : start + rows] = part.max(axis=1) if top else part
+        out[start : start + rows] = apply(weights[start : start + rows, None], values)
     return out
 
 
-def _fold_pairs(out, apply, letters, levels, pairs, scale=None):
+def _fold_pairs(out, tnorm, letters, top, pairs):
     """Raise ``out`` at the cell of each pair in ``pairs[L]`` to f_L(weight).
 
     f_L(w) is what a word of weight w collapsed with L letters left adds:
-    f_0(w) = max scale(w, s) over the seed values ``levels`` (``scale`` is
-    ``apply`` unless given), and f_L(w) = max_l f_(L-1)(apply(w, l)).
+    f_0(w) = T(w, top) at the seed's largest value, its max over every seed
+    value as ``_scale`` never falls as v rises, and f_L(w) =
+    max_l f_(L-1)(T(w, l)).
     ``pairs`` maps each level that has pairs to its blocks.  The distinct
     weights each level needs are gathered top-down, then f is filled
-    bottom-up by the same T calls as the per-word fold.  Where T sends a
-    level's weights onto themselves, every level below it down to the
-    next one with pairs needs the same weights and takes the same step
-    f_(L-1) -> f_L, so the run is gathered once and the step repeats only
-    until f stops changing, after which it cannot.  As T(w, 1) = w, f_L
-    is the max of f_0 over the weights reached in at most L steps, so that
-    takes at most one step per distinct weight: a one-map fold does not
-    grow with the depth.
+    bottom-up, one level at a time.
     """
     if not pairs:
         return
-    # (bottom, top, distinct, kids): levels bottom..top share the weights and the step
-    runs, after, top = [], np.empty(0), max(pairs)
-    while top >= 0:
-        distinct = _distinct(np.concatenate([after, *(w for w, _ in pairs.get(top, ()))]))
-        if top not in pairs and np.array_equal(distinct, runs[-1][2]):
-            # the level above repeats down to the next level with pairs
-            bottom = 1 + max((left for left in pairs if left < top), default=-1)
-            runs[-1] = (bottom, *runs[-1][1:])
-            top = bottom - 1
-            continue
-        kids = _table(apply, distinct, letters, False) if top else None
-        if top:
-            after = kids.ravel()
-        runs.append((top, top, distinct, kids))
-        top -= 1
-    for bottom, top, distinct, kids in reversed(runs):
-        if bottom:
-            best = best[np.searchsorted(below, kids)].max(axis=1)
-        else:
-            best = _table(scale or apply, distinct, levels, True)
-        step = np.searchsorted(distinct, kids) if top > bottom else None
-        for _ in range(top - bottom):
-            raised = best[step].max(axis=1)
-            if np.array_equal(raised, best):
-                break
-            best = raised
-        for weights, cells in pairs.get(top, ()):
+    levels, after = [], np.empty(0)
+    for left in range(max(pairs), -1, -1):
+        distinct = _distinct(np.concatenate([after, *(w for w, _ in pairs.get(left, ()))]))
+        kids = _table(tnorm._apply, distinct, letters) if left else None
+        levels.append((left, distinct, kids))
+        after = kids.ravel() if left else None
+    for left, distinct, kids in reversed(levels):
+        best = best[np.searchsorted(below, kids)].max(axis=1) if left else tnorm._scale(distinct, top)
+        for weights, cells in pairs.get(left, ()):
             np.maximum.at(out, cells, best[np.searchsorted(distinct, weights)])
         below = distinct
 
@@ -271,8 +248,8 @@ def word_expansion(system, seed, depth):
     tabulated systems chain their tables.  Only the seed's support is
     followed, as T(w, 0) = 0.  A word that collapsed with L letters left
     adds f_L(weight) at its cell (see the module docstring); every pair is
-    held to the end of the walk and folded once, as f_L depends on L and
-    the weight alone and a max on no order.
+    held to the end of the walk and folded once, level by level, as f_L
+    depends on L and the weight alone and a max on no order.
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -284,16 +261,17 @@ def word_expansion(system, seed, depth):
     tnorm = system.tnorm
     points = np.flatnonzero(seed.density)
     values = seed.density[points]
-    levels = _distinct(values)
-    # pair blocks by the letters they still lacked when they collapsed
+    # pair blocks by the letters they still lacked when they collapsed; with
+    # every weight 1 every word weighs 1, so f_L = f_0 and all file at level 0
+    unit = (system.weights == 1.0).all()
     pairs = {}
     for left, weights, cells in _word_blocks(system, depth, points):
         if cells.ndim == 2:
             # flat, where ufunc.at has its fast path
             np.maximum.at(out, cells.ravel(), tnorm._scale(weights[:, None], values).ravel())
         else:
-            pairs.setdefault(left, []).append((weights, cells))
-    _fold_pairs(out, tnorm._apply, system.weights, levels, pairs, tnorm._scale)
+            pairs.setdefault(0 if unit else left, []).append((weights, cells))
+    _fold_pairs(out, tnorm, system.weights, seed.density.max(), pairs)
     return StarMeasure(space, out, system.tnorm)
 
 

@@ -7,7 +7,8 @@ path sweep's T(e, e) == e test), evaluates measures and meets the axiom
 suite.  The scalar action ``_scale(w, v)`` applies a weight to density
 values level-wise (``psi``, ``measures.scale``, the oracle's
 T(weight, v)); it never falls as v rises by a float, so it commutes
-with a max over a cell bit for bit.
+with a max over a cell bit for bit.  The Hamacher arithmetic lives in
+``_scale`` only: its ``_apply(a, b)`` is ``_scale(max(a, b), min(a, b))``.
 
 Only closed-form continuous families are provided; tabulated or
 user-supplied operations are rejected so the axiom suite stays exact.
@@ -72,19 +73,13 @@ class TNorm:
         if self.family == "product":
             return a * b
         # in terms of the larger and the smaller operand, so commutative bit
-        # for bit; at hi = 1 the term 1 - hi is 0, so T(1, a) == a exactly
+        # for bit, and T(1, a) == a exactly
         hi, lo = np.maximum(a, b), np.minimum(a, b)
         if self.family == "lukasiewicz":
             # 1 - hi is exact (Sterbenz) whenever the result can be nonzero
             return np.maximum(0.0, lo - (1.0 - hi))
-        p = self.parameter
-        # p + (1 - p) s, with s = a + b - ab, written as s + p (1 - s); 1 - s
-        # is taken as (1 - hi)(1 - lo), so a large p scales no rounding of s
-        s = hi + lo * (1.0 - hi)
-        denom = s + p * ((1.0 - hi) * (1.0 - lo))
-        safe = np.where(denom > 0.0, denom, 1.0)
-        # clip: the denominator rounding can push the quotient one ulp past 1
-        return np.clip(np.where(denom > 0.0, a * b / safe, 0.0), 0.0, 1.0)
+        # Hamacher: the scalar action, with the larger operand as the weight
+        return self._scale(hi, lo)
 
     def _scale(self, w, v):
         """T(w, v) on broadcasting float operands in [0, 1], nondecreasing

@@ -590,7 +590,7 @@ class TestPsi:
         X = si.grid_1d(9, 0, 1)
         t = si.TNorm("hamacher", 0.5)
         w = 0.08564916714362436
-        v1, v2 = 0.23681050659610012, 0.23681050659610015
+        v1, v2 = 0.8964002267475142, 0.8964002267475143
         assert np.nextafter(v1, 1.0) == v2 and t.apply(w, v1) > t.apply(w, v2)
         assert t._scale(w, v1) <= t._scale(w, v2)
         maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.3]], [0.35])]
@@ -938,6 +938,24 @@ class TestPathSweep:
             assert points is below
             assert np.array_equal(got, stationary_from_all(tables))
             below = got
+
+    def test_full_seed_output_is_the_stalled_chain(self):
+        # the scalar action keeps e = 1 - 2^-53 under hamacher(0), but a
+        # symmetric form of its own gave T(e, e) = 1 - 2^-52, so the sweep
+        # took e for no source level and returned 0.0 at x = 1, where the
+        # psi chain from the full seed stalls at e
+        e = 1.0 - 2.0**-53
+        system = halves((1.0, e), si.TNorm("hamacher", 0.0), n=9)
+        g, _ = si.solve(system)
+        mu = si.StarMeasure.full(system.space, system.tnorm)
+        for _ in range(100):
+            nxt = si.psi(system, mu)
+            if np.array_equal(nxt.density, mu.density):
+                break
+            mu = nxt
+        assert np.array_equal(si.psi(system, mu).density, mu.density)
+        assert mu.density[-1] == e
+        assert np.array_equal(g.density, mu.density)
 
     @pytest.mark.parametrize("weight", [0.99, 0.999])
     def test_halves_repro_is_exact(self, weight):

@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -539,13 +540,13 @@ def _chain_apply(a, b):
     return np.where(b == 1.0, a, np.where(b == 0.5, np.minimum(a + 0.125, 0.5), a * b))
 
 
-class TestFoldRuns:
-    """A run of levels with no pairs, whose weights T maps onto themselves,
-    is folded until f stops changing, not once per level."""
+class TestFoldPairs:
+    """Collapsed (weight, cell) pairs folded level by level against the
+    f_L recursion, with f_0 the max over every seed value."""
 
-    def test_run_steps_until_f_stops_changing(self):
+    def test_f_rises_along_a_weight_chain(self):
         letters, levels = np.array([1.0, 0.5]), np.array([0.25, 0.75])
-        # levels 9..6 and 5..0 are runs: each keeps the weights of the level above
+        # levels 11..6 and 4..1 hold no pairs: each keeps the weights of the level above
         pairs = {
             12: [(np.array([0.125]), np.array([3]))],
             5: [(np.array([0.25, 0.125]), np.array([1, 2]))],
@@ -564,8 +565,48 @@ class TestFoldRuns:
                 for w, cell in zip(weights, cells):
                     expect[cell] = max(expect[cell], f(left, float(w)))
         out = np.zeros(5)
-        oracle._fold_pairs(out, _chain_apply, letters, levels, pairs)
+        chain = SimpleNamespace(_apply=_chain_apply, _scale=_chain_apply)
+        oracle._fold_pairs(out, chain, letters, 0.75, pairs)
         assert out.tolist() == expect.tolist() == [0.375, 0.375, 0.375, 0.375, 0.09375]
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_equals_the_recursion(self, data):
+        tnorm = data.draw(st.sampled_from(ALL_TNORMS))
+        near_one = st.floats(1.0 - 1e-12, 1.0)
+        weight = st.one_of(st.just(1.0), near_one, st.floats(0.0, 1.0))
+        # distinct seed values whose top lies within 1e-12 of 1
+        values = data.draw(st.lists(st.one_of(near_one, st.floats(0.0, 1.0)), min_size=1, max_size=4))
+        values = sorted(set(values + [data.draw(near_one)]))
+        others = st.lists(st.one_of(st.just(1.0), weight), max_size=2)
+        letters = data.draw(st.one_of(st.just([1.0, 1.0]), others.map(lambda ls: [1.0] + ls)))
+        block = st.lists(st.tuples(weight, st.integers(0, 4)), min_size=1, max_size=4)
+        drawn = data.draw(st.dictionaries(st.integers(0, 6), st.lists(block, min_size=1, max_size=2), min_size=1))
+        pairs = {
+            left: [(np.array([w for w, _ in b]), np.array([c for _, c in b])) for b in blocks]
+            for left, blocks in drawn.items()
+        }
+
+        @functools.lru_cache(maxsize=None)
+        def f(left, w):
+            if left == 0:
+                return max(float(tnorm._scale(w, v)) for v in values)
+            return max(f(left - 1, float(tnorm._apply(w, l))) for l in letters)
+
+        expect = np.zeros(5)
+        for left, blocks in drawn.items():
+            for b in blocks:
+                for w, cell in b:
+                    expect[cell] = max(expect[cell], f(left, w))
+        out = np.zeros(5)
+        oracle._fold_pairs(out, tnorm, np.array(letters), max(values), pairs)
+        assert np.array_equal(out, expect)
+
+
+class TestFoldRuns:
+    """A one-map system's words are runs of its one letter, of weight 1
+    (the largest weight is 1): every collapsed pair files at level 0, so
+    a deep run folds like a shallow one."""
 
     @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=repr)
     def test_equals_per_word_loop(self, tnorm):

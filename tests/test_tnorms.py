@@ -169,16 +169,16 @@ near_one = st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0**-53)
 @settings(deadline=None)
 @given(a=st.one_of(units, near_one), b=st.one_of(units, near_one))
 @example(a=0.3, b=1.0 - 2.0**-53)
+@example(a=4.6e-303, b=4.6e-303)
 def test_hamacher_apply_relative_error(p, a, b):
     # p (1 - s) must not take 1 - s from a rounded s = a + b - ab: p would
-    # scale the rounding error of s, to 5.6e8 u at p = 1e10
+    # scale the rounding error of s, to 5.6e8 u at p = 1e10; and a numerator
+    # ab that underflows gave 0.0 at p = 0 where T = 2.3e-303
     tnorm = si.TNorm("hamacher", p)
     got = float(tnorm._apply(a, b))
     assert got == float(tnorm._apply(b, a)) and float(tnorm._apply(1.0, a)) == a
     exact = _exact(tnorm, a, b)
-    tiny = 2.0**-1022
-    # the numerator ab must be normal too: at p < 1 it can underflow where T does not
-    if a * b >= tiny and exact >= tiny:
+    if exact >= 2.0**-1022:
         assert abs(Fraction(got) - exact) <= SCALE_ERROR_UNITS * 2**-53 * exact
 
 
