@@ -20,7 +20,7 @@ fixed point.
 On a grid ``psi`` is a sparse (max, T) matrix-vector product, and since
 T(w, 0) = 0 only the density's support contributes: ``_psi_density``
 follows the support alone, one scatter per map (``_scatter``) through
-the t-norm's monotone scalar action.  ``solve`` iterates raw density
+the t-norm's float-monotone T(w, .).  ``solve`` iterates raw density
 arrays through it, the path sweep through the same scatter, and each
 builds one measure at the end; the public ``psi`` checks its arguments
 and wraps the same kernel.
@@ -291,11 +291,11 @@ def _check_measure(system, mu):
 
 def _scatter(system, out, points, values):
     """Raise ``out`` by T(w, v) at the image of each point under each map,
-    v its value in ``values``: one max-scatter per map.  ``TNorm._scale``
+    v its value in ``values``: one max-scatter per map.  ``TNorm._apply``
     is monotone in v float by float, so that is T of the pushed-forward
     max, and at w = 1 it is v.  Returns ``out``."""
     for w, tbl in zip(system.weights, system.tables):
-        scaled = values if w == 1.0 else system.tnorm._scale(float(w), values)
+        scaled = values if w == 1.0 else system.tnorm._apply(float(w), values)
         np.maximum.at(out, tbl[points], scaled)
     return out
 

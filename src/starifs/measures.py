@@ -95,8 +95,11 @@ def pushforward(f, mu):
 
 
 def scale(r, mu):
-    """The scalar action r * mu: T(r, .) on every level, by ``TNorm._scale``."""
-    return SubDensity(mu.space, mu.tnorm._scale(_unit_values(float(r), "r"), mu.density), mu.tnorm)
+    """The scalar action r * mu: T(r, .) on every level; ``r`` is one number in [0, 1]."""
+    r = _unit_values(r, "r")
+    if r.ndim:
+        raise DomainError("r must be one number in [0, 1]")
+    return SubDensity(mu.space, mu.tnorm._apply(r, mu.density), mu.tnorm)
 
 
 def max_union(items):
@@ -118,8 +121,8 @@ def weakstar_distance(mu, nu, tests):
 
     A diagnostic pseudo-distance indexed by the chosen family.
     """
-    if mu.space is not nu.space:
-        raise DomainError("measures must live on the same space")
+    if mu.space is not nu.space or mu.tnorm != nu.tnorm:
+        raise DomainError("measures must live on the same space and t-norm")
     tests = list(tests)
     if not tests:
         raise DomainError("the test family must be nonempty")

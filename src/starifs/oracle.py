@@ -21,17 +21,15 @@ widened box.  Image coordinates ``x_0 a_i0 + x_1 a_i1 + t_i`` are
 monotone in each coordinate and the snap is monotone along
 each axis, so if the per-axis extremes of the word's image of that box,
 moved out by a margin delta, snap to one index on every axis, every
-extension sends every point to that cell.  The word is then a (cell,
-weight) pair, and what it adds there depends on its weight w and L
-alone: f_L(w), the max over its suffixes s and the seed values v of
-T(fold(w, s), v).  So f_0(w) = T(w, top) by ``tnorm._scale`` at the
-seed's largest value (the action never falls as v rises), and f_L(w) =
-max_j f_(L-1)(T(w, lambda_j)) by ``_apply``, one level at a time, with no
-run compression and no table over the seed values.  A weight of 1 makes
-f_L >= f_0, equal where T never falls as w rises, which the Hamacher form
-can by a last bit; with every weight 1 (one map, say) f_L = f_0 and all
-pairs file at level 0.  At L = 0 the box is the grid's and delta is 0:
-the corner images are the very floats that bound every point's image.
+extension sends every point to that cell.  What the word adds there is
+the max over its suffixes s and the seed values v of T(fold(w, s), v),
+w its weight.  That is T(w, top) at the seed's largest value, bit for
+bit: a fold never rises (T(a, lambda) <= a), the suffix of letters of
+weight 1 (the largest weight is 1) keeps w as T(w, 1) = w, and the
+t-norm's float form is nondecreasing in each operand.  So a collapsed
+word adds T(w, top) at its cell at once, whatever L.  At L = 0 the box
+is the grid's and delta is 0: the corner images are the very floats
+that bound every point's image.
 
 delta covers the float error.  Let S be the largest coordinate of the
 box widened by r_depth and u = 2^-53.  Both the test and the per-word
@@ -44,14 +42,14 @@ costs about 14 u S: (50 L + 30) u S in all.  The word budget caps L at
 delta = 2^-26 S.  A margin too wide only keeps words live longer.
 
 The cost is the words composed before they collapse, each tested once
-through 2^d corner images, plus the per-level fold; only a word still
+through 2^d corner images; only a word still
 straddling a cell boundary at full depth snaps points, and only those
 of the seed's support, since T(w, 0) = 0 adds nothing.  Where k c < 1
 the live words die out (``cantor-729-oracle`` composes 378 of 65,536);
 where k c > 1, as on Sierpinski (3/2), they keep multiplying.  Dense
 spaces, whose snap is not monotone along each axis, and tabulated
 systems walk every word.  Blocks and snaps hold at most about ``_BLOCK``
-values; collapsed (weight, cell) pairs wait for one fold at the end.
+values.
 """
 
 from __future__ import annotations
@@ -63,11 +61,11 @@ from .ifs import (
     _HULL_SLACK, _affine_images, _check_measure, _require_validated, _set_image, _stationary_set,
 )
 from .measures import StarMeasure
-from .spaces import GridSpace, _distinct, _integer, _lattice
+from .spaces import GridSpace, _integer, _lattice
 
 WORD_BUDGET = 1_000_000
 # values (point images, table entries, or a word's map, box images and
-# cells) held by one block of words, and by one chunk of a fold's table
+# cells) held by one block of words
 _BLOCK = 1 << 14
 # the collapse test's margin delta, relative to the largest padded coordinate
 _MARGIN = 2.0**-26
@@ -103,9 +101,9 @@ def _word_cells(space, box, margin, mats, trans):
 
 
 def _word_blocks(system, depth, points):
-    """Yield (L, weights, cells) for the words of the given length, in
-    blocks: where a word's prefix collapsed with L letters left, ``cells``
-    has shape (words,); for a full-length word (L = 0), shape (words,
+    """Yield (weights, cells) for the words of the given length, in
+    blocks: where a word's prefix collapsed before full length, ``cells``
+    has shape (words,); for a full-length word, shape (words,
     len(points)), the cell each of ``points`` goes to.
 
     Word (i_1, ..., i_n) composes left-to-right: each letter's map is
@@ -181,9 +179,9 @@ def _word_blocks(system, depth, points):
                 for start in reversed(range(0, size, step))
             )
         elif length == depth and affine:
-            yield 0, block[0], _snap_images(space, coords, *block[1:])
+            yield block[0], _snap_images(space, coords, *block[1:])
         elif length == depth:
-            yield 0, block[0], block[1][:, points]
+            yield block[0], block[1][:, points]
         else:
             block = children(block)
             if grid:
@@ -191,7 +189,7 @@ def _word_blocks(system, depth, points):
                 cells = _word_cells(space, box(left), left and margin, *block[1:])
                 one = cells >= 0
                 if one.any():
-                    yield left, block[0][one], cells[one]
+                    yield block[0][one], cells[one]
                     block = tuple(part[~one] for part in block)
             if len(block[0]):
                 stack.append((length + 1, block))
@@ -202,54 +200,18 @@ def _snap_images(space, coords, mats, trans):
     return space.snap(_affine_images(coords, mats, trans))
 
 
-def _table(apply, weights, values):
-    """apply(w, v) for every weight w and value v, ``_BLOCK`` values at a time."""
-    out = np.empty((len(weights), len(values)))
-    rows = max(1, _BLOCK // len(values))
-    for start in range(0, len(weights), rows):
-        out[start : start + rows] = apply(weights[start : start + rows, None], values)
-    return out
-
-
-def _fold_pairs(out, tnorm, letters, top, pairs):
-    """Raise ``out`` at the cell of each pair in ``pairs[L]`` to f_L(weight).
-
-    f_L(w) is what a word of weight w collapsed with L letters left adds:
-    f_0(w) = T(w, top) at the seed's largest value, its max over every seed
-    value as ``_scale`` never falls as v rises, and f_L(w) =
-    max_l f_(L-1)(T(w, l)).
-    ``pairs`` maps each level that has pairs to its blocks.  The distinct
-    weights each level needs are gathered top-down, then f is filled
-    bottom-up, one level at a time.
-    """
-    if not pairs:
-        return
-    levels, after = [], np.empty(0)
-    for left in range(max(pairs), -1, -1):
-        distinct = _distinct(np.concatenate([after, *(w for w, _ in pairs.get(left, ()))]))
-        kids = _table(tnorm._apply, distinct, letters) if left else None
-        levels.append((left, distinct, kids))
-        after = kids.ravel() if left else None
-    for left, distinct, kids in reversed(levels):
-        best = best[np.searchsorted(below, kids)].max(axis=1) if left else tnorm._scale(distinct, top)
-        for weights, cells in pairs.get(left, ()):
-            np.maximum.at(out, cells, best[np.searchsorted(distinct, weights)])
-        below = distinct
-
-
 def word_expansion(system, seed, depth):
     """Depth-n word expansion of the operator applied to the seed.
 
     density(y) = max over words w and points x snapped into y of
     weight(w) * seed(x): the weight folded by ``_apply``, then applied by
-    the scalar action ``_scale`` before the max over a cell, as in
-    ``psi``, so depth 1 is ``psi`` of the seed bit for bit under every
-    t-norm.  Depth 0 is the seed.  Affine compositions are snapped once;
-    tabulated systems chain their tables.  Only the seed's support is
-    followed, as T(w, 0) = 0.  A word that collapsed with L letters left
-    adds f_L(weight) at its cell (see the module docstring); every pair is
-    held to the end of the walk and folded once, level by level, as f_L
-    depends on L and the weight alone and a max on no order.
+    the same ``_apply`` before the max over a cell, as in ``psi``, so
+    depth 1 is ``psi`` of the seed bit for bit under every t-norm.
+    Depth 0 is the seed.  Affine compositions are snapped once; tabulated
+    systems chain their tables.  Only the seed's support is followed, as
+    T(w, 0) = 0.  A word that collapsed before full length adds
+    T(weight, top) at its cell, top the seed's largest value (see the
+    module docstring).
     """
     _require_validated(system)
     _check_measure(system, seed)
@@ -261,17 +223,13 @@ def word_expansion(system, seed, depth):
     tnorm = system.tnorm
     points = np.flatnonzero(seed.density)
     values = seed.density[points]
-    # pair blocks by the letters they still lacked when they collapsed; with
-    # every weight 1 every word weighs 1, so f_L = f_0 and all file at level 0
-    unit = (system.weights == 1.0).all()
-    pairs = {}
-    for left, weights, cells in _word_blocks(system, depth, points):
+    top = seed.density.max()
+    for weights, cells in _word_blocks(system, depth, points):
         if cells.ndim == 2:
             # flat, where ufunc.at has its fast path
-            np.maximum.at(out, cells.ravel(), tnorm._scale(weights[:, None], values).ravel())
+            np.maximum.at(out, cells.ravel(), tnorm._apply(weights[:, None], values).ravel())
         else:
-            pairs.setdefault(0 if unit else left, []).append((weights, cells))
-    _fold_pairs(out, tnorm, system.weights, seed.density.max(), pairs)
+            np.maximum.at(out, cells, tnorm._apply(weights, top))
     return StarMeasure(space, out, system.tnorm)
 
 
@@ -298,7 +256,7 @@ def attractor_support(system, depth, reference_index=0):
             points = _set_image(system.tables, points)
         return points
     hit = np.zeros(space.n, dtype=bool)
-    for _, _, cells in _word_blocks(system, depth, [reference_index]):
+    for _, cells in _word_blocks(system, depth, [reference_index]):
         hit[cells] = True
     return np.flatnonzero(hit)
 

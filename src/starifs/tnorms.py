@@ -2,13 +2,14 @@
 
 A t-norm is a continuous, associative, commutative, monotone binary
 operation on [0, 1] with unit 1, the multiplication the package is built
-on.  The symmetric ``_apply(a, b)`` folds weights (word weights, the
-path sweep's T(e, e) == e test), evaluates measures and meets the axiom
-suite.  The scalar action ``_scale(w, v)`` applies a weight to density
-values level-wise (``psi``, ``measures.scale``, the oracle's
-T(weight, v)); it never falls as v rises by a float, so it commutes
-with a max over a cell bit for bit.  The Hamacher arithmetic lives in
-``_scale`` only: its ``_apply(a, b)`` is ``_scale(max(a, b), min(a, b))``.
+on.  One formula per family, ``_apply(a, b)``, serves every caller: it
+folds weights (word weights, the path sweep's T(e, e) == e test),
+applies a weight to density values level-wise (``psi``,
+``measures.scale``, the oracle's T(weight, v)), evaluates measures and
+meets the axiom suite.  Each family's float form is commutative bit for
+bit and never falls as either operand rises by a float, so T(w, .)
+commutes with a max over a cell and a word's weight can only fall as it
+grows.
 
 Only closed-form continuous families are provided; tabulated or
 user-supplied operations are rejected so the axiom suite stays exact.
@@ -67,43 +68,41 @@ class TNorm:
         return float(out) if scalar else out
 
     def _apply(self, a, b):
-        """The family arithmetic on float operands already known to lie in [0, 1]."""
+        """The family arithmetic on float operands already known to lie in
+        [0, 1], nondecreasing in each operand float by float.
+
+        Hamacher is 1/T - 1 = x + y + p x y in the coordinates
+        x = (1 - a)/a (Klement, Mesiar & Pap, *Triangular Norms*, 2000):
+        every term is nonnegative, so each rounding keeps the order.  p x
+        is formed before its product with y, as x y alone can overflow
+        where p = 0; a sum that overflows gives T = 0 where the exact T is
+        subnormal, and the NaN of 0 * inf arises only where T = 0 and
+        yields to the clamp to min(a, b).  T(1, a) == a exactly.
+        """
         if self.family == "minimum":
             return np.minimum(a, b)
         if self.family == "product":
             return a * b
         # in terms of the larger and the smaller operand, so commutative bit
-        # for bit, and T(1, a) == a exactly
+        # for bit
         hi, lo = np.maximum(a, b), np.minimum(a, b)
         if self.family == "lukasiewicz":
             # 1 - hi is exact (Sterbenz) whenever the result can be nonzero
             return np.maximum(0.0, lo - (1.0 - hi))
-        # Hamacher: the scalar action, with the larger operand as the weight
-        return self._scale(hi, lo)
-
-    def _scale(self, w, v):
-        """T(w, v) on broadcasting float operands in [0, 1], nondecreasing
-        in v float by float: ``_apply`` under min, product and Lukasiewicz.
-
-        Hamacher is w / (1 + alpha (1 - v) / v), alpha = p (1 - w) + w: it
-        is w / (alpha / v + beta), as alpha + beta = 1, without the sum's
-        cancellation at a large p.  Each step rounds once, monotone in v; an
-        overflow is +inf (T = 0, as at v = 0), and the NaN of p = w = v = 0
-        yields to the clamp to min(w, v).  T(1, v) = v and T(w, 1) = w exactly.
-        """
-        if self.family != "hamacher":
-            return self._apply(w, v)
-        v = np.asarray(v, dtype=float)  # a Python float division by 0 raises
-        alpha = self.parameter * (1.0 - w) + w
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = w / (1.0 + alpha * (1.0 - v) / v)
-        return np.where(w == 1.0, v, np.fmin(out, np.minimum(w, v)))
+            x, y = (1.0 - hi) / hi, (1.0 - lo) / lo
+            out = 1.0 / (1.0 + ((x + y) + (self.parameter * x) * y))
+        return np.where(hi == 1.0, lo, np.fmin(out, lo))
 
     def fold(self, weights):
-        """Left-fold apply over a sequence; the empty fold is the unit 1."""
+        """Left-fold apply over a sequence of numbers in [0, 1]; the empty
+        fold is the unit 1."""
+        weights = _unit_values(list(weights), "weights")
+        if weights.ndim != 1:
+            raise DomainError("weights must be a sequence of numbers")
         acc = 1.0
         for w in weights:
-            acc = self.apply(acc, float(w))
+            acc = float(self._apply(acc, w))
         return acc
 
     def lipschitz_bound(self):

@@ -397,20 +397,19 @@ class TestFrozenSystem:
 
 
 def psi_by_hand(system, mu):
-    """Direct double-loop evaluation of the operator's defining formula,
-    with T(w, v) by the t-norm's scalar action."""
+    """Direct double-loop evaluation of the operator's defining formula."""
     out = np.zeros(system.space.n)
     for w, tbl in zip(system.weights, system.tables):
         for x in range(system.space.n):
             y = tbl[x]
-            out[y] = max(out[y], float(system.tnorm._scale(float(w), float(mu.density[x]))))
+            out[y] = max(out[y], float(system.tnorm._apply(float(w), float(mu.density[x]))))
     return out
 
 
-def two_scatter_psi(system, density, action):
-    """The two-scatter kernel ``psi`` ran before its scalar action was
+def two_scatter_psi(system, density):
+    """The two-scatter kernel ``psi`` ran before its T(w, .) was
     monotone: per map, push the support's values forward by a max into
-    a reset image buffer, then apply ``action(w, .)`` once per target."""
+    a reset image buffer, then apply T(w, .) once per target."""
     out = np.zeros(system.space.n)
     points = np.flatnonzero(density > 0.0)
     values = density[points]
@@ -419,7 +418,7 @@ def two_scatter_psi(system, density, action):
         targets = tbl[points]
         image[targets] = 0.0
         np.maximum.at(image, targets, values)
-        np.maximum.at(out, targets, action(float(w), image[targets]))
+        np.maximum.at(out, targets, system.tnorm._apply(float(w), image[targets]))
     return out
 
 
@@ -582,30 +581,27 @@ class TestPsi:
         assert not np.signbit(out).any()
 
     def test_pushforward_max_comes_before_the_tnorm(self):
-        # the symmetric Hamacher T(w, .) is not monotone to the last bit:
-        # here v1 < v2 are adjacent floats with T(w, v1) > T(w, v2), and
-        # both land on cell 4 under the second map; the scalar action psi
-        # scatters through is monotone, so scaling each point before the
-        # max gives T of the max
+        # v1 < v2 are adjacent floats that both land on cell 4 under the
+        # second map; the Hamacher T(w, .) psi scatters through is monotone
+        # to the last bit, so scaling each point before the max gives T of
+        # the max
         X = si.grid_1d(9, 0, 1)
         t = si.TNorm("hamacher", 0.5)
         w = 0.08564916714362436
         v1, v2 = 0.8964002267475142, 0.8964002267475143
-        assert np.nextafter(v1, 1.0) == v2 and t.apply(w, v1) > t.apply(w, v2)
-        assert t._scale(w, v1) <= t._scale(w, v2)
+        assert np.nextafter(v1, 1.0) == v2
+        assert t._apply(w, v1) <= t._apply(w, v2)
         maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.3]], [0.35])]
         system = si.validate(si.IFSSystem(X, maps, [1.0, w], t))
         assert system.tables.tolist() == [[0, 0, 1, 1, 2, 2, 3, 3, 4], [3, 3, 3, 4, 4, 4, 5, 5, 5]]
         density = np.zeros(9)
         density[[0, 3, 4]] = 1.0, v1, v2
         out = si.psi(system, si.StarMeasure(X, density, t)).density
-        assert out[4] == t._scale(w, v2)
+        assert out[4] == t._apply(w, v2)
 
     @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.config_name())
     def test_one_scatter_equals_the_two_scatter_kernel(self, tnorm):
-        # bit for bit, signbits included: max then T under the symmetric
-        # form where it is monotone, max then the scalar action elsewhere
-        action = tnorm._scale if tnorm.family == "hamacher" else tnorm._apply
+        # bit for bit, signbits included: max then T
         rng = np.random.default_rng(31)
         for system in kernel_systems(tnorm):
             n = system.space.n
@@ -618,7 +614,7 @@ class TestPsi:
                 density[picked[-1]] = 1.0
                 mu = si.StarMeasure(system.space, density, tnorm)
                 out = si.psi(system, mu).density
-                expect = two_scatter_psi(system, mu.density, action)
+                expect = two_scatter_psi(system, mu.density)
                 assert np.array_equal(out, expect)
                 assert np.array_equal(np.signbit(out), np.signbit(expect))
 
@@ -939,23 +935,25 @@ class TestPathSweep:
             assert np.array_equal(got, stationary_from_all(tables))
             below = got
 
-    def test_full_seed_output_is_the_stalled_chain(self):
-        # the scalar action keeps e = 1 - 2^-53 under hamacher(0), but a
-        # symmetric form of its own gave T(e, e) = 1 - 2^-52, so the sweep
-        # took e for no source level and returned 0.0 at x = 1, where the
-        # psi chain from the full seed stalls at e
+    def test_full_seed_output_is_the_exact_limit(self):
+        # under hamacher(0), T(e, e) for e = 1 - 2^-53 is 1 - 2^-52, the
+        # correctly rounded value, so e is no source level and the sweep
+        # returns 0.0 at x = 1, the exact limit, which psi fixes bit for
+        # bit; the float psi chain from the full seed does not stall at e
+        # there but keeps falling by an ulp or so a step
         e = 1.0 - 2.0**-53
-        system = halves((1.0, e), si.TNorm("hamacher", 0.0), n=9)
+        t = si.TNorm("hamacher", 0.0)
+        assert t._apply(e, e) == 1.0 - 2.0**-52
+        system = halves((1.0, e), t, n=9)
         g, _ = si.solve(system)
+        assert g.density[-1] == 0.0
+        assert np.array_equal(si.psi(system, g).density, g.density)
         mu = si.StarMeasure.full(system.space, system.tnorm)
+        tops = []
         for _ in range(100):
-            nxt = si.psi(system, mu)
-            if np.array_equal(nxt.density, mu.density):
-                break
-            mu = nxt
-        assert np.array_equal(si.psi(system, mu).density, mu.density)
-        assert mu.density[-1] == e
-        assert np.array_equal(g.density, mu.density)
+            mu = si.psi(system, mu)
+            tops.append(mu.density[-1])
+        assert tops[0] == e and all(b < a for a, b in zip(tops, tops[1:]))
 
     @pytest.mark.parametrize("weight", [0.99, 0.999])
     def test_halves_repro_is_exact(self, weight):

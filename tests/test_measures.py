@@ -209,6 +209,13 @@ class TestScaleAndUnion:
         assert isinstance(out, si.SubDensity)
         assert np.allclose(out.density, [0.5, 0.3], atol=TOL)
 
+    def test_scale_rejects_a_bad_factor(self, small_grid):
+        # float(r) raised ValueError or TypeError for these
+        mu = si.StarMeasure.full(small_grid, si.TNorm("product"))
+        for r in ("x", None, np.array([0.5, 0.5]), 1.5, float("nan")):
+            with pytest.raises(si.DomainError, match="r must"):
+                si.scale(r, mu)
+
     def test_scale_top_commutes(self):
         X = si.grid_1d(8, 0, 1)
         rng = np.random.default_rng(7)
@@ -282,6 +289,14 @@ class TestWeakstarDistance:
         mu = si.StarMeasure.full(X, si.TNorm("product"))
         with pytest.raises(si.DomainError):
             si.weakstar_distance(mu, mu, [])
+
+    def test_rejects_mixed_tnorms(self):
+        # a product Dirac and a min Dirac read 0.0, as if one measure
+        X = si.grid_1d(5, 0, 1)
+        mu = si.StarMeasure.dirac(X, 2, si.TNorm("product"))
+        nu = si.StarMeasure.dirac(X, 2, si.TNorm("minimum"))
+        with pytest.raises(si.DomainError, match="t-norm"):
+            si.weakstar_distance(mu, nu, [np.ones(5)])
 
     def test_rejects_other_space_with_equal_size(self):
         # equal point counts used to pass, and the distance read 0.0

@@ -3,7 +3,6 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +75,7 @@ def reference_words(system, depth):
 
 def per_word_expansion(system, seed, depth):
     """The word expansion one word at a time: snap, then one max per word
-    of T(weight, v) by the t-norm's scalar action."""
+    of T(weight, v)."""
     space = system.space
     out = np.zeros(space.n)
     for word in reference_words(system, depth):
@@ -86,7 +85,7 @@ def per_word_expansion(system, seed, depth):
             targets = space.snap(
                 _affine_images(space.coords, word.matrix[None], word.translation[None])[0]
             )
-        np.maximum.at(out, targets, system.tnorm._scale(word.weight, seed.density))
+        np.maximum.at(out, targets, system.tnorm._apply(word.weight, seed.density))
     return out
 
 
@@ -384,10 +383,10 @@ class TestBlockedExpansion:
             return snap_images(space, coords, mats, trans)
 
         def blocks_spy(system, depth, points):
-            for left, weights, cells in word_blocks(system, depth, points):
+            for weights, cells in word_blocks(system, depth, points):
                 if not oracle._all_affine(system) and cells.ndim == 2:
                     steps.append((len(weights), cells.size))
-                yield left, weights, cells
+                yield weights, cells
 
         monkeypatch.setattr(oracle, "_BLOCK", block)
         monkeypatch.setattr(oracle, "_snap_images", snap_spy)
@@ -441,24 +440,15 @@ class TestBlockedExpansion:
         assert snapped and set(snapped) == {1}
 
     def test_collapsed_pairs_fold_once(self, monkeypatch):
-        # a flush each time 1,024 pairs waited took 9 folds and refolded
-        # shared weights: 4,894 t-norm values in folds against 1,052
+        # a collapsed word adds T(weight, top) once, in whichever block it
+        # lands: small blocks evaluate as many t-norm values as one
         system = make_sierpinski(32, family="product", weights=(1.0, 0.6, 0.8))
         seed = full(system)
         whole, whole_values = applied_values(
             monkeypatch, lambda: si.word_expansion(system, seed, 10).density
         )
-        folds = []
-        fold = oracle._fold_pairs
-
-        def spy(*args):
-            folds.append(1)
-            return fold(*args)
-
         monkeypatch.setattr(oracle, "_BLOCK", 1024)
-        monkeypatch.setattr(oracle, "_fold_pairs", spy)
         out, values = applied_values(monkeypatch, lambda: si.word_expansion(system, seed, 10).density)
-        assert len(folds) == 1
         assert values == whole_values
         assert np.array_equal(out, whole)
 
@@ -473,12 +463,13 @@ class TestBlockedExpansion:
         assert traced_peak(lambda: si.word_expansion(system, seed, 12)) < 2 * 2**20
 
     def test_one_fold_memory(self):
-        # 60,269 collapsed (weight, cell) pairs wait for one fold: 1.5 MiB
+        # collapsed words add at once: 0.44 MiB; holding their 60,269
+        # (weight, cell) pairs for one fold at the end took 1.5 MiB
         config = RunConfig.from_path(CONFIGS / "sierpinski_dirac.json")
         space, tnorm = config.build_space(), config.build_tnorm()
         system = si.validate(config.build_system(space, tnorm))
         seed = config.seed_measure(space, tnorm)
-        assert traced_peak(lambda: si.word_expansion(system, seed, 12)) < 3 * 2**20
+        assert traced_peak(lambda: si.word_expansion(system, seed, 12)) < 2**20
 
     def test_tabulated_blocks_count_their_tables(self):
         # each tabulated word carries a 2048-long table; 2187 of them take 36 MB
@@ -504,7 +495,7 @@ def applied_values(monkeypatch, run):
 
 
 class TestPerLevelFold:
-    """A collapsed word's weight is folded once per distinct weight and level."""
+    """A collapsed word's weight meets the seed's top once, not each suffix."""
 
     def test_expansion_folds_distinct_weights(self, monkeypatch):
         # folding every (weight, cell) pair through its suffixes took 14,654
@@ -531,43 +522,9 @@ def make_one_map(tnorm, n=65):
     return si.validate(si.IFSSystem(space, [si.ContractionMap.affine([[0.5]], [0.25])], [1.0], tnorm))
 
 
-def _chain_apply(a, b):
-    """A stand-in for T on the weights 1/8, 1/4, 3/8 and 1/2: letter 1
-    keeps a weight, letter 1/2 raises it by 1/8 up to 1/2, and a seed
-    value v scales it, so f_0 rises along the chain and f_L(1/8) takes
-    three steps to reach f_0(1/2)."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return np.where(b == 1.0, a, np.where(b == 0.5, np.minimum(a + 0.125, 0.5), a * b))
-
-
 class TestFoldPairs:
-    """Collapsed (weight, cell) pairs folded level by level against the
-    f_L recursion, with f_0 the max over every seed value."""
-
-    def test_f_rises_along_a_weight_chain(self):
-        letters, levels = np.array([1.0, 0.5]), np.array([0.25, 0.75])
-        # levels 11..6 and 4..1 hold no pairs: each keeps the weights of the level above
-        pairs = {
-            12: [(np.array([0.125]), np.array([3]))],
-            5: [(np.array([0.25, 0.125]), np.array([1, 2]))],
-            0: [(np.array([0.5, 0.125]), np.array([0, 4]))],
-        }
-
-        @functools.lru_cache(maxsize=None)
-        def f(left, w):
-            if left == 0:
-                return max(float(_chain_apply(w, v)) for v in levels)
-            return max(f(left - 1, float(_chain_apply(w, l))) for l in letters)
-
-        expect = np.zeros(5)
-        for left, blocks in pairs.items():
-            for weights, cells in blocks:
-                for w, cell in zip(weights, cells):
-                    expect[cell] = max(expect[cell], f(left, float(w)))
-        out = np.zeros(5)
-        chain = SimpleNamespace(_apply=_chain_apply, _scale=_chain_apply)
-        oracle._fold_pairs(out, chain, letters, 0.75, pairs)
-        assert out.tolist() == expect.tolist() == [0.375, 0.375, 0.375, 0.375, 0.09375]
+    """What a word collapsed with letters left adds at its cell, T(w, top),
+    against the max over its suffixes and the seed values."""
 
     @settings(deadline=None)
     @given(data=st.data())
@@ -578,35 +535,25 @@ class TestFoldPairs:
         # distinct seed values whose top lies within 1e-12 of 1
         values = data.draw(st.lists(st.one_of(near_one, st.floats(0.0, 1.0)), min_size=1, max_size=4))
         values = sorted(set(values + [data.draw(near_one)]))
-        others = st.lists(st.one_of(st.just(1.0), weight), max_size=2)
-        letters = data.draw(st.one_of(st.just([1.0, 1.0]), others.map(lambda ls: [1.0] + ls)))
-        block = st.lists(st.tuples(weight, st.integers(0, 4)), min_size=1, max_size=4)
-        drawn = data.draw(st.dictionaries(st.integers(0, 6), st.lists(block, min_size=1, max_size=2), min_size=1))
-        pairs = {
-            left: [(np.array([w for w, _ in b]), np.array([c for _, c in b])) for b in blocks]
-            for left, blocks in drawn.items()
-        }
+        # the largest weight is 1
+        letters = [1.0] + data.draw(st.lists(weight, max_size=2))
+        weights = data.draw(st.lists(weight, min_size=1, max_size=4))
+        left = data.draw(st.integers(0, 6))
 
         @functools.lru_cache(maxsize=None)
         def f(left, w):
             if left == 0:
-                return max(float(tnorm._scale(w, v)) for v in values)
+                return max(float(tnorm._apply(w, v)) for v in values)
             return max(f(left - 1, float(tnorm._apply(w, l))) for l in letters)
 
-        expect = np.zeros(5)
-        for left, blocks in drawn.items():
-            for b in blocks:
-                for w, cell in b:
-                    expect[cell] = max(expect[cell], f(left, w))
-        out = np.zeros(5)
-        oracle._fold_pairs(out, tnorm, np.array(letters), max(values), pairs)
-        assert np.array_equal(out, expect)
+        expect = [f(left, w) for w in weights]
+        assert tnorm._apply(np.array(weights), values[-1]).tolist() == expect
 
 
 class TestFoldRuns:
     """A one-map system's words are runs of its one letter, of weight 1
-    (the largest weight is 1): every collapsed pair files at level 0, so
-    a deep run folds like a shallow one."""
+    (the largest weight is 1): a collapsed run adds T(1, top) whatever
+    its letters left, so a deep run costs like a shallow one."""
 
     @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=repr)
     def test_equals_per_word_loop(self, tnorm):
@@ -762,9 +709,9 @@ class TestWordExpansion:
 
     def test_depth_one_under_hamacher_is_within_the_snap_tolerance(self):
         # the expansion scales each point by T before its max, psi scatters
-        # the same T(w, v) values; Hamacher's symmetric float T(w, .) falls
-        # by an ulp from v1 to v2 here, but the scalar action both use is
-        # monotone, so the two agree bit for bit under every family
+        # the same T(w, v) values; v1 < v2 are adjacent floats whose images
+        # share cell 4, and T(w, .) is monotone float by float, so the two
+        # agree bit for bit under every family
         X = si.grid_1d(9, 0, 1)
         maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.3]], [0.35])]
         w = 0.08564916714362436
@@ -776,7 +723,7 @@ class TestWordExpansion:
             seed = si.StarMeasure(X, density, t)
             expanded = si.word_expansion(system, seed, 1).density
             assert np.array_equal(expanded, si.psi(system, seed).density)
-            assert expanded[4] == t._scale(w, v2)
+            assert expanded[4] == t._apply(w, v2)
 
     def test_image_does_not_depend_on_its_batch(self):
         system = make_rotated()
