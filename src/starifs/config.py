@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ResourceBudgetError
 from .ifs import DEFAULT_LEVEL_RESOLUTION, DEFAULT_MAX_ITER, DEFAULT_TOL, ContractionMap, IFSSystem
 from .io_formats import WRITERS, read_json
 from .measures import StarMeasure
@@ -245,6 +245,10 @@ class RunConfig:
             return GridSpace([(lo, hi, n) for (lo, hi), n in zip(pairs, s["counts"])])
         except DomainError as exc:
             _fail("space", str(exc))
+        except MemoryError as exc:
+            need = math.prod(s["counts"]) * len(s["counts"]) * 8
+            msg = f"space.counts {s['counts']}: {need} bytes of coordinates cannot be allocated"
+            raise ResourceBudgetError(msg) from exc
 
     def build_tnorm(self):
         t = self.data["tnorm"]

@@ -19,11 +19,11 @@ fixed point.
 
 On a grid ``psi`` is a sparse (max, T) matrix-vector product, and since
 T(w, 0) = 0 only the density's support contributes: ``_psi_density``
-follows the support alone, one scatter per map (``_scatter``) through
-the t-norm's float-monotone T(w, .).  ``solve`` iterates raw density
-arrays through it, the path sweep through the same scatter, and each
-builds one measure at the end; the public ``psi`` checks its arguments
-and wraps the same kernel.
+follows the support alone, one scatter per step over every map
+(``_scatter``) through the t-norm's float-monotone T(w, .).  ``solve``
+iterates raw density arrays through it, the path sweep through the same
+scatter, and each builds one measure at the end; the public ``psi``
+checks its arguments and wraps the same kernel.
 
 Affine map images are snapped to the nearest grid point (ties to the
 lowest index).  Every affine image and composition, in the tables, the
@@ -251,9 +251,7 @@ def validate(system):
 
     worst = max(m.contraction_constant(system.space) for m in system.maps)
     if worst >= 1.0:
-        raise NotAContractionError(
-            f"not a contraction: estimated constant {worst:g} >= 1"
-        )
+        raise NotAContractionError(f"not a contraction: estimated constant {worst:g} >= 1")
 
     space = system.space
     if space.coords is not None:
@@ -273,9 +271,8 @@ def validate(system):
         tables.append(space.snap(img))
 
     validated = replace(system)
-    tables = _readonly(np.stack(tables))
     # the class is frozen: set the derived fields on the fresh copy only
-    vars(validated).update(c=float(worst), tables=tables)
+    vars(validated).update(c=float(worst), tables=_readonly(np.stack(tables)))
     return validated
 
 
@@ -291,12 +288,12 @@ def _check_measure(system, mu):
 
 def _scatter(system, out, points, values):
     """Raise ``out`` by T(w, v) at the image of each point under each map,
-    v its value in ``values``: one max-scatter per map.  ``TNorm._apply``
-    is monotone in v float by float, so that is T of the pushed-forward
-    max, and at w = 1 it is v.  Returns ``out``."""
-    for w, tbl in zip(system.weights, system.tables):
-        scaled = values if w == 1.0 else system.tnorm._apply(float(w), values)
-        np.maximum.at(out, tbl[points], scaled)
+    v its value in ``values``: the (k, m) images in one gather, T in one
+    broadcast and one max-scatter, map by map.  ``TNorm._apply`` is
+    monotone in v float by float, so that is T of the pushed-forward max.
+    Returns ``out``."""
+    scaled = system.tnorm._apply(system.weights[:, None], values)
+    np.maximum.at(out, system.tables.take(points, axis=1).ravel(), scaled.ravel())
     return out
 
 
@@ -304,12 +301,12 @@ def _psi_density(system, density):
     """The operator on a raw density array, unchecked: the body of ``psi``
     and of the iterated solve.
 
-    Only the support is followed, since T(w, 0) = 0 adds nothing to an
-    output that starts at 0.  The density must hold no -0.0 (a measure's
-    never does), or the zeros it leaves out would not match the full
-    scatter's.
+    Only the support is followed, in one scatter per step, since
+    T(w, 0) = 0 adds nothing to an output that starts at 0.  The density
+    must hold no -0.0 (a measure's never does), or the zeros it leaves
+    out would not match the full scatter's.
     """
-    points = np.flatnonzero(density > 0.0)
+    points = (density > 0.0).nonzero()[0]
     return _scatter(system, np.zeros(system.space.n), points, density[points])
 
 
@@ -321,7 +318,7 @@ def psi(system, mu):
     weight is 1 and images keep the global max.  Equal bit for bit to
     max_union of scale(w, pushforward(table, mu)) over the maps, under
     every t-norm.  It checks its arguments and wraps ``_psi_density``,
-    which follows only the support of the density.
+    which follows only the support of the density, one scatter per step.
     """
     _require_validated(system)
     _check_measure(system, mu)

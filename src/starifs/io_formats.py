@@ -256,7 +256,7 @@ def read_density_pgm(path):
 
     PGM carries no geometry, so coordinates are reconstructed as a
     uniform unit grid (1-D when the height is 1); densities are
-    value/maxval.
+    value/maxval, with 0 < maxval < 65536 as plain PGM requires.
     """
     tokens = [t for ln in read_text(path).split("\n") for t in ln.split("#", 1)[0].split()]
     if len(tokens) < 4 or tokens[0] != "P2":
@@ -269,7 +269,7 @@ def read_density_pgm(path):
         values = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed PGM ({exc})") from exc
-    if width < 1 or height < 1 or maxval < 1:
+    if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ConfigError(f"{path}: malformed PGM header")
     if len(values) != width * height:
         raise ConfigError(f"{path}: PGM pixel count does not match its header")

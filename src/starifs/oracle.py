@@ -79,9 +79,7 @@ def _check_budget(k, depth):
     """
     depth = _integer(depth, "depth", 0)
     if depth > WORD_BUDGET or k**depth > WORD_BUDGET:
-        raise ResourceBudgetError(
-            f"{k}^{depth} words exceed the enumeration budget {WORD_BUDGET}"
-        )
+        raise ResourceBudgetError(f"{k}^{depth} words exceed the enumeration budget {WORD_BUDGET}")
     return depth
 
 

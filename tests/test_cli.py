@@ -283,6 +283,47 @@ class TestCheckCommand:
         assert main(["check", str(CONFIGS / "grid_overflow.json")]) == 2
         assert "error: space: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "space, refused",
+        [
+            ({"kind": "grid1d", "counts": [2**40], "bounds": [0, 1]}, "linspace"),
+            ({"kind": "grid2d", "counts": [2**20, 2**20], "bounds": [[0, 1], [0, 1]]}, "meshgrid"),
+        ],
+        ids=["grid1d", "grid2d"],
+    )
+    @pytest.mark.parametrize("command", [["check"], ["solve"], ["oracle", "--depth", "1"]])
+    def test_unallocatable_grid_exits_4(self, tmp_path, monkeypatch, capsys, space, refused, command):
+        # numpy's MemoryError gave a traceback and exit 1.  It is raised here
+        # without a real request: whether one is refused depends on the
+        # kernel's overcommit setting
+        dim = len(space["counts"])
+        halving = {"affine": {"matrix": (0.5 * np.eye(dim)).tolist(), "translation": [0] * dim}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"space": space, "tnorm": "min", "maps": [halving], "weights": [1]}))
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np, refused, refuse)
+        assert main([command[0], str(path), *command[1:]]) == 4
+        need = 8 * dim * 2**40
+        assert capsys.readouterr().err == (
+            f"error: space.counts {space['counts']}: {need} bytes of coordinates cannot be allocated\n"
+        )
+
+    def test_infinite_contraction_constant_exits_1(self, tmp_path, capsys):
+        # LAPACK's norm of this sheared matrix overflows to inf
+        raw = {
+            "space": _GRID2D,
+            "tnorm": "product",
+            "maps": [{"affine": {"matrix": [[1.5e308, 1.5e308], [0, 1.5e308]], "translation": [0, 0]}}],
+            "weights": [1.0],
+        }
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(raw))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == "error: not a contraction: estimated constant inf >= 1\n"
+
     def test_malformed_config(self):
         assert main(["check", str(CONFIGS / "malformed.json")]) == 2
 
@@ -633,6 +674,7 @@ class TestExportCommand:
             ("negative.pgm", "P2\n-1 -1\n255\n0\n", "malformed PGM header"),
             ("zero.pgm", "P2\n0 1\n255\n", "malformed PGM header"),
             ("maxval.pgm", "P2\n1 1\n0\n0\n", "malformed PGM header"),
+            ("maxval-65536.pgm", "P2\n2 1\n65536\n1 2\n", "malformed PGM header"),
             ("fraction.pgm", "P2\n1 1\n255\n3.5\n", "malformed PGM"),
             ("huge.pgm", f"P2\n1 1\n255\n{10**23}\n", "malformed PGM"),
             # float() and int() read these as numbers; the formats do not
@@ -820,6 +862,16 @@ class TestClosedStdout:
         # unbuffered, and 120 with a message at shutdown buffered
         argv = ["check", str(CONFIGS / "cantor.json")]
         assert _closed_stdout(argv, tmp_path, unbuffered) == (0, "")
+
+    def test_check_in_process(self, monkeypatch, capsys):
+        # the runs in a fresh interpreter leave ``_print``'s BrokenPipe
+        # branch out of the suite's own line trace
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["check", str(CONFIGS / "cantor.json")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_solve_writes_every_file(self, cantor_cfg, tmp_path):
         assert _closed_stdout(["solve", str(cantor_cfg)], tmp_path) == (0, "")

@@ -106,6 +106,15 @@ class TestContractionMap:
         assert m.contraction_constant(None) == c
         assert _bounds_norm(c, matrix) and not _bounds_norm(np.nextafter(c, 0.0), matrix)
 
+    def test_non_finite_lapack_norm_is_the_constant(self):
+        # LAPACK's norm of this sheared matrix overflows: no exact test can
+        # start from inf, so inf is the constant and validate rejects it
+        m = si.ContractionMap.affine([[1.5e308, 1.5e308], [0.0, 1.5e308]], np.zeros(2))
+        assert m.contraction_constant(None) == np.inf
+        X = si.grid_2d(4, 4, ((0, 1), (0, 1)))
+        with pytest.raises(si.NotAContractionError, match="estimated constant inf >= 1$"):
+            si.validate(si.IFSSystem(X, [m], [1.0], si.TNorm("product")))
+
     @settings(max_examples=200, deadline=None)
     @given(
         dim=st.integers(2, 3),
@@ -816,12 +825,14 @@ def halves(weights, tnorm=si.TNorm("product"), n=101):
 
 
 @st.composite
-def small_systems(draw, tnorms=tuple(ALL_TNORMS)):
+def small_systems(
+    draw, tnorms=tuple(ALL_TNORMS), weight=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 1.0)
+):
     """A validated system with 2 or 3 maps under one of ``tnorms`` on a
     small space: a 1-D grid or a 2-D grid of at most 12 x 12 (affine or
     constant tabulated maps), or a binary tree (tabulated halving maps,
     as in ``ultrametric_halving``, followed by a random isometry
-    x -> x ^ mask)."""
+    x -> x ^ mask).  The weights are drawn from ``weight``, one set to 1."""
     tnorm = draw(st.sampled_from(tnorms))
     kind = draw(st.sampled_from(["grid1d", "grid2d", "tree"]))
     k = draw(st.integers(2, 3))
@@ -855,7 +866,7 @@ def small_systems(draw, tnorms=tuple(ALL_TNORMS)):
             # a translation that keeps the image of the unit cube inside it
             shift = [-a + draw(unit) * (1.0 - (b - a)) for a, b in zip(lo, hi)]
             maps.append(si.ContractionMap.affine(matrix, shift))
-    weights = [draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9]), unit)) for _ in range(k)]
+    weights = [draw(weight) for _ in range(k)]
     weights[draw(st.integers(0, k - 1))] = 1.0
     return si.validate(si.IFSSystem(space, maps, weights, tnorm))
 
@@ -903,6 +914,41 @@ class TestClosure:
         assert np.array_equal(density, expect)
         assert not np.signbit(density).any()
         assert np.array_equal(start, kept)
+
+
+def per_map_scatter(system, out, points, values):
+    """The ``_scatter`` that looped over the maps: one max-scatter per
+    map, with T skipped at weight 1."""
+    for w, tbl in zip(system.weights, system.tables):
+        scaled = values if w == 1.0 else system.tnorm._apply(float(w), values)
+        np.maximum.at(out, tbl[points], scaled)
+    return out
+
+
+# support values: subnormals, the least normal and 1 as well as the unit interval
+support_values = st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestScatter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        system=small_systems(weight=st.sampled_from([0.0, 1.0, 5e-324]) | st.floats(0.0, 1.0)),
+        data=st.data(),
+    )
+    def test_equals_the_per_map_loop(self, system, data):
+        """One gather, one broadcast T and one max-scatter give the per-map
+        loop's output bit for bit, signed zeros included, on supports of
+        every size and over an output that already holds values."""
+        n = system.space.n
+        size = data.draw(st.integers(0, n))
+        points = np.array(data.draw(st.permutations(range(n)))[:size], dtype=np.int64)
+        values = np.array(data.draw(st.lists(support_values, min_size=size, max_size=size)), dtype=float)
+        held = st.just(-0.0) | start_values
+        out = np.array(data.draw(st.lists(held, min_size=n, max_size=n)))
+        expect = per_map_scatter(system, out.copy(), points, values)
+        got = si.ifs._scatter(system, out.copy(), points, values)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 class TestPathSweep:

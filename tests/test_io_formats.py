@@ -296,3 +296,15 @@ def test_table_from_space_needs_1d_or_2d_coordinates(coords, message):
     space = si.FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], coords)
     with pytest.raises(si.ConfigError, match=message):
         io_formats.table_from_space(space, np.ones(2))
+
+
+@pytest.mark.parametrize("maxval", [65535, 65536, 10**30])
+def test_pgm_maxval_is_below_65536(tmp_path, maxval):
+    # plain PGM requires 0 < maxval < 65536; a larger one was read as a scale
+    path = tmp_path / "d.pgm"
+    path.write_text(f"P2\n2 1\n{maxval}\n1 2\n")
+    if maxval < 65536:
+        assert io_formats.read_density_pgm(path).density.tolist() == [1 / maxval, 2 / maxval]
+        return
+    with pytest.raises(si.ConfigError, match=f"{path}: malformed PGM header"):
+        io_formats.read_density_pgm(path)

@@ -134,8 +134,8 @@ def make_leaving(n=41):
 
 def make_quarters(n=257):
     """Three quarter-scale maps, weights (1, .7, .3) under Hamacher(0.5):
-    words collapse with up to three letters left, and the folds of their
-    weights stay apart, so each level of the fold holds tens of weights."""
+    words collapse with up to three letters left, and their weights stay
+    apart, so the collapsed cells meet tens of distinct weights."""
     space = si.grid_1d(n, 0.0, 1.0)
     maps = [si.ContractionMap.affine([[0.25]], [t]) for t in (0.0, 0.375, 0.75)]
     return si.validate(
@@ -439,7 +439,7 @@ class TestBlockedExpansion:
         si.word_expansion(system, seed_of(system), depth)
         assert snapped and set(snapped) == {1}
 
-    def test_collapsed_pairs_fold_once(self, monkeypatch):
+    def test_collapsed_words_add_t_once_in_any_block(self, monkeypatch):
         # a collapsed word adds T(weight, top) once, in whichever block it
         # lands: small blocks evaluate as many t-norm values as one
         system = make_sierpinski(32, family="product", weights=(1.0, 0.6, 0.8))
@@ -462,7 +462,7 @@ class TestBlockedExpansion:
         seed = full(system)
         assert traced_peak(lambda: si.word_expansion(system, seed, 12)) < 2 * 2**20
 
-    def test_one_fold_memory(self):
+    def test_collapsed_words_are_not_held(self):
         # collapsed words add at once: 0.44 MiB; holding their 60,269
         # (weight, cell) pairs for one fold at the end took 1.5 MiB
         config = RunConfig.from_path(CONFIGS / "sierpinski_dirac.json")
@@ -494,10 +494,10 @@ def applied_values(monkeypatch, run):
         return run(), count[0]
 
 
-class TestPerLevelFold:
+class TestCollapsedTValues:
     """A collapsed word's weight meets the seed's top once, not each suffix."""
 
-    def test_expansion_folds_distinct_weights(self, monkeypatch):
+    def test_expansion_applies_t_once_per_collapsed_word(self, monkeypatch):
         # folding every (weight, cell) pair through its suffixes took 14,654
         system = make_cantor()
         seed = full(system)
@@ -522,7 +522,7 @@ def make_one_map(tnorm, n=65):
     return si.validate(si.IFSSystem(space, [si.ContractionMap.affine([[0.5]], [0.25])], [1.0], tnorm))
 
 
-class TestFoldPairs:
+class TestCollapsedCellValue:
     """What a word collapsed with letters left adds at its cell, T(w, top),
     against the max over its suffixes and the seed values."""
 
@@ -550,7 +550,7 @@ class TestFoldPairs:
         assert tnorm._apply(np.array(weights), values[-1]).tolist() == expect
 
 
-class TestFoldRuns:
+class TestOneMapRuns:
     """A one-map system's words are runs of its one letter, of weight 1
     (the largest weight is 1): a collapsed run adds T(1, top) whatever
     its letters left, so a deep run costs like a shallow one."""
@@ -573,7 +573,7 @@ class TestFoldRuns:
         np.maximum.at(expect, targets, system.tnorm.apply(weight, seed.density))
         assert np.array_equal(si.word_expansion(system, seed, 3000).density, expect)
 
-    def test_deep_fold_does_not_grow_with_the_depth(self, monkeypatch):
+    def test_deep_run_costs_like_a_shallow_one(self, monkeypatch):
         # one distinct-weight array and one letter table per level took
         # 1.5 s, 32 MiB and 100,000 t-norm values at this depth
         system = make_one_map(si.TNorm("product"))
