@@ -37,13 +37,11 @@ from .measures import (
     StarMeasure,
     SubDensity,
     evaluate,
-    from_saturated,
     hypograph_hausdorff,
     max_union,
     pushforward,
     scale,
     to_saturated,
-    weakstar_distance,
 )
 from .oracle import attractor_support, hutchinson_fixed_set, word_expansion
 from .spaces import (
@@ -81,7 +79,6 @@ __all__ = [
     "axiom_report",
     "error_bound",
     "evaluate",
-    "from_saturated",
     "grid_1d",
     "grid_2d",
     "hausdorff",
@@ -95,6 +92,5 @@ __all__ = [
     "solve",
     "to_saturated",
     "validate",
-    "weakstar_distance",
     "word_expansion",
 ]

@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
     WeightError,
 )
-from .measures import StarMeasure, hypograph_hausdorff
+from .measures import NORMALIZATION_TOL, StarMeasure, hypograph_hausdorff
 from .spaces import LevelGrid, _indices, _integer, _unit_values
 
 DEFAULT_TOL = 1e-6
@@ -282,8 +282,11 @@ def _require_validated(system):
 
 
 def _check_measure(system, mu):
+    """Before any step: ``mu`` shares the system's space and t-norm and attains 1."""
     if mu.space is not system.space or mu.tnorm != system.tnorm:
         raise DomainError("the measure must live on the system's space and t-norm")
+    if abs(mu.top - 1.0) > NORMALIZATION_TOL:
+        raise DomainError(f"the measure's density does not attain 1: its top is {mu.top!r}")
 
 
 def _scatter(system, out, points, values):
@@ -474,7 +477,11 @@ def solve(
     That fixed point is computed exactly by a (max, T) path sweep, not
     approached: the report says ``fixedPoint`` and counts the sweep's
     rounds, and a density that fails psi(mu) == mu raises
-    ValidationError instead of being returned.
+    ValidationError instead of being returned.  It is the exact limit on
+    the snapped tables up to the rounding of T along each best path:
+    within rounds * 8u relative (u = 2^-53) where no fold underflows, and
+    exact under min and Lukasiewicz.  It is not the greatest fixed point
+    of float psi, whose chain can keep falling by an ulp a step.
 
     Any other seed is iterated, because on a grid its orbit can cycle.
     Before each step it stops on the first of: the last step returned

@@ -8,15 +8,17 @@ function phi is
 
 with * the t-norm.  This functional form is verified axiomatically by
 the test suite (constants, homogeneity, max-linearity) rather than
-assumed.  The saturated-set view lives on a quantized level grid and is
-used for Hausdorff computations and set-level cross-checks; saturation
-(downward closure in the level coordinate) is what makes the two views
-interchangeable.
+assumed.  The saturated-set view (``to_saturated``) lives on a
+quantized level grid; saturation (downward closure in the level
+coordinate) is what makes the two views interchangeable.
+``hypograph_hausdorff`` works on the level indices of the density tops
+and never lists a set's members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +45,7 @@ class SubDensity:
         self.density = density
         self.tnorm = tnorm
 
-    @property
+    @cached_property
     def top(self):
         return float(self.density.max())
 
@@ -116,19 +118,6 @@ def max_union(items):
     return SubDensity(first.space, out, first.tnorm)
 
 
-def weakstar_distance(mu, nu, tests):
-    """max over the test family of |mu(phi) - nu(phi)|.
-
-    A diagnostic pseudo-distance indexed by the chosen family.
-    """
-    if mu.space is not nu.space or mu.tnorm != nu.tnorm:
-        raise DomainError("measures must live on the same space and t-norm")
-    tests = list(tests)
-    if not tests:
-        raise DomainError("the test family must be nonempty")
-    return max(abs(evaluate(mu, phi) - evaluate(nu, phi)) for phi in tests)
-
-
 @dataclass(frozen=True)
 class SaturatedSet:
     """A finite element of the hypograph space on X x LevelGrid.
@@ -136,7 +125,7 @@ class SaturatedSet:
     Held by ``top_indices``, a read-only array of the top level index
     at each point; the set is {(x, k) : 0 <= k <= top_indices[x]}, so
     it contains the zero section and is downward closed per point by
-    construction.  ``members`` and ``member_arrays()`` enumerate it.
+    construction.
     """
 
     space: FiniteMetricSpace
@@ -152,19 +141,6 @@ class SaturatedSet:
         tops.flags.writeable = False
         object.__setattr__(self, "top_indices", tops)
 
-    @property
-    def members(self):
-        """The (point index, level index) pairs of the set."""
-        xs, ks = self.member_arrays()
-        return frozenset(zip(xs.tolist(), ks.tolist()))
-
-    def member_arrays(self):
-        """Point and level indices of every member, sorted by point then level."""
-        tops = self.top_indices
-        xs = np.repeat(np.arange(self.space.n), tops + 1)
-        ks = np.concatenate([np.arange(t + 1) for t in tops])
-        return xs, ks
-
 
 def to_saturated(mu, levels):
     """Quantized hypograph of a density: {(x, l) : l <= density(x)} u X x {0}.
@@ -173,19 +149,6 @@ def to_saturated(mu, levels):
     so each top lies less than 1/m below its density and at most GRID_SNAP_EPS/m above.
     """
     return SaturatedSet(mu.space, levels, levels.floor_index(mu.density))
-
-
-def from_saturated(sat, tnorm):
-    """Top of a saturated set, as a density field.
-
-    Inverse of to_saturated on grid-valued densities.  Returns a
-    StarMeasure when the top attains 1, a SubDensity otherwise.
-    """
-    m = sat.levels.resolution
-    tops = sat.top_indices
-    density = tops / m
-    cls = StarMeasure if tops.max() == m else SubDensity
-    return cls(sat.space, density, tnorm)
 
 
 def hypograph_hausdorff(space, dens_a, dens_b, levels):

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import starifs as si
 from starifs.spaces import _integer
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -157,6 +164,21 @@ def level_floor(levels, values):
     return levels.floor_index(values) / levels.resolution
 
 
+def member_arrays(sat):
+    """Point and level indices of every member of a ``SaturatedSet``,
+    sorted by point then level."""
+    tops = sat.top_indices
+    xs = np.repeat(np.arange(sat.space.n), tops + 1)
+    ks = np.concatenate([np.arange(t + 1) for t in tops])
+    return xs, ks
+
+
+def members(sat):
+    """The (point index, level index) pairs of a ``SaturatedSet``."""
+    xs, ks = member_arrays(sat)
+    return frozenset(zip(xs.tolist(), ks.tolist()))
+
+
 def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
     """Member-level sup-inf evaluation of the quantized hypograph distance.
 
@@ -164,13 +186,74 @@ def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
     X x level line; quadratic in member counts, for small spaces only.
     """
 
-    def members(density):
+    def pairs(density):
         sat = si.to_saturated(si.SubDensity(space, density, None), levels)
-        return np.column_stack(sat.member_arrays())
+        return np.column_stack(member_arrays(sat))
 
     lv = levels.levels
     line = si.FiniteMetricSpace(np.abs(lv[:, None] - lv[None, :]))
-    return pairs_hausdorff(space, line, members(dens_a), members(dens_b))
+    return pairs_hausdorff(space, line, pairs(dens_a), pairs(dens_b))
+
+
+def exact_t(tnorm, a, b):
+    """T(a, b) in exact rationals; a and b are floats or ``Fraction``s."""
+    a, b = Fraction(a), Fraction(b)
+    if tnorm.family == "minimum":
+        return min(a, b)
+    if tnorm.family == "product":
+        return a * b
+    if tnorm.family == "lukasiewicz":
+        return max(Fraction(0), a + b - 1)
+    if not (a and b):
+        # at p = 0 the formula reads 0/0 at a = b = 0
+        return Fraction(0)
+    p = Fraction(tnorm.parameter)
+    return a * b / (p + (1 - p) * (a + b - a * b))
+
+
+def exact_psi(system, density):
+    """``psi`` of a density in ``Fraction``s over the system's snapped
+    ``tables``: out[y] is the max over maps i and points x that table i
+    sends to y of T(w_i, density[x]), 0 where nothing lands."""
+    out = [Fraction(0)] * system.space.n
+    for w, table in zip(system.weights.tolist(), system.tables.tolist()):
+        for x, y in enumerate(table):
+            out[y] = max(out[y], exact_t(system.tnorm, w, density[x]))
+    return out
+
+
+def exact_limit(system):
+    """The limit of the ``psi`` chain from the full seed on the snapped
+    tables, in ``Fraction``s.
+
+    Its value at y is the best infinite fold of weights over the backward
+    walks that end at y.  Such a fold is positive only on a tail of maps
+    of weight >= some e with T(e, e) = e, and a point ends such a tail
+    exactly when it lies in the stationary set of those maps: the sources,
+    at value e.  From them, finite walks raise the density one exact
+    ``psi`` at a time until nothing rises; T(a, w) <= a makes every best
+    walk a simple path, so that takes at most n rounds.
+    """
+    n = system.space.n
+    tables = system.tables.tolist()
+    weights = [Fraction(w) for w in system.weights.tolist()]
+    density = [Fraction(0)] * n
+    for e in set(weights):
+        if e and exact_t(system.tnorm, e, e) == e:
+            rows = [t for t, w in zip(tables, weights) if w >= e]
+            points = set(range(n))
+            while True:
+                image = {row[x] for row in rows for x in points}
+                if image == points:
+                    break
+                points = image
+            for y in points:
+                density[y] = max(density[y], e)
+    while True:
+        raised = [max(a, b) for a, b in zip(density, exact_psi(system, density))]
+        if raised == density:
+            return density
+        density = raised
 
 
 def reference_csv(path, table):
@@ -205,3 +288,27 @@ def reference_pgm(path, table):
 
 
 REFERENCE_WRITERS = {"csv": reference_csv, "json": reference_json, "pgm": reference_pgm}
+
+
+def readme_python_block(heading):
+    """The source of the first ```python block in the README section ``## heading``."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def stated_prints(source):
+    """The values that the ``#`` comments of ``source``'s ``print(...)`` lines state."""
+    return [
+        line.rsplit("  # ", 1)[1].strip()
+        for line in source.splitlines()
+        if line.startswith("print(") and "  # " in line
+    ]
+
+
+def check_stated_prints(source):
+    """Run ``source`` and assert that it prints exactly the lines its
+    ``print(...)`` comments state, in order."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md", "exec"), {"__name__": "readme"})
+    assert out.getvalue().splitlines() == stated_prints(source)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import starifs as si
 from starifs.config import RunConfig
 
-from conftest import ALL_TNORMS, make_cantor, make_sierpinski, random_measure
+from conftest import ALL_TNORMS, exact_limit, exact_psi, make_cantor, make_sierpinski, random_measure
 
 CONFIGS = Path(__file__).parent / "configs"
 
@@ -647,6 +647,54 @@ class TestPsi:
             si.psi(cantor, wide)
 
 
+def _halves_9():
+    """A validated two-map product system on grid_1d(9)."""
+    space = si.grid_1d(9, 0.0, 1.0)
+    maps = [si.ContractionMap.affine([[0.5]], [0.0]), si.ContractionMap.affine([[0.5]], [0.5])]
+    return si.validate(si.IFSSystem(space, maps, [1.0, 0.5], si.TNorm("product")))
+
+
+UNNORMALIZED_ENTRY_POINTS = {
+    "psi": lambda system, mu: si.psi(system, mu),
+    "solve": lambda system, mu: si.solve(system, seed=mu),
+    "residual": lambda system, mu: si.residual(system, mu),
+    "word_expansion": lambda system, mu: si.word_expansion(system, mu, 2),
+}
+
+
+class TestUnnormalizedInput:
+    """A density that does not attain 1 is rejected before any step: each
+    entry point used to do all its work and then fail with a
+    ValidationError while building its own output measure."""
+
+    @pytest.mark.parametrize("call", UNNORMALIZED_ENTRY_POINTS.values(), ids=UNNORMALIZED_ENTRY_POINTS)
+    def test_rejected_before_any_step(self, call):
+        system = _halves_9()
+        half = si.SubDensity(system.space, np.full(system.space.n, 0.5), system.tnorm)
+        scatter = mock.patch.object(si.ifs, "_scatter", side_effect=AssertionError("a step ran"))
+        blocks = mock.patch.object(si.oracle, "_word_blocks", side_effect=AssertionError("a step ran"))
+        with scatter, blocks, pytest.raises(si.DomainError, match="does not attain 1: its top is 0.5"):
+            call(system, half)
+
+    @pytest.mark.parametrize("call", UNNORMALIZED_ENTRY_POINTS.values(), ids=UNNORMALIZED_ENTRY_POINTS)
+    def test_top_within_tolerance_passes(self, call):
+        system = _halves_9()
+        n = system.space.n
+        full = si.StarMeasure.full(system.space, system.tnorm)
+        union = si.max_union([si.StarMeasure.dirac(system.space, 3, system.tnorm), si.scale(0.5, full)])
+        near = si.SubDensity(system.space, np.full(n, 1.0 - 1e-13), system.tnorm)
+        for mu in (union, near):
+            assert type(mu) is si.SubDensity
+            call(system, mu)
+
+    def test_star_measure_takes_no_max(self):
+        # a StarMeasure's construction cached its top: the check takes no new max
+        system = _halves_9()
+        mu = si.StarMeasure(system.space, np.linspace(0.0, 1.0, system.space.n), system.tnorm)
+        assert vars(mu)["top"] == 1.0
+        si.ifs._check_measure(system, mu)
+
+
 class TestErrorBound:
     def test_examples(self):
         assert si.error_bound(0, 0.5, 2.0) == 2.0
@@ -826,15 +874,19 @@ def halves(weights, tnorm=si.TNorm("product"), n=101):
 
 @st.composite
 def small_systems(
-    draw, tnorms=tuple(ALL_TNORMS), weight=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 1.0)
+    draw,
+    tnorms=tuple(ALL_TNORMS),
+    weight=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 1.0),
+    kinds=("grid1d", "grid2d", "tree"),
 ):
     """A validated system with 2 or 3 maps under one of ``tnorms`` on a
-    small space: a 1-D grid or a 2-D grid of at most 12 x 12 (affine or
-    constant tabulated maps), or a binary tree (tabulated halving maps,
-    as in ``ultrametric_halving``, followed by a random isometry
-    x -> x ^ mask).  The weights are drawn from ``weight``, one set to 1."""
+    small space of one of ``kinds``: a 1-D grid of at most 40 points or a
+    2-D grid of at most 12 x 12 (affine or constant tabulated maps), or a
+    binary tree (tabulated halving maps, as in ``ultrametric_halving``,
+    followed by a random isometry x -> x ^ mask).  The weights are drawn
+    from ``weight``, one set to 1."""
     tnorm = draw(st.sampled_from(tnorms))
-    kind = draw(st.sampled_from(["grid1d", "grid2d", "tree"]))
+    kind = draw(st.sampled_from(kinds))
     k = draw(st.integers(2, 3))
     unit = st.floats(0.0, 1.0)
     maps = []
@@ -1000,6 +1052,28 @@ class TestPathSweep:
             mu = si.psi(system, mu)
             tops.append(mu.density[-1])
         assert tops[0] == e and all(b < a for a, b in zip(tops, tops[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        system=small_systems(
+            weight=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.3, 1.0), kinds=("grid1d",)
+        )
+    )
+    def test_full_seed_output_is_the_exact_grid_limit(self, system):
+        # the sweep's output is the exact limit of the psi chain on the
+        # snapped tables up to the rounding of T along each best path: each
+        # round adds one T of relative error at most 8 u, and min and
+        # Lukasiewicz round nothing (weights of at least 0.3 keep every
+        # fold of at most 40 of them a normal float)
+        g, report = si.solve(system)
+        exact = exact_limit(system)
+        assert exact_psi(system, exact) == exact
+        got = g.density.tolist()
+        assert [v > 0.0 for v in got] == [v > 0 for v in exact]
+        if system.tnorm.family in ("minimum", "lukasiewicz"):
+            assert got == [float(v) for v in exact]
+        rel = report.iterations * 8 * Fraction(2) ** -53
+        assert all(abs(Fraction(v) - e) <= rel * e for v, e in zip(got, exact))
 
     @pytest.mark.parametrize("weight", [0.99, 0.999])
     def test_halves_repro_is_exact(self, weight):

@@ -410,6 +410,12 @@ class TestBlockedExpansion:
             assert 0 < calls["corners"] < 2**10
             assert calls["points"] == 0
 
+    def test_cantor_729_depth_16_composes_378_words(self, monkeypatch):
+        # the count the README states for the cantor-729-oracle workload
+        system = make_cantor()
+        _, calls = path_counts(monkeypatch, lambda: si.word_expansion(system, full(system), 16))
+        assert calls == {"corners": 378, "points": 0}
+
     def test_attractor_shares_word_maps(self, monkeypatch):
         # all weights 1 and the minimum t-norm: the support of the Dirac
         # expansion is the attractor approximation, on dense matrices too

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import starifs as si
 from starifs.tnorms import axiom_report, parse_tnorm
 
-from conftest import ALL_TNORMS
+from conftest import ALL_TNORMS, exact_t
 
 TOL = 1e-12
 
@@ -129,19 +129,6 @@ SCALE_ERROR_UNITS = 8
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
 
 
-def _exact(tnorm, w, v):
-    w, v = Fraction(w), Fraction(v)
-    if tnorm.family == "minimum":
-        return min(w, v)
-    if tnorm.family == "product":
-        return w * v
-    if tnorm.family == "lukasiewicz":
-        return max(Fraction(0), w + v - 1)
-    p = Fraction(tnorm.parameter)
-    denom = p + (1 - p) * (w + v - w * v)
-    return w * v / denom if denom else Fraction(0)
-
-
 @pytest.mark.parametrize("tnorm", SCALE_TNORMS, ids=lambda t: t.config_name())
 @settings(deadline=None)
 @given(w=units, start=units)
@@ -160,7 +147,7 @@ def test_scalar_action(tnorm, w, start):
     tiny = 2.0**-1022
     if w >= tiny:
         for v, got in zip(run[::32].tolist(), out[::32].tolist()):
-            exact = _exact(tnorm, w, v)
+            exact = exact_t(tnorm, w, v)
             if v >= tiny and exact >= tiny:
                 assert abs(Fraction(got) - exact) <= SCALE_ERROR_UNITS * 2**-53 * exact
 
@@ -195,7 +182,7 @@ def test_hamacher_apply_relative_error(p, a, b):
         (a0, a1), (b0, b1) = _adjacent(a), _adjacent(b)
         assert tnorm._apply(a0, b) <= tnorm._apply(a1, b)
         assert tnorm._apply(a, b0) <= tnorm._apply(a, b1)
-    exact = _exact(tnorm, a, b)
+    exact = exact_t(tnorm, a, b)
     if exact >= 2.0**-1022:
         assert abs(Fraction(got) - exact) <= SCALE_ERROR_UNITS * 2**-53 * exact
 
