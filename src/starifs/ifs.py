@@ -493,8 +493,9 @@ def solve(
 
     Both branches iterate raw density arrays through ``_psi_density``,
     and the stop tests and the residual read those arrays.  The output is
-    the one measure the solve builds, after the loop; when no step was
-    taken from a seed, it is that seed object.
+    the one measure the solve builds, after the loop, and always a
+    ``StarMeasure``: when no step was taken from a ``StarMeasure`` seed, it
+    is that seed object; any other seed that attains 1 is wrapped.
     """
     _require_validated(system)
     if not (tol > 0.0 and np.isfinite(tol)):
@@ -534,8 +535,8 @@ def solve(
         res = None
     else:
         res = hypograph_hausdorff(space, prev, density, levels)
-    # the one measure of the solve; with no step taken the seed comes back as it was
-    if seed is not None and density is seed.density:
+    # the one measure of the solve; with no step taken a StarMeasure seed comes back as it was
+    if seed is not None and density is seed.density and isinstance(seed, StarMeasure):
         mu = seed
     else:
         mu = StarMeasure(space, density, system.tnorm)

@@ -13,11 +13,26 @@ write, one string per block of ``_ROW_BLOCK`` rows, formatting each
 distinct value of a column once (with its block where no value repeats)
 and keeps that text: the CSV writer writes it, and the JSON writer
 re-punctuates it.  The PGM writer joins the strings of its 8-bit values.
+
+Every writer opens its path through ``_create``.  A regular file already
+there, owned by this process and writable by its owner, is unlinked and
+a new one created with its permission bits, so other hard links to it
+keep the old bytes.  On ext4 this is cheaper than truncating the file in
+place, because a truncated file that is written again has its writeback
+started at close (``auto_da_alloc``); the price is that a new file stays
+in the page cache until the kernel writes it back, so a crash in that
+time can leave it empty or missing, with the old bytes gone too.
+Anything else at the path (a symlink, a device, a FIFO, a read-only or
+another user's file) is opened with a truncating ``open`` and written
+through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -153,6 +168,36 @@ def _checked(path, columns, rows):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _create(path):
+    """Open ``path`` for writing; an old output of ours becomes a new file.
+
+    A regular file there that this process owns and whose owner may write
+    it is unlinked, and the new file gets its permission bits.  Anything
+    else (a symlink, a device, a FIFO, a read-only file, another user's
+    file) or a failed unlink is opened as it is, so ``open`` refuses a
+    file this user may not write.
+    """
+    try:
+        st = os.lstat(path)
+    except OSError:
+        st = None
+    replace = (
+        st is not None
+        and stat.S_ISREG(st.st_mode)
+        and st.st_uid == os.geteuid()
+        and st.st_mode & stat.S_IWUSR
+    )
+    if replace:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+    fh = open(path, "w", encoding="utf-8")
+    if replace:
+        # a filesystem that cannot store the mode keeps its own
+        with contextlib.suppress(OSError):
+            os.chmod(fh.fileno(), st.st_mode & 0o777)
+    return fh
+
+
 def table_from_space(space, density):
     if space.coords is None:
         raise ConfigError("density export needs a space with coordinates")
@@ -164,7 +209,7 @@ def table_from_space(space, density):
 
 
 def write_density_csv(path, table):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(",".join(table.columns) + "\n")
         fh.writelines(table._csv_rows)
 
@@ -214,7 +259,7 @@ def write_density_json(path, table):
     ``json`` writes a float; neither has a ``]``, ``,`` or line feed."""
     columns = ",\n".join("    " + json.dumps(c) for c in table.columns)
     blocks = table._csv_rows
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write('{\n  "columns": [\n' + columns + '\n  ],\n  "rows": [\n    [\n      ')
         # a line feed opens the next row, so the last block drops its last one
         for block in blocks[:-1] + [blocks[-1][:-1]]:
@@ -238,7 +283,7 @@ def read_density_json(path):
 def write_density_pgm(path, table):
     """Plain P2, maxval 255, row-major; value = round-half-up(255 d)."""
     width, height = table.grid_shape()
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(f"P2\n{width} {height}\n{PGM_MAXVAL}\n")
         for start in range(0, len(table.rows), _ROW_BLOCK):
             density = table.density[start : start + _ROW_BLOCK]
@@ -292,6 +337,6 @@ def sniff_format(path):
 
 
 def write_report_json(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -759,6 +759,18 @@ class TestSolve:
         assert report.final_residual is None
         assert report.apriori_bound == cantor.space.diameter
 
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_sub_density_seed_comes_back_a_star_measure(self, max_iter):
+        # a top within NORMALIZATION_TOL of 1 passes; the output type does not depend on the stop
+        system = halves((1.0, 0.5), n=9)
+        seed = si.SubDensity(system.space, [0.3] * 8 + [1.0 - 1e-13], system.tnorm)
+        out, report = si.solve(system, seed=seed, max_iter=max_iter)
+        assert type(out) is si.StarMeasure
+        assert (out.space, out.tnorm) == (system.space, system.tnorm)
+        assert (report.iterations, report.stopped_by) == (max_iter, "maxIterations")
+        if max_iter == 0:
+            assert np.array_equal(out.density, seed.density)
+
     def test_loop_builds_one_measure(self, cantor):
         # the steps run on raw arrays: no psi call, one measure at the end
         seed = si.StarMeasure.dirac(cantor.space, 5, cantor.tnorm)

@@ -2,8 +2,11 @@
 round trip and shared value strings, and the pinned bytes of the test
 configs' CSV and JSON outputs."""
 
+import contextlib
 import hashlib
 import json
+import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -308,3 +311,107 @@ def test_pgm_maxval_is_below_65536(tmp_path, maxval):
         return
     with pytest.raises(si.ConfigError, match=f"{path}: malformed PGM header"):
         io_formats.read_density_pgm(path)
+
+
+def _small_grid():
+    return _grid_table(5, 3, np.random.default_rng(5))
+
+
+# every writer, by name, with a value it writes
+_WRITE_CASES = {fmt: (io_formats.WRITERS[fmt], _small_grid) for fmt in io_formats.WRITERS}
+_WRITE_CASES["report"] = (io_formats.write_report_json, lambda: {"iterations": 3, "stoppedBy": "fixedPoint"})
+
+
+def _write_case(tmp_path, name):
+    """(writer, value, the bytes the writer puts in a new file)."""
+    write, make = _WRITE_CASES[name]
+    value = make()
+    write(tmp_path / "fresh", value)
+    return write, value, (tmp_path / "fresh").read_bytes()
+
+
+@pytest.mark.parametrize("name", list(_WRITE_CASES))
+def test_writing_over_a_longer_file_leaves_the_new_bytes(tmp_path, name):
+    write, value, new = _write_case(tmp_path, name)
+    path = tmp_path / "out"
+    path.write_bytes(b"old output\n" * (len(new) // 4))
+    write(path, value)
+    assert path.read_bytes() == new
+
+
+@pytest.mark.parametrize("name", list(_WRITE_CASES))
+def test_a_hard_link_to_an_old_output_keeps_the_old_bytes(tmp_path, name):
+    write, value, new = _write_case(tmp_path, name)
+    path, kept = tmp_path / "out", tmp_path / "kept"
+    path.write_bytes(b"old output\n")
+    os.link(path, kept)
+    write(path, value)
+    assert kept.read_bytes() == b"old output\n"
+    assert path.read_bytes() == new
+
+
+@pytest.mark.parametrize("name", list(_WRITE_CASES))
+def test_a_symlink_at_the_output_path_is_written_through(tmp_path, name):
+    write, value, new = _write_case(tmp_path, name)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"old output\n" * 1000)
+    link.symlink_to(target)
+    write(link, value)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == new
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o666, 0o640])
+def test_a_replaced_output_keeps_its_mode(tmp_path, mode):
+    path = tmp_path / "out.csv"
+    path.write_text("old output\n")
+    path.chmod(mode)
+    umask = os.umask(0o022)
+    try:
+        io_formats.write_density_csv(path, _small_grid())
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_a_read_only_output_is_not_unlinked(tmp_path):
+    # open refuses it (exit 3 from the CLI), except for root, who writes it in place
+    path, kept = tmp_path / "out.csv", tmp_path / "kept"
+    path.write_text("old output\n")
+    path.chmod(0o444)
+    os.link(path, kept)
+    with contextlib.suppress(PermissionError):
+        io_formats.write_density_csv(path, _small_grid())
+    assert kept.read_bytes() == path.read_bytes()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o444
+
+
+def test_another_users_output_is_written_in_place(tmp_path, monkeypatch):
+    path, kept = tmp_path / "out.csv", tmp_path / "kept"
+    path.write_text("old output\n")
+    os.link(path, kept)
+    monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 1)
+    io_formats.write_density_csv(path, _small_grid())
+    assert kept.read_bytes() == path.read_bytes() != b"old output\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])
+def test_export_to_dev_null_unlinks_nothing(tmp_path, monkeypatch, capsys, fmt):
+    # os.devnull is a device: it is written through, never unlinked
+    infile = tmp_path / "in.csv"
+    io_formats.write_density_csv(infile, _small_grid())
+
+    def unlink(path, *args, **kwargs):
+        raise AssertionError(f"unlink({path!r})")
+    monkeypatch.setattr(os, "unlink", unlink)
+    assert main(["export", str(infile), "--format", fmt, "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_onto_its_own_input_leaves_it_unchanged(tmp_path, fmt):
+    path = tmp_path / f"a.{fmt}"
+    io_formats.WRITERS[fmt](path, _solved_table("cantor"))
+    before = path.read_bytes()
+    assert main(["export", str(path), "--format", fmt, "--out", str(path)]) == 0
+    assert path.read_bytes() == before
