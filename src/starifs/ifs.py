@@ -238,7 +238,8 @@ def validate(system):
     the argument is left as it was.  Raises WeightError when
     max weight != 1, NotAContractionError when any constant reaches 1,
     CoverageError when an affine image leaves the grid hull by more
-    than one spacing.
+    than one spacing, DomainError when an affine map is on a space
+    without coordinates (only a grid has them).
     """
     if system.k < 1:
         raise DomainError("a system needs at least one map")

@@ -199,13 +199,14 @@ def _create(path):
 
 
 def table_from_space(space, density):
+    """The density on a 1-D or 2-D grid as a table: index, coordinates, density.
+
+    A ``FiniteMetricSpace`` has no coordinates and raises ConfigError.
+    """
     if space.coords is None:
         raise ConfigError("density export needs a space with coordinates")
-    dim = space.coords.shape[1]
-    if dim > 2:
-        raise ConfigError("density export supports 1-D and 2-D grids only")
     rows = np.column_stack([np.arange(space.n), space.coords, density])
-    return DensityTable(HEADERS[dim - 1], rows)
+    return DensityTable(HEADERS[space.coords.shape[1] - 1], rows)
 
 
 def write_density_csv(path, table):

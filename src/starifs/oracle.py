@@ -10,8 +10,9 @@ snap-each-step, equal to ``psi`` at depth 1 under every t-norm (see
 h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps send the
 grid hull into itself.
 
-On a grid a word stops growing once every extension of it must snap
-to one cell.  With L letters left, widen the grid box by
+``validate`` admits affine maps on grids only, and an affine word
+stops growing once every extension of it must snap to one cell.  With
+L letters left, widen the grid box by
 r_L = (h + ``_HULL_SLACK``)(1 - c^L)/(1 - c) on every axis.  ``validate``
 lets a map send each grid point, hence each point of the box (the hull
 of its corners), at most h + ``_HULL_SLACK`` out of the box, and so a
@@ -46,10 +47,9 @@ through 2^d corner images; only a word still
 straddling a cell boundary at full depth snaps points, and only those
 of the seed's support, since T(w, 0) = 0 adds nothing.  Where k c < 1
 the live words die out (``cantor-729-oracle`` composes 378 of 65,536);
-where k c > 1, as on Sierpinski (3/2), they keep multiplying.  Dense
-spaces, whose snap is not monotone along each axis, and tabulated
-systems walk every word.  Blocks and snaps hold at most about ``_BLOCK``
-values.
+where k c > 1, as on Sierpinski (3/2), they keep multiplying.  Only
+tabulated systems walk every word.  Blocks and snaps hold at most about
+``_BLOCK`` values.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .ifs import (
     _HULL_SLACK, _affine_images, _check_measure, _require_validated, _set_image, _stationary_set,
 )
 from .measures import StarMeasure
-from .spaces import GridSpace, _integer, _lattice
+from .spaces import _integer, _lattice
 
 WORD_BUDGET = 1_000_000
 # values (point images, table entries, or a word's map, box images and
@@ -110,17 +110,16 @@ def _word_blocks(system, depth, points):
     x -> M_w x, and translation M_w t_a + t_w; a tabulated word chains
     its tables.  A block grows by appending all k letters to all its
     words at once, so each word gets the same arithmetic whichever block
-    it lands in.  On a grid every new affine word is tested once (see
-    the module docstring), and the words that collapse leave at once.
-    One rule bounds a block: one whose next step (growing by k letters,
-    or at full length snapping or reading its tables at its points)
-    would touch over ``_BLOCK`` values is split into parts that fit, of
-    one word at least, walked depth first; at most k + 1 wait per level.
+    it lands in.  Every new affine word is tested once (see the module
+    docstring), and the words that collapse leave at once.  One rule
+    bounds a block: one whose next step (growing by k letters, or at
+    full length snapping or reading its tables at its points) would
+    touch over ``_BLOCK`` values is split into parts that fit, of one
+    word at least, walked depth first; at most k + 1 wait per level.
     """
     space = system.space
     k = system.k
     affine = _all_affine(system)
-    grid = affine and isinstance(space, GridSpace)
     if affine:
         dim = space.coords.shape[1]
         coords = space.coords[points]
@@ -129,14 +128,10 @@ def _word_blocks(system, depth, points):
         letter_trans = np.stack([f.translation for f in system.maps])
         no_shift = np.zeros((1, dim))
         root = (np.eye(dim)[None], no_shift)
-        # a word's matrix, translation and weight; on a grid also its box
-        # images, their two ends and the two cells
-        per_word = dim * dim + dim + 1 + ((2**dim + 2) * dim + 2 if grid else 0)
+        # a word's matrix, translation and weight, its box images, their
+        # two ends and the two cells
+        per_word = dim * dim + dim + 1 + (2**dim + 2) * dim + 2
         per_leaf = coords.size
-    else:
-        root = (np.arange(space.n, dtype=np.int64)[None],)
-        per_word, per_leaf = space.n, len(points)
-    if grid:
         # the grid box's 2^d corners and the way each moves out
         corners = _lattice([axis[[0, -1]] for axis in space.axes])
         outward = np.where(corners == corners.max(axis=0), 1.0, -1.0)
@@ -148,6 +143,9 @@ def _word_blocks(system, depth, points):
             return corners + reach * (1.0 - c**left) / (1.0 - c) * outward
 
         margin = _MARGIN * np.abs(box(depth)).max()
+    else:
+        root = (np.arange(space.n, dtype=np.int64)[None],)
+        per_word, per_leaf = space.n, len(points)
 
     def children(block):
         """Every word of the block followed by every letter."""
@@ -182,7 +180,7 @@ def _word_blocks(system, depth, points):
             yield block[0], block[1][:, points]
         else:
             block = children(block)
-            if grid:
+            if affine:
                 left = depth - length - 1
                 cells = _word_cells(space, box(left), left and margin, *block[1:])
                 one = cells >= 0
@@ -236,10 +234,10 @@ def attractor_support(system, depth, reference_index=0):
 
     Returns the sorted indices {snap(f_w(x0)) : |w| = depth}.  Affine
     systems walk the same words as ``word_expansion`` with x0 as the
-    support: on a grid a word marks its cell once every extension sends
-    the whole grid into it, and the rest snap x0 alone, so the cost is
-    the words composed before they collapse, not k^depth.  A system with
-    a tabulated map takes ``depth`` set images of {x0} under its tables,
+    support: a word marks its cell once every extension sends the whole
+    grid into it, and the rest snap x0 alone, so the cost is the words
+    composed before they collapse, not k^depth.  A system with a
+    tabulated map takes ``depth`` set images of {x0} under its tables,
     in O(n) memory whatever the word count.  With all weights 1 and the
     minimum t-norm this equals the support of the word expansion from
     the Dirac seed at the reference point.

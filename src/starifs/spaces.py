@@ -3,9 +3,10 @@
 Compact metric spaces are discretized to finite point clouds; every
 continuum statement downstream is tested up to the documented grid
 slack.  A user-supplied ``FiniteMetricSpace`` carries its full distance
-matrix.  Generated grids (``grid_1d``, ``grid_2d``) are matrix-free:
-they hold their axes and coordinates, O(n) memory, and build the dense
-``dist`` only when something reads it.
+matrix and nothing else.  Generated grids (``grid_1d``, ``grid_2d``) are
+matrix-free: they hold their axes and coordinates, O(n) memory, and
+build the dense ``dist`` only when something reads it.  Only a grid has
+coordinates, so affine maps, snapping and export need one.
 
 Each kind of space answers ``distance_to(mask, within)``, the distance
 from every point x to the set {y : mask[y]}, inf if the set is empty.
@@ -32,8 +33,8 @@ from .errors import DomainError
 
 _TRIANGLE_EXHAUSTIVE_LIMIT = 512
 _TRIANGLE_SAMPLES = 10_000
-# rows scanned at once by the dense ``distance_to`` and ``snap`` and by
-# the dense distance build
+# rows scanned at once by the dense ``distance_to`` and by the dense
+# distance build
 _DENSE_ROW_BLOCK = 256
 
 # values within this distance of a level line are treated as on it
@@ -134,18 +135,18 @@ def _unit_values(values, name, space=None):
 
 
 class FiniteMetricSpace:
-    """A finite point set with a full distance matrix.
+    """A finite point set with a full distance matrix and no coordinates.
 
-    Points are identified by their index 0..n-1.  ``coords`` is optional
-    (affine maps and snapping need it) and column-major, as on a grid.
-    ``spacing`` is the snap diameter: the distance within which any
-    point of the hull has a point of the space, here the largest
-    nearest-neighbour distance; a space needs at least two points, as a
-    grid does, so it is defined.  ``dist`` and ``coords`` are copied, so
-    the caller's arrays stay writable.
+    Points are identified by their index 0..n-1.  ``coords`` is None:
+    coordinates, affine maps, snapping and export need a ``GridSpace``.
+    ``spacing`` is the largest nearest-neighbour distance; a space needs
+    at least two points, as a grid does, so it is defined.  ``dist`` is
+    copied, so the caller's array stays writable.
     """
 
-    def __init__(self, dist, coords=None):
+    coords = None
+
+    def __init__(self, dist):
         dist = np.array(dist, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise DomainError("distance matrix must be square")
@@ -154,17 +155,6 @@ class FiniteMetricSpace:
             raise DomainError("a space needs at least two points")
         self.dist = dist
         self.dist.flags.writeable = False
-        self.coords = None
-        if coords is not None:
-            coords = np.array(coords, dtype=float, order="F")
-            if coords.ndim == 1:
-                coords = coords[:, None]
-            if coords.ndim != 2 or coords.shape[0] != self.n or coords.shape[1] < 1:
-                raise DomainError("coords must give one row per point")
-            if not np.all(np.isfinite(coords)):
-                raise DomainError("coords must be finite")
-            coords.flags.writeable = False
-            self.coords = coords
         self.diameter = float(dist.max())
         # each point's distance to its nearest other point, a block of rows at a time
         near, cols = np.empty(self.n), np.arange(self.n)
@@ -221,32 +211,6 @@ class FiniteMetricSpace:
         """The block of the distance matrix at point indices ``rows`` x ``cols``."""
         return self.dist[np.ix_(rows, cols)]
 
-    def _snap_points(self, pts):
-        """``pts`` as floats; DomainError unless the space has coordinates and
-        ``pts`` is finite with the space's dimension d as its last axis."""
-        if self.coords is None:
-            raise DomainError("snapping requires coordinates")
-        pts = np.asarray(pts, dtype=float)
-        d = self.coords.shape[1]
-        if pts.ndim == 0 or pts.shape[-1] != d or not np.isfinite(pts).all():
-            raise DomainError(f"points to snap must be finite with {d} coordinates each")
-        return pts
-
-    def snap(self, pts):
-        """Indices of the nearest points by coordinates; ties go to the lowest index.
-
-        ``pts`` (..., d) gives indices (...), by an argmin scan,
-        ``_DENSE_ROW_BLOCK`` points at a time.
-        """
-        pts = self._snap_points(pts)
-        flat = pts.reshape(-1, pts.shape[-1])
-        out = np.empty(len(flat), dtype=np.int64)
-        for start in range(0, len(flat), _DENSE_ROW_BLOCK):
-            block = flat[start : start + _DENSE_ROW_BLOCK]
-            d2 = ((block[:, None, :] - self.coords[None, :, :]) ** 2).sum(axis=-1)
-            out[start : start + _DENSE_ROW_BLOCK] = np.argmin(d2, axis=1)
-        return out.reshape(pts.shape[:-1])
-
 
 class GridSpace(FiniteMetricSpace):
     """A uniform Euclidean lattice held matrix-free.
@@ -263,9 +227,7 @@ class GridSpace(FiniteMetricSpace):
     cell diagonal in 2-D.  ``dist`` is built on first use and cached;
     distances and the diameter are otherwise computed from the axes and
     equal the dense matrix's, bit for bit.  Snapping is a closed form
-    per axis, which can differ from the dense scan at a floating
-    half-way point: ``grid_1d(4, 0, 1).snap([[0.5]])`` gives 1, the
-    dense scan 2, as |0.5 - 2/3| < |0.5 - 1/3| in floats.
+    per axis.
     """
 
     def __init__(self, axes):
@@ -361,9 +323,13 @@ class GridSpace(FiniteMetricSpace):
         """Indices of the nearest grid points; ties go to the lowest index.
 
         ``pts`` (..., d) gives indices (...), by a closed form per axis;
-        points outside the hull clip to its boundary.
+        points outside the hull clip to its boundary.  DomainError unless
+        ``pts`` is finite with the grid's dimension d as its last axis.
         """
-        pts = self._snap_points(pts)
+        pts = np.asarray(pts, dtype=float)
+        d = len(self.axes)
+        if pts.ndim == 0 or pts.shape[-1] != d or not np.isfinite(pts).all():
+            raise DomainError(f"points to snap must be finite with {d} coordinates each")
         flat = np.zeros(pts.shape[:-1], dtype=np.int64)
         # y first: index = iy * nx + ix
         for ax, axis in reversed(list(enumerate(self.axes))):

@@ -195,6 +195,14 @@ def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
     return pairs_hausdorff(space, line, pairs(dens_a), pairs(dens_b))
 
 
+def nearest_point(coords, pts):
+    """The index of the row of ``coords`` (n, d) nearest to each point of
+    ``pts`` (..., d), by an argmin of squared distances: the dense
+    reference for ``GridSpace.snap``.  Ties go to the lowest index."""
+    pts = np.asarray(pts, dtype=float)
+    return np.argmin(((pts[..., None, :] - coords) ** 2).sum(axis=-1), axis=-1)
+
+
 def exact_t(tnorm, a, b):
     """T(a, b) in exact rationals; a and b are floats or ``Fraction``s."""
     a, b = Fraction(a), Fraction(b)
@@ -220,6 +228,14 @@ def exact_psi(system, density):
         for x, y in enumerate(table):
             out[y] = max(out[y], exact_t(system.tnorm, w, density[x]))
     return out
+
+
+def exact_orbit(system, seed, n):
+    """The density of ``seed`` after n steps of ``exact_psi``, in ``Fraction``s."""
+    density = [Fraction(v) for v in seed.density.tolist()]
+    for _ in range(n):
+        density = exact_psi(system, density)
+    return density
 
 
 def exact_limit(system):

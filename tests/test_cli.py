@@ -794,11 +794,15 @@ def _python(code, cwd):
     return done.stdout.splitlines()[-1]
 
 
-def test_cli_and_samplers_do_not_import_numpy_ma_or_numpy_random(tmp_path):
-    # each import costs 10-18 ms of a run; numpy 1.x imports numpy.ma with numpy
-    loaded = "print([m in sys.modules for m in ('numpy.ma', 'numpy.random')])"
-    if _python(f"import sys, numpy; {loaded}", tmp_path) != "[False, False]":
-        pytest.skip("a bare `import numpy` loads numpy.ma or numpy.random")
+def test_cli_and_samplers_do_not_import_numpy_ma_numpy_random_fractions_or_decimal(tmp_path):
+    # each numpy import costs 10-18 ms of a run, and numpy 1.x imports
+    # numpy.ma with numpy; fractions, which imports decimal, costs about
+    # 2 ms, more than a solve's setup, and only a non-diagonal affine
+    # matrix needs it (``_operator_norm``)
+    modules = ("numpy.ma", "numpy.random", "fractions", "decimal")
+    loaded = f"print([m in sys.modules for m in {modules!r}])"
+    if _python(f"import sys, numpy; {loaded}", tmp_path) != "[False, False, False, False]":
+        pytest.skip("a bare `import numpy` loads numpy.ma, numpy.random, fractions or decimal")
     commands = []
     for name in ("cantor", "sierpinski"):
         config = str(CONFIGS / f"{name}.json")
@@ -815,7 +819,7 @@ def test_cli_and_samplers_do_not_import_numpy_ma_or_numpy_random(tmp_path):
         "si.FiniteMetricSpace(si.grid_1d(600, 0, 1).dist)\n"
         f"{loaded}"
     )
-    assert _python(code, tmp_path) == "[False, False]"
+    assert _python(code, tmp_path) == "[False, False, False, False]"
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "oracle"])

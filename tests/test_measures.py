@@ -385,7 +385,7 @@ class TestHypographHausdorff:
             (si.grid_1d(23, -0.4, 1.3), 10),
             (_RECT, 16),
             (_RECT, 12),
-            (si.FiniteMetricSpace(_RECT.dist, coords=_RECT.coords), 8),
+            (si.FiniteMetricSpace(_RECT.dist), 8),
         ]:
             pairs = [tuple(rng.uniform(0, 1, (2, space.n))) for _ in range(25)]
             cases.append((space, m, pairs + _special_pairs(space.n, rng)))

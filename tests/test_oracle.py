@@ -143,17 +143,6 @@ def make_quarters(n=257):
     )
 
 
-def make_dense():
-    """Two halving maps on a user-supplied dense space of random points."""
-    pts = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 60))
-    space = si.FiniteMetricSpace(np.abs(pts[:, None] - pts[None, :]), coords=pts[:, None])
-    maps = [
-        si.ContractionMap.affine([[0.5]], [0.0]),
-        si.ContractionMap.affine([[0.5]], [0.5]),
-    ]
-    return si.validate(si.IFSSystem(space, maps, [1.0, 0.7], si.TNorm("product")))
-
-
 def make_mixed(n=81):
     """Cantor maps plus a constant table: the system runs on tables."""
     maps = [
@@ -199,7 +188,6 @@ EXPANSION_CASES = {
     ),
     "sierpinski-full": (lambda: make_sierpinski(32), full, 5),
     "rotated-hamacher": (make_rotated, random_seed, 5),
-    "dense": (make_dense, random_seed, 8),
     "deep": (lambda: make_cantor(27), full, 13),
     # 4 of the 1,024 words straddle a cell boundary; at depth 12 none does.
     # A top just below 1 tells T(w, top) from w.

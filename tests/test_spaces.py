@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starifs as si
 from starifs.ifs import _affine_images
 from starifs.spaces import GridSpace, _euclidean, _lattice, _splitmix64
 
-from conftest import level_floor, product_metric, projection_bound_check
+from conftest import level_floor, nearest_point, product_metric, projection_bound_check
 
 
 def brute_hausdorff(dist, a_set, b_set):
@@ -140,7 +141,7 @@ class TestGridMatrixFree:
         masks += [np.eye(1, space.n, k, dtype=bool)[0] for k in (0, space.n - 1)]
         # the empty set: inf everywhere, on every kind of space
         masks.append(np.zeros(space.n, dtype=bool))
-        dense = si.FiniteMetricSpace(space.dist, coords=space.coords)
+        dense = si.FiniteMetricSpace(space.dist)
         for mask in masks:
             expected = space.dist[:, mask].min(axis=1, initial=np.inf)
             caps = [
@@ -188,7 +189,7 @@ class TestMetricValidation:
     def test_rejects_one_point_space(self):
         # accepted before, and every system on it crashed validate
         with pytest.raises(si.DomainError, match="two points"):
-            si.FiniteMetricSpace([[0.0]], coords=[0.0])
+            si.FiniteMetricSpace([[0.0]])
 
     def test_rejects_nonfinite(self):
         d = np.array([[0.0, np.inf], [np.inf, 0.0]])
@@ -197,24 +198,11 @@ class TestMetricValidation:
 
     def test_copies_caller_arrays(self):
         d = si.grid_1d(3, 0, 1).dist.copy()
-        coords = np.array([0.0, 0.5, 1.0])
-        X = si.FiniteMetricSpace(d, coords=coords)
+        X = si.FiniteMetricSpace(d)
         d[0, 1] = d[1, 0] = 5.0  # the caller's matrix stays writable
-        coords[0] = 9.0
-        assert X.dist[0, 1] == 0.5 and X.coords[0, 0] == 0.0
+        assert X.dist[0, 1] == 0.5 and X.coords is None
         with pytest.raises(ValueError, match="read-only"):
             X.dist[0, 1] = 5.0
-
-    def test_coords_need_one_finite_row_per_point(self):
-        d = si.grid_2d(2, 2, ((0, 1), (0, 1))).dist
-        # a (2, 4) array used to be reshaped silently to (4, 2)
-        for coords in (np.zeros((2, 4)), np.zeros(3), np.zeros((4, 0))):
-            with pytest.raises(si.DomainError, match="one row per point"):
-                si.FiniteMetricSpace(d, coords=coords)
-        bad = np.zeros((4, 2))
-        bad[1, 0] = np.nan
-        with pytest.raises(si.DomainError, match="finite"):
-            si.FiniteMetricSpace(d, coords=bad)
 
     def test_sampled_validation_large_space(self):
         # above the exhaustive cutoff the triangle check is sampled
@@ -395,11 +383,6 @@ class TestSnap:
         assert X.snap(np.array([[0.125]]))[0] == 0
         assert X.snap(np.array([[0.625]]))[0] == 2
 
-    def test_needs_coordinates(self):
-        X = si.FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(si.DomainError, match="requires coordinates"):
-            X.snap([[0.0]])
-
     def test_clips_outside_hull(self):
         X = si.grid_1d(5, 0, 1)
         assert X.snap(np.array([[-3.0]]))[0] == 0
@@ -413,18 +396,35 @@ class TestSnap:
 
     def test_generic_cloud_matches_grid_formula(self):
         X = si.grid_1d(7, 0, 1)
-        cloud = si.FiniteMetricSpace(X.dist, coords=X.coords)  # no grid metadata
         rng = np.random.default_rng(2)
-        # 600 points cross the dense scan's row-block boundaries
         for count in (50, 600):
             pts = rng.uniform(-0.2, 1.2, (count, 1))
-            assert np.array_equal(X.snap(pts), cloud.snap(pts))
+            assert np.array_equal(X.snap(pts), nearest_point(X.coords, pts))
         # a floating half-way point: the grid's tie rule picks the lower
-        # point, while the dense scan sees |0.5 - 2/3| < |0.5 - 1/3|
+        # point, while the argmin sees |0.5 - 2/3| < |0.5 - 1/3|
         X = si.grid_1d(4, 0, 1)
-        cloud = si.FiniteMetricSpace(X.dist, coords=X.coords)
         assert X.snap([[0.5]])[0] == 1
-        assert cloud.snap([[0.5]])[0] == 2
+        assert nearest_point(X.coords, [[0.5]])[0] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_snap_is_the_nearest_point_off_ties(self, data, seed):
+        # random 1-D and 2-D grids, random points in and around the hull:
+        # the closed form equals the argmin wherever the nearest point
+        # wins by more than 1e-9 spacing
+        dim = data.draw(st.integers(1, 2))
+        axes = []
+        for _ in range(dim):
+            lo, width = data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(0.01, 10.0))
+            axes.append((lo, lo + width, data.draw(st.integers(2, 30))))
+        X = GridSpace(axes)
+        lo, hi = X.coords.min(axis=0), X.coords.max(axis=0)
+        pad = 0.2 * (hi - lo)
+        pts = np.random.default_rng(seed).uniform(lo - pad, hi + pad, (400, dim))
+        d2 = ((pts[:, None, :] - X.coords[None, :, :]) ** 2).sum(axis=-1)
+        two = np.sqrt(np.partition(d2, 1, axis=1)[:, :2])
+        clear = two[:, 1] - two[:, 0] > 1e-9 * X.spacing
+        assert np.array_equal(X.snap(pts)[clear], nearest_point(X.coords, pts)[clear])
 
     @pytest.mark.parametrize(
         "axes",
@@ -458,11 +458,8 @@ class TestSnap:
         assert np.array_equal(X.snap(pts), expected)
         assert X.snap(pts[7]) == expected[7]
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["grid", "cloud"])
-    def test_stacked_snap_of_transposed_view(self, dense):
-        X = si.grid_2d(13, 11, ((0.0, 1.0), (-1.0, 1.0)))
-        if dense:
-            X = si.FiniteMetricSpace(X.dist, coords=X.coords)
+    @pytest.mark.parametrize("X", [si.grid_2d(13, 11, ((0.0, 1.0), (-1.0, 1.0)))], ids=["grid"])
+    def test_stacked_snap_of_transposed_view(self, X):
         assert X.coords.flags.f_contiguous
         mats = np.array([[[0.5, 0.2], [-0.1, 0.6]], [[0.3, 0.0], [0.4, 0.5]], [[0.7, -0.2], [0.1, 0.2]]])
         trans = np.array([[0.1, 0.2], [0.5, -0.3], [0.2, 0.1]])
@@ -473,18 +470,15 @@ class TestSnap:
         one = X.snap(images[1, 5])
         assert one.shape == () and one == flat[X.n + 5]
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["grid", "cloud"])
+    @pytest.mark.parametrize("X", [si.grid_2d(4, 4, ((0, 1), (0, 1)))], ids=["grid"])
     @pytest.mark.parametrize(
         "pts",
         [[[0.9]], [[0.1, 0.2, 0.9]], [[np.nan, 0.5]], [[np.inf, 0.5]], [[0.5, -np.inf]], 0.5],
         ids=["one-coordinate", "three-coordinates", "nan", "inf", "minus-inf", "scalar"],
     )
-    def test_rejects_wrong_dimension_and_nonfinite(self, dense, pts):
+    def test_rejects_wrong_dimension_and_nonfinite(self, X, pts):
         # unchecked, the grid raises IndexError, reads two of three
-        # coordinates or casts NaN to an index; the dense scan broadcasts
-        X = si.grid_2d(4, 4, ((0, 1), (0, 1)))
-        if dense:
-            X = si.FiniteMetricSpace(X.dist, coords=X.coords)
+        # coordinates or casts NaN to an index
         with pytest.raises(si.DomainError, match="finite with 2 coordinates"):
             X.snap(pts)
         assert X.snap([[0.9, 0.9], [0.1, 0.1]]).tolist() == [15, 0]
@@ -503,7 +497,7 @@ class TestSnap:
 def test_dense_dist_is_euclidean_of_coords(space):
     # built in row blocks from ``distances``; 600 and 391 points cross them
     assert np.array_equal(space.dist, _euclidean(space.coords, space.coords))
-    dense = si.FiniteMetricSpace(space.dist, coords=space.coords)
+    dense = si.FiniteMetricSpace(space.dist)
     off = space.dist + np.diag(np.full(space.n, np.inf))
     assert dense.spacing == off.min(axis=1).max()
 
