@@ -67,32 +67,20 @@ def _readonly(arr):
     return arr
 
 
-def _semidefinite(rows):
-    """Whether the symmetric matrix ``rows`` (lists of exact numbers) is
-    positive semidefinite, by exact LDL^T elimination: a pivot below 0,
-    or a pivot 0 with a nonzero entry in its row, rules it out."""
-    while rows:
-        (pivot, *top), *below = rows
-        if pivot < 0 or (pivot == 0 and any(top)):
-            return False
-        rows = [[x - (r[0] * y / pivot if pivot else 0) for x, y in zip(r[1:], top)] for r in below]
-    return True
-
-
 def _operator_norm(matrix):
     """The least double s with s^2 I - A^T A positive semidefinite, so
     s bounds |A x| / |x| for every x: LAPACK's SVD value, stepped by one
-    ulp until the exact test holds and fails one ulp below."""
+    ulp until the exact test holds and fails one ulp below.  A is 2 x 2,
+    so with A^T A = [[p, q], [q, r]] the test is the 2 x 2 rule in
+    Fractions: s^2 - p >= 0, s^2 - r >= 0 and (s^2 - p)(s^2 - r) >= q^2."""
     from fractions import Fraction  # imports decimal; only a non-diagonal matrix needs it
 
-    cols = [[Fraction(v) for v in col] for col in matrix.T.tolist()]
-    gram = [[sum(p * q for p, q in zip(a, b)) for b in cols] for a in cols]
+    (a, b), (c, d) = [[Fraction(v) for v in row] for row in matrix.tolist()]
+    p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
 
     def bounds(s):
         square = Fraction(s) ** 2
-        return _semidefinite(
-            [[square * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]
-        )
+        return square >= p and square >= r and (square - p) * (square - r) >= q * q
 
     s = float(np.linalg.norm(matrix, 2))
     if not math.isfinite(s):
@@ -126,21 +114,29 @@ def _affine_images(coords, mats, trans):
     return out.swapaxes(1, 2)
 
 
+def _targets(table, space):
+    """A tabulated map's ``table`` checked on ``space``: one point index per point."""
+    if table.shape != (space.n,):
+        raise DomainError("tabulated map must assign one target per point")
+    return _indices(table, "tabulated map targets", space)
+
+
 @dataclass(frozen=True)
 class ContractionMap:
-    """A contraction of the space, affine on coordinates or tabulated.
+    """A contraction of the space, affine on grid coordinates or tabulated.
 
-    Affine maps act on coordinates as x -> matrix x + translation,
-    evaluated by ``_affine_images``, and are snapped onto the grid;
-    their contraction constant is the operator 2-norm of the matrix,
-    rounded up to a double.  For a per-axis scaling (every off-diagonal
-    entry zero, so every 1 x 1 matrix) that is max |a_ii|, exact; any
-    other matrix starts from LAPACK's SVD value, which can sit a few ulps
-    either side of the true norm, and ``_operator_norm`` steps it to the
-    least double that an exact rational test certifies, the same on any
-    LAPACK build.  Tabulated maps are explicit point-to-point
-    assignments; their constant is estimated by the exhaustive pairwise
-    ratio max d(f(x), f(y)) / d(x, y), in row blocks of the space's
+    Affine maps act on a grid's one or two coordinates as x -> matrix x
+    + translation, so the matrix is 1 x 1 or 2 x 2, and ``validate``
+    snaps their ``_affine_images``; their contraction constant is the
+    operator 2-norm of the matrix, rounded up to a double.  For a
+    per-axis scaling (every off-diagonal entry zero, so every 1 x 1
+    matrix) that is max |a_ii|, exact; any other matrix starts from
+    LAPACK's SVD value, which can sit a few ulps either side of the true
+    norm, and ``_operator_norm`` steps it to the least double that an
+    exact rational test certifies, the same on any LAPACK build.
+    Tabulated maps are point-to-point assignments, checked on the space
+    by ``_targets``; their constant is the exhaustive pairwise ratio
+    max d(f(x), f(y)) / d(x, y), in row blocks of the space's
     ``distances``, so a grid never builds its dense matrix.
     """
 
@@ -153,8 +149,10 @@ class ContractionMap:
     def affine(cls, matrix, translation):
         matrix = _readonly(np.atleast_2d(np.array(matrix, dtype=float)))
         translation = _readonly(np.array(translation, dtype=float).ravel())
-        if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != translation.size:
+        if matrix.shape != (translation.size,) * 2:
             raise DomainError("affine matrix and translation dimensions disagree")
+        if translation.size > 2:
+            raise DomainError("an affine map acts on a grid's one or two axes: 1x1 or 2x2 only")
         if not (np.isfinite(matrix).all() and np.isfinite(translation).all()):
             raise DomainError("affine matrix and translation entries must be finite")
         return cls(kind="affine", matrix=matrix, translation=translation)
@@ -163,23 +161,6 @@ class ContractionMap:
     def tabulated(cls, table):
         return cls(kind="tabulated", table=_readonly(_indices(table, "tabulated map entries")))
 
-    def image_coords(self, space):
-        if self.kind != "affine":
-            raise DomainError("only affine maps have coordinate images")
-        if space.coords is None:
-            raise DomainError("affine maps need a space with coordinates")
-        if space.coords.shape[1] != self.matrix.shape[0]:
-            raise DomainError("affine map dimension does not match the space")
-        return _affine_images(space.coords, self.matrix[None], self.translation[None])[0]
-
-    def snapped_table(self, space):
-        """The map as a grid-point assignment."""
-        if self.kind == "tabulated":
-            if self.table.shape != (space.n,):
-                raise DomainError("tabulated map must assign one target per point")
-            return _readonly(_indices(self.table, "tabulated map targets", space))
-        return _readonly(space.snap(self.image_coords(space)))
-
     def contraction_constant(self, space):
         if self.kind == "affine":
             diagonal = np.diagonal(self.matrix)
@@ -187,7 +168,7 @@ class ContractionMap:
                 # a per-axis scaling (-0.0 compares equal to 0.0): exact, and no SVD
                 return float(np.abs(diagonal).max())
             return _operator_norm(self.matrix)
-        tbl = self.snapped_table(space)
+        tbl = _targets(self.table, space)
         points = np.arange(space.n)
         step = max(1, _PAIR_BLOCK // space.n)
         worst = 0.0
@@ -234,12 +215,12 @@ class IFSSystem:
 def validate(system):
     """Check the system invariants; returns a validated frozen copy.
 
-    The copy carries the system constant ``c`` and the snapped tables;
-    the argument is left as it was.  Raises WeightError when
+    The copy carries the system constant ``c`` and the tables, made here
+    alone; the argument is left as it was.  Raises WeightError when
     max weight != 1, NotAContractionError when any constant reaches 1,
     CoverageError when an affine image leaves the grid hull by more
     than one spacing, DomainError when an affine map is on a space
-    without coordinates (only a grid has them).
+    without coordinates (only a grid has them) or of another dimension.
     """
     if system.k < 1:
         raise DomainError("a system needs at least one map")
@@ -255,15 +236,18 @@ def validate(system):
         raise NotAContractionError(f"not a contraction: estimated constant {worst:g} >= 1")
 
     space = system.space
-    if space.coords is not None:
-        lo, hi = space.coords.min(axis=0), space.coords.max(axis=0)
     tables = []
     for i, m in enumerate(system.maps):
         if m.kind != "affine":
-            tables.append(m.snapped_table(space))
+            tables.append(_targets(m.table, space))
             continue
+        if space.coords is None:
+            raise DomainError("affine maps need a space with coordinates")
+        if space.coords.shape[1] != m.translation.size:
+            raise DomainError("affine map dimension does not match the space")
         # one image per map: the hull check and the snap read the same array
-        img = m.image_coords(space)
+        img = _affine_images(space.coords, m.matrix[None], m.translation[None])[0]
+        lo, hi = np.array([(axis[0], axis[-1]) for axis in space.axes]).T
         excess = np.linalg.norm(img - np.clip(img, lo, hi), axis=1).max()
         if excess > space.spacing + _HULL_SLACK:
             raise CoverageError(

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .spaces import FiniteMetricSpace, LevelGrid, _distinct, _indices, _integer, _unit_values
+from .spaces import LevelGrid, _distinct, _indices, _integer, _unit_values
 
 NORMALIZATION_TOL = 1e-12
 
@@ -128,7 +128,7 @@ class SaturatedSet:
     construction.
     """
 
-    space: FiniteMetricSpace
+    space: object
     levels: LevelGrid
     top_indices: np.ndarray
 

@@ -202,8 +202,9 @@ def word_expansion(system, seed, depth):
     density(y) = max over words w and points x snapped into y of
     weight(w) * seed(x): the weight folded by ``_apply``, then applied by
     the same ``_apply`` before the max over a cell, as in ``psi``, so
-    depth 1 is ``psi`` of the seed bit for bit under every t-norm.
-    Depth 0 is the seed.  Affine compositions are snapped once; tabulated
+    depth 1 is ``psi`` of the seed bit for bit under every t-norm, and
+    depth 0 the seed: the empty word sends each point to itself and
+    T(1, v) = v.  Affine compositions are snapped once; tabulated
     systems chain their tables.  Only the seed's support is followed, as
     T(w, 0) = 0.  A word that collapsed before full length adds
     T(weight, top) at its cell, top the seed's largest value (see the
@@ -213,8 +214,6 @@ def word_expansion(system, seed, depth):
     _check_measure(system, seed)
     depth = _check_budget(system.k, depth)
     space = system.space
-    if depth == 0:
-        return StarMeasure(space, seed.density, system.tnorm)
     out = np.zeros(space.n)
     tnorm = system.tnorm
     points = np.flatnonzero(seed.density)

@@ -1,12 +1,13 @@
 """Finite metric spaces, uniform grids, level grids, and Hausdorff distances.
 
-Compact metric spaces are discretized to finite point clouds; every
+Compact metric spaces are discretized to finite point sets; every
 continuum statement downstream is tested up to the documented grid
 slack.  A user-supplied ``FiniteMetricSpace`` carries its full distance
-matrix and nothing else.  Generated grids (``grid_1d``, ``grid_2d``) are
-matrix-free: they hold their axes and coordinates, O(n) memory, and
-build the dense ``dist`` only when something reads it.  Only a grid has
-coordinates, so affine maps, snapping and export need one.
+matrix and nothing else.  Generated grids (``grid_1d``, ``grid_2d``)
+share no code with it and are matrix-free: they hold their axes and
+coordinates, O(n) memory, and build the dense ``dist`` only when
+something reads it.  Only a grid has geometry (coordinates, a snap and
+a ``spacing``), so affine maps, snapping and export need one.
 
 Each kind of space answers ``distance_to(mask, within)``, the distance
 from every point x to the set {y : mask[y]}, inf if the set is empty.
@@ -33,8 +34,7 @@ from .errors import DomainError
 
 _TRIANGLE_EXHAUSTIVE_LIMIT = 512
 _TRIANGLE_SAMPLES = 10_000
-# rows scanned at once by the dense ``distance_to`` and by the dense
-# distance build
+# rows scanned at once by the dense ``distance_to`` and by a grid's ``dist`` build
 _DENSE_ROW_BLOCK = 256
 
 # values within this distance of a level line are treated as on it
@@ -137,10 +137,10 @@ def _unit_values(values, name, space=None):
 class FiniteMetricSpace:
     """A finite point set with a full distance matrix and no coordinates.
 
-    Points are identified by their index 0..n-1.  ``coords`` is None:
-    coordinates, affine maps, snapping and export need a ``GridSpace``.
-    ``spacing`` is the largest nearest-neighbour distance; a space needs
-    at least two points, as a grid does, so it is defined.  ``dist`` is
+    Points are identified by their index 0..n-1.  ``coords`` is None and
+    there is no ``spacing``: coordinates, affine maps, snapping and
+    export need a ``GridSpace``, and only tabulated maps run here.  A
+    space needs at least two points, as a grid does.  ``dist`` is
     copied, so the caller's array stays writable.
     """
 
@@ -156,17 +156,10 @@ class FiniteMetricSpace:
         self.dist = dist
         self.dist.flags.writeable = False
         self.diameter = float(dist.max())
-        # each point's distance to its nearest other point, a block of rows at a time
-        near, cols = np.empty(self.n), np.arange(self.n)
-        for start in range(0, self.n, _DENSE_ROW_BLOCK):
-            rows = dist[start : start + _DENSE_ROW_BLOCK]
-            off = cols != np.arange(start, start + len(rows))[:, None]
-            near[start : start + len(rows)] = rows.min(axis=1, initial=np.inf, where=off)
-        self.spacing = float(near.max())
-        self._check_metric(near)
+        self._check_metric()
 
-    def _check_metric(self, near):
-        """Raise DomainError unless ``dist`` (``near``: nearest-other distances) is a metric.
+    def _check_metric(self):
+        """Raise DomainError unless ``dist`` is a metric.
 
         Every axiom is checked on every entry, except the triangle
         inequality above ``_TRIANGLE_EXHAUSTIVE_LIMIT`` points: there it is
@@ -180,7 +173,8 @@ class FiniteMetricSpace:
             raise DomainError("distance of a point to itself must be 0")
         if not np.array_equal(d, d.T):
             raise DomainError("distance matrix must be symmetric")
-        if np.any(near <= 0.0):
+        # the diagonal holds n zeros: any other entry <= 0 is a pair of distinct points
+        if np.count_nonzero(d <= 0.0) != self.n:
             raise DomainError("distinct points must be at positive distance")
         tol = 1e-12 * max(1.0, self.diameter)
         if self.n <= _TRIANGLE_EXHAUSTIVE_LIMIT:
@@ -212,8 +206,9 @@ class FiniteMetricSpace:
         return self.dist[np.ix_(rows, cols)]
 
 
-class GridSpace(FiniteMetricSpace):
-    """A uniform Euclidean lattice held matrix-free.
+class GridSpace:
+    """A uniform Euclidean lattice held matrix-free: the one space with
+    coordinates, a snap and a ``spacing``.
 
     ``axes`` lists (lo, hi, count) for one or two coordinates, x first;
     points are row-major (index = iy * nx + ix).  The coordinate array

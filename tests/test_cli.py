@@ -12,6 +12,7 @@ from starifs import config as config_module
 from starifs import io_formats
 from starifs.cli import build_parser, main
 from starifs.config import RunConfig
+from starifs.ifs import _affine_images
 
 from conftest import ALL_TNORMS
 
@@ -447,6 +448,23 @@ class TestSolveCommand:
         assert report["stoppedBy"] == "maxIterations"
         assert report["iterations"] == 1
 
+    @pytest.mark.parametrize(
+        "name, iterations, distance", [("tabulated", 5, 0.0), ("lukasiewicz_dirac", 7, 0.03125)]
+    )
+    def test_config_stops_and_passes_the_oracle(self, tmp_path, capsys, name, iterations, distance):
+        # the only configs with a tabulated map (full seed) and with Lukasiewicz (Dirac seed)
+        cfg = _redirected(tmp_path, name)
+        assert main(["check", str(cfg)]) == 0
+        assert main(["solve", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / f"{name}.report.json").read_text())
+        assert (report["stoppedBy"], report["iterations"]) == ("fixedPoint", iterations)
+        capsys.readouterr()
+        assert main(["oracle", str(cfg), "--depth", "8"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[out.index("{") :])
+        assert payload["passed"] is True
+        assert payload["hypographDistance"] == distance <= payload["snapTolerance"]
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_nonfinite_tol_override_named(self, cantor_cfg, capsys, tol):
         assert main(["solve", str(cantor_cfg), "--tol", tol]) == 2
@@ -487,7 +505,8 @@ def _snapped_tables(shift):
     def tables(system):
         space, out = system.space, []
         for f in system.maps:
-            img, index, stride = f.image_coords(space), 0, 1
+            img = _affine_images(space.coords, f.matrix[None], f.translation[None])[0]
+            index, stride = 0, 1
             for ax, axis in enumerate(space.axes):
                 step = (axis[-1] - axis[0]) / (len(axis) - 1)
                 cell = np.floor((img[:, ax] - axis[0]) / step + 0.5) + shift

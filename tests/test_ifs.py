@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import starifs as si
 from starifs.config import RunConfig
@@ -70,9 +70,9 @@ class TestContractionMap:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        dim=st.integers(1, 3),
-        entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
-        off=st.lists(st.sampled_from([0.0, -0.0]), min_size=9, max_size=9),
+        dim=st.integers(1, 2),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        off=st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4),
         diagonal_only=st.booleans(),
     )
     def test_affine_constant_routing(self, dim, entries, off, diagonal_only):
@@ -119,15 +119,14 @@ class TestContractionMap:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        dim=st.integers(2, 3),
-        entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
         scale=st.sampled_from([1.0, 2.0**-40, 2.0**40]),
     )
-    def test_non_diagonal_constant_certificate(self, dim, entries, scale):
-        # a 1 x 1 matrix is a per-axis scaling, so only 2-D and 3-D ones are certified
-        matrix = scale * np.reshape(entries[: dim * dim], (dim, dim))
+    def test_non_diagonal_constant_certificate(self, entries, scale):
+        # a 1 x 1 matrix is a per-axis scaling, so only 2 x 2 ones are certified
+        matrix = scale * np.reshape(entries, (2, 2))
         matrix[0, 1] = matrix[0, 1] or scale / 3.0  # one nonzero off-diagonal entry at least
-        c = si.ContractionMap.affine(matrix, np.zeros(dim)).contraction_constant(None)
+        c = si.ContractionMap.affine(matrix, np.zeros(2)).contraction_constant(None)
         assert _bounds_norm(c, matrix)
         assert not _bounds_norm(np.nextafter(c, 0.0), matrix)
 
@@ -153,7 +152,7 @@ class TestContractionMap:
     def test_snapped_table_matches_snap(self):
         X = si.grid_1d(9, 0, 1)
         m = si.ContractionMap.affine([[0.5]], [0.25])
-        tbl = m.snapped_table(X)
+        (tbl,) = si.validate(si.IFSSystem(X, [m], [1.0], si.TNorm("product"))).tables
         assert np.array_equal(tbl, X.snap(X.coords * 0.5 + 0.25))
 
     def test_tabulated_constant(self):
@@ -184,6 +183,24 @@ class TestContractionMap:
             t = table.astype(int)
             dense = float((d[np.ix_(t, t)][off] / d[off]).max())
             assert si.ContractionMap.tabulated(table).contraction_constant(space) == dense
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 2))
+    def test_non_constant_table_on_square_cells_is_not_a_contraction(self, data, dim):
+        # two neighbours go to distinct points, at least one step apart:
+        # the ratio is 1 up to the rounding of the coordinates
+        n = data.draw(st.integers(2, 39 if dim == 1 else 6))
+        X = si.grid_1d(n, 0, 1) if dim == 1 else si.grid_2d(n, n, ((0, 1), (0, 1)))
+        table = data.draw(st.lists(st.integers(0, X.n - 1), min_size=X.n, max_size=X.n))
+        assume(len(set(table)) > 1)
+        assert si.ContractionMap.tabulated(table).contraction_constant(X) >= 1.0 - 1e-12
+
+    def test_tabulated_column_collapse_on_an_anisotropic_grid(self):
+        # f(ix, iy) = (0, ix): neighbours along y share an image, and
+        # neighbours 0.5 apart along x land 0.125 apart along y
+        X = si.grid_2d(3, 5, ((0, 1), (0, 0.5)))
+        table = [3 * ix for iy in range(5) for ix in range(3)]
+        assert si.ContractionMap.tabulated(table).contraction_constant(X) == 0.25
 
     def test_tabulated_constant_never_builds_a_grid_matrix(self):
         X = si.grid_2d(48, 48, ((0, 1), (0, 1)))
@@ -225,18 +242,26 @@ class TestContractionMap:
         with pytest.raises(si.DomainError):
             si.ContractionMap.affine([[0.5, 0.1]], [0.0])
 
+    def test_affine_maps_are_1x1_or_2x2(self):
+        # a grid has one or two axes, so no space can take a larger matrix
+        with pytest.raises(si.DomainError, match="1x1 or 2x2"):
+            si.ContractionMap.affine(0.5 * np.eye(3), np.zeros(3))
+
     def test_image_coords_checks_map_and_space(self):
         half = si.ContractionMap.affine([[0.5]], [0.0])
-        with pytest.raises(si.DomainError, match="only affine maps"):
-            si.ContractionMap.tabulated([0, 0]).image_coords(si.grid_1d(2, 0, 1))
+
+        def validate(space):
+            return si.validate(si.IFSSystem(space, [half], [1.0], si.TNorm("product")))
+
         with pytest.raises(si.DomainError, match="a space with coordinates"):
-            half.image_coords(si.FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]])))
+            validate(si.FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]])))
         with pytest.raises(si.DomainError, match="dimension does not match"):
-            half.image_coords(si.grid_2d(2, 2, ((0, 1), (0, 1))))
+            validate(si.grid_2d(2, 2, ((0, 1), (0, 1))))
 
     def test_snapped_table_needs_one_target_per_point(self):
+        const = si.ContractionMap.tabulated([0, 0])
         with pytest.raises(si.DomainError, match="one target per point"):
-            si.ContractionMap.tabulated([0, 0]).snapped_table(si.grid_1d(3, 0, 1))
+            si.validate(si.IFSSystem(si.grid_1d(3, 0, 1), [const], [1.0], si.TNorm("product")))
 
     def test_affine_rejects_nonfinite(self):
         for matrix, translation in (([[np.nan]], [0.0]), ([[0.5]], [np.inf])):
@@ -309,8 +334,8 @@ class TestValidate:
         with pytest.raises(si.DomainError, match="affine maps need a space with coordinates"):
             si.validate(si.IFSSystem(X, maps, [1.0, 1.0], si.TNorm("minimum")))
 
-    @pytest.mark.parametrize("X", [si.grid_2d(16, 12, ((0, 1), (0, 2)))], ids=["grid"])
-    def test_coverage_error_excess_in_2d(self, X):
+    def test_coverage_error_excess_in_2d(self):
+        X = si.grid_2d(16, 12, ((0, 1), (0, 2)))
         # the hull box is computed once, before the map loop; map 1's worst
         # point leaves it along both axes
         maps = [
@@ -321,10 +346,10 @@ class TestValidate:
             si.validate(si.IFSSystem(X, maps, [1.0, 0.5], si.TNorm("product")))
         assert str(info.value) == "map 1 leaves the grid hull by 0.577062 (> spacing 0.193655)"
 
-    @pytest.mark.parametrize("X", [si.grid_2d(23, 17, ((-0.5, 1.5), (0.0, 2.0)))], ids=["grid"])
-    def test_tables_equal_snaps_of_row_major_images(self, X):
+    def test_tables_equal_snaps_of_row_major_images(self):
         """Column-major coordinates and images leave every table and ``c`` as
         a row-major evaluation of the same formula gives them."""
+        X = si.grid_2d(23, 17, ((-0.5, 1.5), (0.0, 2.0)))
         maps = [
             si.ContractionMap.affine([[0.4, 0.2], [-0.1, 0.45]], [0.3, 0.6]),
             si.ContractionMap.affine([[0.35, -0.15], [0.25, 0.3]], [0.1, 0.2]),

@@ -290,11 +290,9 @@ def test_solve_outputs_match_pinned_sha256(tmp_path, name):
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "space", [si.FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])], ids=["no-coordinates"]
-)
-def test_table_from_space_needs_1d_or_2d_coordinates(space):
-    # only a grid has coordinates, and a grid has one or two axes
+def test_table_from_space_needs_a_grid():
+    # only a grid has coordinates
+    space = si.FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(si.ConfigError, match="needs a space with coordinates"):
         io_formats.table_from_space(space, np.ones(2))
 

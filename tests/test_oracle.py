@@ -677,10 +677,17 @@ class TestWordExpansion:
                 with pytest.raises(si.DomainError, match="space and t-norm"):
                     si.word_expansion(system, seed, depth)
 
-    def test_depth_zero_returns_seed(self, cantor):
-        seed = si.StarMeasure.full(cantor.space, cantor.tnorm)
-        out = si.word_expansion(cantor, seed, 0)
-        assert np.array_equal(out.density, seed.density)
+    def test_depth_zero_returns_seed(self):
+        # bit for bit on every case under every t-norm, with no depth-0
+        # branch: the empty word sends each grid point to itself, each
+        # point snaps to itself and T(1, v) == v
+        for make, seed_of, _ in EXPANSION_CASES.values():
+            base = make()
+            for t in ALL_TNORMS:
+                system = si.validate(si.IFSSystem(base.space, base.maps, base.weights, t))
+                seed = seed_of(system)
+                out = si.word_expansion(system, seed, 0)
+                assert out.density.tobytes() == seed.density.tobytes()
 
     @pytest.mark.parametrize(
         "make, seed_of",
@@ -726,7 +733,7 @@ class TestWordExpansion:
         trans = np.stack([f.translation for f in system.maps])
         batch = _affine_images(coords, mats, trans)
         for a, f in enumerate(system.maps):
-            img = f.image_coords(system.space)
+            img = _affine_images(coords, f.matrix[None], f.translation[None])[0]
             assert np.array_equal(batch[a], img)
             for i in range(len(coords)):
                 one = _affine_images(coords[i : i + 1], f.matrix[None], f.translation[None])

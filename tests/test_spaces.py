@@ -217,13 +217,10 @@ class TestMetricValidation:
 
 
 class TestDenseBuild:
-    def test_spacing_and_positivity_across_row_blocks(self):
-        # 600 points span three blocks of nearest-other distances
+    def test_positivity_rejects_one_duplicate_point(self):
         x = np.sort(np.concatenate([np.linspace(0.0, 1.0, 599), [0.123456]]))
-        d = np.abs(x[:, None] - x[None, :])
-        off = d[~np.eye(len(x), dtype=bool)].reshape(len(x), -1)
-        assert si.FiniteMetricSpace(d).spacing == off.min(axis=1).max()
-        # a duplicate point in the last block
+        assert si.FiniteMetricSpace(np.abs(x[:, None] - x[None, :])).n == 600
+        # one duplicate pair among 600 points
         x[-1] = x[-2]
         with pytest.raises(si.DomainError, match="distinct points must be at positive distance"):
             si.FiniteMetricSpace(np.abs(x[:, None] - x[None, :]))
@@ -394,7 +391,7 @@ class TestSnap:
         assert np.array_equal(idx, np.arange(12))
         assert X.snap(np.array([[0.34, 0.49]]))[0] == X.snap(np.array([[1 / 3, 0.5]]))[0]
 
-    def test_generic_cloud_matches_grid_formula(self):
+    def test_snap_matches_the_dense_argmin_and_ties_go_low(self):
         X = si.grid_1d(7, 0, 1)
         rng = np.random.default_rng(2)
         for count in (50, 600):
@@ -458,8 +455,8 @@ class TestSnap:
         assert np.array_equal(X.snap(pts), expected)
         assert X.snap(pts[7]) == expected[7]
 
-    @pytest.mark.parametrize("X", [si.grid_2d(13, 11, ((0.0, 1.0), (-1.0, 1.0)))], ids=["grid"])
-    def test_stacked_snap_of_transposed_view(self, X):
+    def test_stacked_snap_of_transposed_view(self):
+        X = si.grid_2d(13, 11, ((0.0, 1.0), (-1.0, 1.0)))
         assert X.coords.flags.f_contiguous
         mats = np.array([[[0.5, 0.2], [-0.1, 0.6]], [[0.3, 0.0], [0.4, 0.5]], [[0.7, -0.2], [0.1, 0.2]]])
         trans = np.array([[0.1, 0.2], [0.5, -0.3], [0.2, 0.1]])
@@ -470,13 +467,13 @@ class TestSnap:
         one = X.snap(images[1, 5])
         assert one.shape == () and one == flat[X.n + 5]
 
-    @pytest.mark.parametrize("X", [si.grid_2d(4, 4, ((0, 1), (0, 1)))], ids=["grid"])
     @pytest.mark.parametrize(
         "pts",
         [[[0.9]], [[0.1, 0.2, 0.9]], [[np.nan, 0.5]], [[np.inf, 0.5]], [[0.5, -np.inf]], 0.5],
         ids=["one-coordinate", "three-coordinates", "nan", "inf", "minus-inf", "scalar"],
     )
-    def test_rejects_wrong_dimension_and_nonfinite(self, X, pts):
+    def test_rejects_wrong_dimension_and_nonfinite(self, pts):
+        X = si.grid_2d(4, 4, ((0, 1), (0, 1)))
         # unchecked, the grid raises IndexError, reads two of three
         # coordinates or casts NaN to an index
         with pytest.raises(si.DomainError, match="finite with 2 coordinates"):
@@ -497,9 +494,6 @@ class TestSnap:
 def test_dense_dist_is_euclidean_of_coords(space):
     # built in row blocks from ``distances``; 600 and 391 points cross them
     assert np.array_equal(space.dist, _euclidean(space.coords, space.coords))
-    dense = si.FiniteMetricSpace(space.dist)
-    off = space.dist + np.diag(np.full(space.n, np.inf))
-    assert dense.spacing == off.min(axis=1).max()
 
 
 class TestLevelGrid:
