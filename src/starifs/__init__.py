@@ -44,13 +44,7 @@ from .measures import (
     to_saturated,
 )
 from .oracle import attractor_support, hutchinson_fixed_set, word_expansion
-from .spaces import (
-    FiniteMetricSpace,
-    LevelGrid,
-    grid_1d,
-    grid_2d,
-    hausdorff,
-)
+from .spaces import LevelGrid, grid_1d, grid_2d, hausdorff
 from .tnorms import FAMILIES, TNorm, axiom_report, parse_tnorm
 
 __version__ = "0.1.0"
@@ -61,7 +55,6 @@ __all__ = [
     "CoverageError",
     "DomainError",
     "FAMILIES",
-    "FiniteMetricSpace",
     "IFSSystem",
     "LevelGrid",
     "NotAContractionError",

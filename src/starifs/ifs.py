@@ -29,9 +29,13 @@ Affine map images are snapped to the nearest grid point (ties to the
 lowest index).  Every affine image and composition, in the tables, the
 hull check and the oracle, goes through ``_affine_images``, so a table
 does not depend on the BLAS build or the batch; the tie rule applies to
-that floating-point image.  Snapping contributes at most spacing/2 per application,
-h/(2(1-c)) accumulated; the level grid contributes 1/m per side.  These
-are the only systematic discretization errors.
+that floating-point image.  Snapping moves an image by spacing/2 up to
+rounding, h/(2(1-c)) accumulated: in exact arithmetic on the grid's
+float coordinates an image can lie a few ulps beyond spacing/2 of its
+snapped point (within spacing/2 * (1 + 2^-40) on the tested grids), and
+a radius measured from the tables is still open.  The level grid
+contributes 1/m per side.  These are the only systematic discretization
+errors.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .errors import (
     WeightError,
 )
 from .measures import NORMALIZATION_TOL, StarMeasure, hypograph_hausdorff
-from .spaces import LevelGrid, _indices, _integer, _unit_values
+from .spaces import GridSpace, LevelGrid, _indices, _integer, _unit_values
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
@@ -121,6 +125,22 @@ def _targets(table, space):
     return _indices(table, "tabulated map targets", space)
 
 
+def _pair_ratio(tbl, space):
+    """max d(tbl[x], tbl[y]) / d(x, y) over the pairs x != y of ``space``,
+    for a table ``_targets`` has checked, in row blocks of ``distances``."""
+    points = np.arange(space.n)
+    step = max(1, _PAIR_BLOCK // space.n)
+    worst = 0.0
+    for start in range(0, space.n, step):
+        rows = points[start : start + step]
+        num = space.distances(tbl[rows], tbl)
+        den = space.distances(rows, points)
+        # distinct points are at positive distance: only x == y is left out
+        np.divide(num, den, out=num, where=den > 0.0)
+        worst = max(worst, float(num.max()))
+    return worst
+
+
 @dataclass(frozen=True)
 class ContractionMap:
     """A contraction of the space, affine on grid coordinates or tabulated.
@@ -134,10 +154,10 @@ class ContractionMap:
     LAPACK's SVD value, which can sit a few ulps either side of the true
     norm, and ``_operator_norm`` steps it to the least double that an
     exact rational test certifies, the same on any LAPACK build.
-    Tabulated maps are point-to-point assignments, checked on the space
+    Tabulated maps are point-to-point assignments, checked on the grid
     by ``_targets``; their constant is the exhaustive pairwise ratio
-    max d(f(x), f(y)) / d(x, y), in row blocks of the space's
-    ``distances``, so a grid never builds its dense matrix.
+    max d(f(x), f(y)) / d(x, y) of ``_pair_ratio``, in row blocks of the
+    grid's ``distances``, so the dense matrix is never built.
     """
 
     kind: str
@@ -168,18 +188,7 @@ class ContractionMap:
                 # a per-axis scaling (-0.0 compares equal to 0.0): exact, and no SVD
                 return float(np.abs(diagonal).max())
             return _operator_norm(self.matrix)
-        tbl = _targets(self.table, space)
-        points = np.arange(space.n)
-        step = max(1, _PAIR_BLOCK // space.n)
-        worst = 0.0
-        for start in range(0, space.n, step):
-            rows = points[start : start + step]
-            num = space.distances(tbl[rows], tbl)
-            den = space.distances(rows, points)
-            # distinct points are at positive distance: only x == y is left out
-            np.divide(num, den, out=num, where=den > 0.0)
-            worst = max(worst, float(num.max()))
-        return worst
+        return _pair_ratio(_targets(self.table, space), space)
 
 
 @dataclass(frozen=True)
@@ -219,9 +228,12 @@ def validate(system):
     alone; the argument is left as it was.  Raises WeightError when
     max weight != 1, NotAContractionError when any constant reaches 1,
     CoverageError when an affine image leaves the grid hull by more
-    than one spacing, DomainError when an affine map is on a space
-    without coordinates (only a grid has them) or of another dimension.
+    than one spacing, DomainError when the space is not a ``GridSpace``
+    or an affine map has another dimension than the grid.
     """
+    space = system.space
+    if not isinstance(space, GridSpace):
+        raise DomainError("a system needs a grid space: build it with grid_1d or grid_2d")
     if system.k < 1:
         raise DomainError("a system needs at least one map")
     if system.weights.shape != (system.k,):
@@ -231,29 +243,29 @@ def validate(system):
     if max_w != 1.0:
         raise WeightError(f"weight error: max λ = {max_w!r}")
 
-    worst = max(m.contraction_constant(system.space) for m in system.maps)
+    # tabulated maps are checked once: the pair ratio and the tables read the same array
+    tables = [None if m.kind == "affine" else _targets(m.table, space) for m in system.maps]
+    worst = max(
+        m.contraction_constant(space) if tbl is None else _pair_ratio(tbl, space)
+        for m, tbl in zip(system.maps, tables)
+    )
     if worst >= 1.0:
         raise NotAContractionError(f"not a contraction: estimated constant {worst:g} >= 1")
 
-    space = system.space
-    tables = []
+    lo, hi = np.array([(axis[0], axis[-1]) for axis in space.axes]).T
     for i, m in enumerate(system.maps):
         if m.kind != "affine":
-            tables.append(_targets(m.table, space))
             continue
-        if space.coords is None:
-            raise DomainError("affine maps need a space with coordinates")
         if space.coords.shape[1] != m.translation.size:
             raise DomainError("affine map dimension does not match the space")
         # one image per map: the hull check and the snap read the same array
         img = _affine_images(space.coords, m.matrix[None], m.translation[None])[0]
-        lo, hi = np.array([(axis[0], axis[-1]) for axis in space.axes]).T
         excess = np.linalg.norm(img - np.clip(img, lo, hi), axis=1).max()
         if excess > space.spacing + _HULL_SLACK:
             raise CoverageError(
                 f"map {i} leaves the grid hull by {excess:g} (> spacing {space.spacing:g})"
             )
-        tables.append(space.snap(img))
+        tables[i] = space.snap(img)
 
     validated = replace(system)
     # the class is frozen: set the derived fields on the fresh copy only

@@ -199,12 +199,7 @@ def _create(path):
 
 
 def table_from_space(space, density):
-    """The density on a 1-D or 2-D grid as a table: index, coordinates, density.
-
-    A ``FiniteMetricSpace`` has no coordinates and raises ConfigError.
-    """
-    if space.coords is None:
-        raise ConfigError("density export needs a space with coordinates")
+    """The density on a 1-D or 2-D grid as a table: index, coordinates, density."""
     rows = np.column_stack([np.arange(space.n), space.coords, density])
     return DensityTable(HEADERS[space.coords.shape[1] - 1], rows)
 

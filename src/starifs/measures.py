@@ -164,10 +164,9 @@ def hypograph_hausdorff(space, dens_a, dens_b, levels):
         directed(A -> B) = max_x min_j max(D_j(x), (ka(x) - j)+ / m)
 
     where D_j(x) is the distance from x to {y : kb(y) >= j}, supplied by
-    the space's ``distance_to``: matrix-free on generated grids, and a
-    masked row-min in fixed row blocks on dense spaces.  The gap
-    term does not grow with j, so the sweep equals the min over all y
-    exactly; level arithmetic is done on integer indices.
+    the grid's matrix-free ``distance_to``.  The gap term does not grow
+    with j, so the sweep equals the min over all y exactly; level
+    arithmetic is done on integer indices.
 
     Level j can lower a point's running value b(x) only if its gap
     (ka(x) - j)+ / m is below b(x), and then only through a distance

@@ -10,7 +10,7 @@ snap-each-step, equal to ``psi`` at depth 1 under every t-norm (see
 h/2 + h(1-c^n)/(2(1-c)) in the hypograph metric when the maps send the
 grid hull into itself.
 
-``validate`` admits affine maps on grids only, and an affine word
+``validate`` admits systems on grids only, and an affine word
 stops growing once every extension of it must snap to one cell.  With
 L letters left, widen the grid box by
 r_L = (h + ``_HULL_SLACK``)(1 - c^L)/(1 - c) on every axis.  ``validate``

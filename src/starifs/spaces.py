@@ -1,24 +1,23 @@
-"""Finite metric spaces, uniform grids, level grids, and Hausdorff distances.
+"""Uniform grids, level grids, and Hausdorff distances.
 
-Compact metric spaces are discretized to finite point sets; every
-continuum statement downstream is tested up to the documented grid
-slack.  A user-supplied ``FiniteMetricSpace`` carries its full distance
-matrix and nothing else.  Generated grids (``grid_1d``, ``grid_2d``)
-share no code with it and are matrix-free: they hold their axes and
-coordinates, O(n) memory, and build the dense ``dist`` only when
-something reads it.  Only a grid has geometry (coordinates, a snap and
-a ``spacing``), so affine maps, snapping and export need one.
+Compact metric spaces are discretized to uniform grids; every continuum
+statement downstream is tested up to the documented grid slack.  A
+``GridSpace`` (``grid_1d``, ``grid_2d``) is the package's one space.  It
+is matrix-free: it holds its axes and coordinates, O(n) memory, and
+builds the dense ``dist`` only when something reads it.  Its
+coordinates, snap and ``spacing`` are what affine maps, snapping and
+export read.
 
-Each kind of space answers ``distance_to(mask, within)``, the distance
-from every point x to the set {y : mask[y]}, inf if the set is empty.
-``within`` is an optional cap, one value >= 0 per point: the result is
-exact wherever the distance is below ``within[x]`` and any value >=
-``within[x]`` elsewhere; None asks for it everywhere.  That is all the
-level sweep of ``measures.hypograph_hausdorff`` needs.  A 1-D grid scans
-for the nearest member on each side.  A 2-D grid takes, per row, the
-squared x-distance to the row's nearest member, then a min over row
-offsets d = 1, 2, ... that stops once no farther row can beat the
-current value or the cap.  A dense space takes a chunked masked row-min.
+``GridSpace.distance_to(mask, within)`` is the distance from every point
+x to the set {y : mask[y]}, inf if the set is empty.  ``within`` is an
+optional cap, one value >= 0 per point: the result is exact wherever the
+distance is below ``within[x]`` and any value >= ``within[x]`` elsewhere;
+None asks for it everywhere.  That is all the level sweep of
+``measures.hypograph_hausdorff`` needs.  A 1-D grid scans for the
+nearest member on each side, exact everywhere, so only a 2-D grid reads
+the cap: it takes, per row, the squared x-distance to the row's nearest
+member, then a min over row offsets d = 1, 2, ... that stops once no
+farther row can beat the current value or the cap.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 
-_TRIANGLE_EXHAUSTIVE_LIMIT = 512
-_TRIANGLE_SAMPLES = 10_000
-# rows scanned at once by the dense ``distance_to`` and by a grid's ``dist`` build
+# rows computed at once by a grid's ``dist`` build
 _DENSE_ROW_BLOCK = 256
 
 # values within this distance of a level line are treated as on it
@@ -81,8 +78,8 @@ def _splitmix64(seed, shape):
     """SplitMix64 words (Steele, Lea & Flood, OOPSLA 2014) for the counter 1..N.
 
     Word i is the finalizer of ``seed + i * 0x9E3779B97F4A7C15`` mod 2^64,
-    in row-major order over ``shape``.  A caller takes doubles in [0, 1) as
-    ``(z >> 11) * 2**-53`` and indices in 0..n-1 as ``z % n``.  Unlike a
+    in row-major order over ``shape``.  ``tnorms.axiom_report``, the one
+    caller, takes doubles in [0, 1) as ``(z >> 11) * 2**-53``.  Unlike a
     ``numpy.random`` Generator, whose stream numpy may change between
     versions (NEP 19) and whose first import takes longer than the draws,
     the words depend on the seed alone.  uint64 array arithmetic wraps
@@ -134,81 +131,9 @@ def _unit_values(values, name, space=None):
     return arr.astype(float, copy=False)
 
 
-class FiniteMetricSpace:
-    """A finite point set with a full distance matrix and no coordinates.
-
-    Points are identified by their index 0..n-1.  ``coords`` is None and
-    there is no ``spacing``: coordinates, affine maps, snapping and
-    export need a ``GridSpace``, and only tabulated maps run here.  A
-    space needs at least two points, as a grid does.  ``dist`` is
-    copied, so the caller's array stays writable.
-    """
-
-    coords = None
-
-    def __init__(self, dist):
-        dist = np.array(dist, dtype=float)
-        if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-            raise DomainError("distance matrix must be square")
-        self.n = dist.shape[0]
-        if self.n < 2:
-            raise DomainError("a space needs at least two points")
-        self.dist = dist
-        self.dist.flags.writeable = False
-        self.diameter = float(dist.max())
-        self._check_metric()
-
-    def _check_metric(self):
-        """Raise DomainError unless ``dist`` is a metric.
-
-        Every axiom is checked on every entry, except the triangle
-        inequality above ``_TRIANGLE_EXHAUSTIVE_LIMIT`` points: there it is
-        checked on ``_TRIANGLE_SAMPLES`` triples drawn by ``_splitmix64``
-        with seed 0, the same triples on every numpy version.
-        """
-        d = self.dist
-        if not np.all(np.isfinite(d)):
-            raise DomainError("distances must be finite")
-        if np.any(np.diagonal(d) != 0.0):
-            raise DomainError("distance of a point to itself must be 0")
-        if not np.array_equal(d, d.T):
-            raise DomainError("distance matrix must be symmetric")
-        # the diagonal holds n zeros: any other entry <= 0 is a pair of distinct points
-        if np.count_nonzero(d <= 0.0) != self.n:
-            raise DomainError("distinct points must be at positive distance")
-        tol = 1e-12 * max(1.0, self.diameter)
-        if self.n <= _TRIANGLE_EXHAUSTIVE_LIMIT:
-            for k in range(self.n):
-                if np.any(d > d[:, k, None] + d[None, k, :] + tol):
-                    raise DomainError("triangle inequality violated")
-        else:
-            i, j, k = (_splitmix64(0, (3, _TRIANGLE_SAMPLES)) % np.uint64(self.n)).astype(np.intp)
-            if np.any(d[i, j] > d[i, k] + d[k, j] + tol):
-                raise DomainError("triangle inequality violated (sampled)")
-
-    def distance_to(self, mask, within=None):
-        """Distance from every point to the set {y : mask[y]}, under the
-        ``within`` cap of the module docstring.
-
-        A masked row-min over the matrix, ``_DENSE_ROW_BLOCK`` rows at a
-        time, over only the rows with ``within > 0``; the others get 0.
-        """
-        out = np.zeros(self.n)
-        rows = np.arange(self.n) if within is None else np.flatnonzero(within > 0)
-        cols = np.flatnonzero(mask)
-        for start in range(0, rows.size, _DENSE_ROW_BLOCK):
-            block = rows[start : start + _DENSE_ROW_BLOCK]
-            out[block] = self.dist[np.ix_(block, cols)].min(axis=1, initial=np.inf)
-        return out
-
-    def distances(self, rows, cols):
-        """The block of the distance matrix at point indices ``rows`` x ``cols``."""
-        return self.dist[np.ix_(rows, cols)]
-
-
 class GridSpace:
-    """A uniform Euclidean lattice held matrix-free: the one space with
-    coordinates, a snap and a ``spacing``.
+    """A uniform Euclidean lattice held matrix-free: the package's one
+    space, with coordinates, a snap and a ``spacing``.
 
     ``axes`` lists (lo, hi, count) for one or two coordinates, x first;
     points are row-major (index = iy * nx + ix).  The coordinate array
@@ -393,7 +318,7 @@ def hausdorff(space, a_points, b_points):
     """Hausdorff distance between two nonempty finite point sets.
 
     The max of the two directed sup-inf distances, each read off the
-    space's ``distance_to`` (matrix-free on generated grids).
+    grid's matrix-free ``distance_to``.
     """
     a = _indices(a_points, "point set A", space).ravel()
     b = _indices(b_points, "point set B", space).ravel()

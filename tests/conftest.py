@@ -4,6 +4,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,15 +68,14 @@ ALL_TNORMS = [
 
 
 def product_metric(space_x, space_y):
-    """The sup-metric product of two finite spaces as a materialized space.
+    """The sup-metric distance matrix of the product of two finite spaces.
 
     Pairs (i, j) are indexed row-major: flat = i * |Y| + j.  For small
     factors: the full |X||Y| x |X||Y| matrix is built.
     """
     dx, dy = space_x.dist, space_y.dist
     nx, ny = space_x.n, space_y.n
-    d = np.maximum(dx[:, None, :, None], dy[None, :, None, :]).reshape(nx * ny, nx * ny)
-    return si.FiniteMetricSpace(d)
+    return np.maximum(dx[:, None, :, None], dy[None, :, None, :]).reshape(nx * ny, nx * ny)
 
 
 def pairs_hausdorff(space_x, space_y, a_pairs, b_pairs):
@@ -191,7 +191,8 @@ def hypograph_hausdorff_bruteforce(space, dens_a, dens_b, levels):
         return np.column_stack(member_arrays(sat))
 
     lv = levels.levels
-    line = si.FiniteMetricSpace(np.abs(lv[:, None] - lv[None, :]))
+    # pairs_hausdorff reads only the level line's distance matrix
+    line = SimpleNamespace(dist=np.abs(lv[:, None] - lv[None, :]))
     return pairs_hausdorff(space, line, pairs(dens_a), pairs(dens_b))
 
 

@@ -452,7 +452,7 @@ class TestSolveCommand:
         "name, iterations, distance", [("tabulated", 5, 0.0), ("lukasiewicz_dirac", 7, 0.03125)]
     )
     def test_config_stops_and_passes_the_oracle(self, tmp_path, capsys, name, iterations, distance):
-        # the only configs with a tabulated map (full seed) and with Lukasiewicz (Dirac seed)
+        # a constant tabulated map beside affine ones (full seed), and Lukasiewicz (Dirac seed)
         cfg = _redirected(tmp_path, name)
         assert main(["check", str(cfg)]) == 0
         assert main(["solve", str(cfg)]) == 0
@@ -464,6 +464,28 @@ class TestSolveCommand:
         payload = json.loads(out[out.index("{") :])
         assert payload["passed"] is True
         assert payload["hypographDistance"] == distance <= payload["snapTolerance"]
+
+    def test_non_constant_tables_through_every_config_command(self, tmp_path, capsys):
+        # two fold tables (ix, iy) -> (0, ix) and (1, ix // 2) beside an
+        # affine map, on a grid whose x step is twice its y step: the pair
+        # ratio, the Dirac and full-seed solves and the oracle's table walk
+        cfg = _redirected(tmp_path, "tabulated_fold")
+        assert main(["check", str(cfg)]) == 0
+        assert "system ok: 3 maps, contraction constant c = 0.5\n" in capsys.readouterr().out
+        assert main(["solve", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "tabulated_fold.report.json").read_text())
+        assert (report["stoppedBy"], report["iterations"]) == ("fixedPoint", 6)
+        capsys.readouterr()
+        assert main(["oracle", str(cfg), "--depth", "8"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[out.index("{") :])
+        assert payload["passed"] is True and payload["hypographDistance"] == 0.0
+        raw = json.loads(cfg.read_text())
+        raw["solver"]["seed"] = "full"
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "tabulated_fold.report.json").read_text())
+        assert (report["stoppedBy"], report["iterations"]) == ("fixedPoint", 5)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_nonfinite_tol_override_named(self, cantor_cfg, capsys, tol):
@@ -834,8 +856,6 @@ def test_cli_and_samplers_do_not_import_numpy_ma_numpy_random_fractions_or_decim
         "import sys\nimport starifs as si\nfrom starifs.cli import main\n"
         f"for argv in {commands!r}:\n    assert main(argv) == 0, argv\n"
         f"for name in {tnorms!r}:\n    assert si.axiom_report(si.parse_tnorm(name))['passed']\n"
-        # above 512 points the triangle inequality is checked on samples
-        "si.FiniteMetricSpace(si.grid_1d(600, 0, 1).dist)\n"
         f"{loaded}"
     )
     assert _python(code, tmp_path) == "[False, False, False, False]"

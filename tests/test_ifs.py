@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -167,9 +168,8 @@ class TestContractionMap:
         [
             si.grid_1d(37, -0.4, 1.3),
             si.grid_2d(9, 7, ((0, 1), (0.2, 3.3))),
-            si.FiniteMetricSpace(si.grid_2d(6, 5, ((0, 1), (0, 1))).dist),
         ],
-        ids=["1d", "2d", "dense"],
+        ids=["1d", "2d"],
     )
     @pytest.mark.parametrize("pair_block", [1, 100, 2**18])
     def test_tabulated_constant_is_the_dense_ratio(self, space, pair_block, monkeypatch):
@@ -253,8 +253,8 @@ class TestContractionMap:
         def validate(space):
             return si.validate(si.IFSSystem(space, [half], [1.0], si.TNorm("product")))
 
-        with pytest.raises(si.DomainError, match="a space with coordinates"):
-            validate(si.FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        with pytest.raises(si.DomainError, match="needs a grid space"):
+            validate(si.grid_1d(2, 0, 1).dist)
         with pytest.raises(si.DomainError, match="dimension does not match"):
             validate(si.grid_2d(2, 2, ((0, 1), (0, 1))))
 
@@ -325,14 +325,16 @@ class TestValidate:
             si.validate(si.IFSSystem(X, [escape], [1.0], si.TNorm("product")))
 
     def test_affine_maps_need_a_grid(self):
-        # a matrix space has no coordinates: x/3 and x/3 + 2/3 under the
-        # metric sqrt|x - y| used to validate with the Euclidean c = 1/3,
-        # though they contract that metric by 1/sqrt(3) only
-        x = np.linspace(0.0, 1.0, 28)
-        X = si.FiniteMetricSpace(np.sqrt(np.abs(x[:, None] - x[None, :])))
-        maps = [si.ContractionMap.affine([[1 / 3]], [t]) for t in (0.0, 2 / 3)]
-        with pytest.raises(si.DomainError, match="affine maps need a space with coordinates"):
-            si.validate(si.IFSSystem(X, maps, [1.0, 1.0], si.TNorm("minimum")))
+        # a grid is the one space: anything else is refused up front, for
+        # affine and tabulated maps alike, before the weights are read
+        X = si.grid_1d(28, 0.0, 1.0)
+        affine = [si.ContractionMap.affine([[1 / 3]], [t]) for t in (0.0, 2 / 3)]
+        const = [si.ContractionMap.tabulated(np.zeros(X.n))]
+        for maps, weights in ((affine, [1.0, 1.0]), (const, [0.5])):
+            # a bare matrix, nothing, and a copy of a grid's attributes
+            for space in (X.dist, None, SimpleNamespace(**vars(X))):
+                with pytest.raises(si.DomainError, match="^a system needs a grid space"):
+                    si.validate(si.IFSSystem(space, maps, weights, si.TNorm("minimum")))
 
     def test_coverage_error_excess_in_2d(self):
         X = si.grid_2d(16, 12, ((0, 1), (0, 2)))
@@ -345,6 +347,32 @@ class TestValidate:
         with pytest.raises(si.CoverageError) as info:
             si.validate(si.IFSSystem(X, maps, [1.0, 0.5], si.TNorm("product")))
         assert str(info.value) == "map 1 leaves the grid hull by 0.577062 (> spacing 0.193655)"
+
+    @pytest.mark.parametrize("n, beyond_half", [(16, 29), (32, 286), (64, 1560)])
+    def test_snap_moves_an_image_by_spacing_over_two_up_to_ulps(self, n, beyond_half):
+        # exact rationals on the grid's float coordinates: some (map, point)
+        # pairs of the Sierpinski maps 0.5 x + b land beyond spacing/2 of
+        # their snapped point, all of them by a relative 2^-40 at most
+        X = si.grid_2d(n, n, ((0.0, 1.0), (0.0, 1.0)))
+        maps = [
+            si.ContractionMap.affine([[0.5, 0.0], [0.0, 0.5]], b)
+            for b in ([0.0, 0.0], [0.5, 0.0], [0.25, 0.5])
+        ]
+        system = si.validate(si.IFSSystem(X, maps, [1.0, 0.6, 0.8], si.TNorm("product")))
+        half2 = (Fraction(X.spacing) / 2) ** 2
+        bound2 = half2 * (1 + Fraction(1, 2**40)) ** 2
+        coords = [(Fraction(x), Fraction(y)) for x, y in X.coords.tolist()]
+        over = 0
+        for m, table in zip(maps, system.tables.tolist()):
+            # a diagonal matrix: the image is x a_00 + t_0, y a_11 + t_1
+            (a, _), (_, d) = [[Fraction(v) for v in row] for row in m.matrix.tolist()]
+            tx, ty = (Fraction(v) for v in m.translation.tolist())
+            for (x, y), target in zip(coords, table):
+                sx, sy = coords[target]
+                dist2 = (a * x + tx - sx) ** 2 + (d * y + ty - sy) ** 2
+                assert dist2 <= bound2
+                over += dist2 > half2
+        assert over == beyond_half
 
     def test_tables_equal_snaps_of_row_major_images(self):
         """Column-major coordinates and images leave every table and ``c`` as
@@ -471,31 +499,34 @@ def kernel_systems(tnorm):
     ]
 
 
-def ultrametric_halving(tnorm, depth=5):
-    """Two tabulated maps on the 2**depth leaves of a binary tree.
+def fold_grid(n):
+    """The n x n grid of [0, 2] x [0, 1]: the x step is twice the y step."""
+    return si.grid_2d(n, n, ((0, 2), (0, 1)))
 
-    d(x, y) = 2**(bit length of x ^ y - depth) is an ultrametric; the
-    map x -> (x >> 1) | (b << (depth - 1)) halves every distance and is
-    two-to-one, so the system has c = 1/2 and nontrivial preimages.
+
+def fold_table(n, b, g):
+    """The table of (ix, iy) -> (b, g[ix]) on ``fold_grid(n)``.
+
+    Points differing by dx steps along x are at least 2 dx y steps
+    apart, so when |g[i + 1] - g[i]| <= 1 the map halves every distance
+    or better: a tabulated contraction that is not constant.
     """
-    x = np.arange(2**depth)
-    maps = [si.ContractionMap.tabulated((x >> 1) | (b << (depth - 1))) for b in (0, 1)]
-    return si.validate(si.IFSSystem(binary_tree(depth), maps, [1.0, 0.6], tnorm))
+    return np.tile(np.asarray(g) * n + b, n)
 
 
-def binary_tree(depth):
-    """The 2**depth leaves of a binary tree under the ultrametric
-    d(x, y) = 2**(bit length of x ^ y - depth)."""
-    x = np.arange(2**depth)
-    xor = x[:, None] ^ x[None, :]
-    bits = np.frexp(xor.astype(float))[1]  # bit length of a positive integer
-    return si.FiniteMetricSpace(np.where(xor > 0, 2.0 ** (bits - depth), 0.0))
+def fold_system(tnorm, n=8):
+    """(ix, iy) -> (0, ix) and (ix, iy) -> (1, ix // 2) on ``fold_grid(n)``,
+    with weights 1 and 0.6: c = 1/2, and both maps many-to-one."""
+    ix = np.arange(n)
+    maps = [si.ContractionMap.tabulated(fold_table(n, b, g)) for b, g in ((0, ix), (1, ix // 2))]
+    return si.validate(si.IFSSystem(fold_grid(n), maps, [1.0, 0.6], tnorm))
 
 
 class TestTabulatedAttractor:
     def test_equals_word_expansion_support(self):
-        system = ultrametric_halving(si.TNorm("minimum"))
-        for ref in (0, 13, 31):
+        system = fold_system(si.TNorm("minimum"))
+        assert system.c == 0.5
+        for ref in (0, 13, 63):
             seed = si.StarMeasure.dirac(system.space, ref, system.tnorm)
             for depth in range(8):
                 support = np.flatnonzero(si.word_expansion(system, seed, depth).density)
@@ -504,7 +535,7 @@ class TestTabulatedAttractor:
 
     def test_memory_does_not_grow_with_words(self):
         # holding all 2^19 word images at once took 10 MB
-        system = ultrametric_halving(si.TNorm("product"), depth=6)
+        system = fold_system(si.TNorm("product"))
         si.attractor_support(system, 1)  # the first call pays numpy's lazy imports
         tracemalloc.start()
         try:
@@ -512,7 +543,9 @@ class TestTabulatedAttractor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(support, np.arange(64))
+        # the images of columns 0 and 1: (0, 0), (1, 0) and (0, 1)
+        assert support.tolist() == [0, 1, 8]
+        assert np.array_equal(support, si.hutchinson_fixed_set(system))
         assert peak < 2**20
 
 
@@ -560,7 +593,7 @@ class TestPsi:
         rng = np.random.default_rng(21)
         for t in ALL_TNORMS:
             affine = make_cantor(30, (0.8, 1.0), t.family, t.parameter)
-            for sys_ in (affine, ultrametric_halving(t)):
+            for sys_ in (affine, fold_system(t)):
                 for _ in range(5):
                     mu = random_measure(sys_.space, t, rng)
                     out = si.psi(sys_, mu).density
@@ -576,7 +609,7 @@ class TestPsi:
         rng = np.random.default_rng(25)
         for t in ALL_TNORMS:
             affine = make_cantor(30, (0.8, 1.0), t.family, t.parameter)
-            for sys_ in (affine, ultrametric_halving(t)):
+            for sys_ in (affine, fold_system(t)):
                 for _ in range(5):
                     n = sys_.space.n
                     density = np.zeros(n)
@@ -919,26 +952,27 @@ def small_systems(
     draw,
     tnorms=tuple(ALL_TNORMS),
     weight=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 1.0),
-    kinds=("grid1d", "grid2d", "tree"),
+    kinds=("grid1d", "grid2d", "fold"),
 ):
     """A validated system with 2 or 3 maps under one of ``tnorms`` on a
     small space of one of ``kinds``: a 1-D grid of at most 40 points or a
     2-D grid of at most 12 x 12 (affine or constant tabulated maps), or a
-    binary tree (tabulated halving maps, as in ``ultrametric_halving``,
-    followed by a random isometry x -> x ^ mask).  The weights are drawn
-    from ``weight``, one set to 1."""
+    ``fold_grid`` of at most 8 x 8 (tabulated folds (ix, iy) -> (b, g[ix]),
+    g a walk of steps -1, 0 and 1, as in ``fold_system``).  The weights
+    are drawn from ``weight``, one set to 1."""
     tnorm = draw(st.sampled_from(tnorms))
     kind = draw(st.sampled_from(kinds))
     k = draw(st.integers(2, 3))
     unit = st.floats(0.0, 1.0)
     maps = []
-    if kind == "tree":
-        depth = draw(st.integers(2, 5))
-        space = binary_tree(depth)
-        x = np.arange(space.n)
+    if kind == "fold":
+        n = draw(st.integers(2, 8))
+        space = fold_grid(n)
         for _ in range(k):
-            halving = (x >> 1) | (draw(st.integers(0, 1)) << (depth - 1))
-            maps.append(si.ContractionMap.tabulated(halving ^ draw(st.integers(0, space.n - 1))))
+            steps = draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+            # clipping keeps every step within -1..1
+            g = np.clip(draw(st.integers(0, n - 1)) + np.cumsum([0] + steps), 0, n - 1)
+            maps.append(si.ContractionMap.tabulated(fold_table(n, draw(st.integers(0, n - 1)), g)))
     else:
         dim = 1 if kind == "grid1d" else 2
         if dim == 1:

@@ -290,13 +290,6 @@ def test_solve_outputs_match_pinned_sha256(tmp_path, name):
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
 
 
-def test_table_from_space_needs_a_grid():
-    # only a grid has coordinates
-    space = si.FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(si.ConfigError, match="needs a space with coordinates"):
-        io_formats.table_from_space(space, np.ones(2))
-
-
 @pytest.mark.parametrize("maxval", [65535, 65536, 10**30])
 def test_pgm_maxval_is_below_65536(tmp_path, maxval):
     # plain PGM requires 0 < maxval < 65536; a larger one was read as a scale

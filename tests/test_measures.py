@@ -385,7 +385,6 @@ class TestHypographHausdorff:
             (si.grid_1d(23, -0.4, 1.3), 10),
             (_RECT, 16),
             (_RECT, 12),
-            (si.FiniteMetricSpace(_RECT.dist), 8),
         ]:
             pairs = [tuple(rng.uniform(0, 1, (2, space.n))) for _ in range(25)]
             cases.append((space, m, pairs + _special_pairs(space.n, rng)))
@@ -469,12 +468,11 @@ class TestHypographHausdorff:
                         si.hypograph_hausdorff(X, *pair, lv)
 
     def test_symmetry_and_chunking(self):
-        # above 256 points the dense row-min crosses a row-block boundary
+        # above 256 points the dense matrix is built across a row-block boundary
         X = si.grid_1d(300, 0, 1)
-        dense = si.FiniteMetricSpace(X.dist)
         lv = si.LevelGrid(16)
         rng = np.random.default_rng(19)
         da, db = rng.uniform(0, 1, (2, X.n))
-        d1 = si.hypograph_hausdorff(dense, da, db, lv)
-        d2 = si.hypograph_hausdorff(dense, db, da, lv)
-        assert d1 == d2 == si.hypograph_hausdorff(X, db, da, lv)
+        d1 = si.hypograph_hausdorff(X, da, db, lv)
+        d2 = si.hypograph_hausdorff(X, db, da, lv)
+        assert d1 == d2 == dense_closed_form(X, da, db, lv)
